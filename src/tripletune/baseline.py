@@ -10,11 +10,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
+from scipy import sparse
+from scipy.special import expit
 
 from .graph import KnowledgeGraph
+from .optim import TrainingDiverged
 
 
 # ---------------------------------------------------------------------------
@@ -140,6 +144,13 @@ def random_walks(lg: LineGraph, walks_per_node: int = 10, walk_length: int = 20,
     """Weight-proportional walks from every node; dead ends truncate the walk."""
     if walk_length < 1:
         raise ValueError("walk_length must be >= 1")
+    if walks_per_node < 1:
+        raise ValueError("walks_per_node must be >= 1")
+    if len(lg.neighbors) != lg.n_nodes or len(lg.weights) != lg.n_nodes:
+        raise ValueError("line graph needs one neighbour and weight array per node")
+    ids = np.concatenate([np.empty(0, dtype=np.int64), *lg.neighbors])
+    if ids.size and (ids.min() < 0 or ids.max() >= lg.n_nodes):
+        raise ValueError(f"line graph neighbour ids must lie in [0, {lg.n_nodes})")
     cumw = []
     for w in lg.weights:
         tot = w.sum()
@@ -186,25 +197,94 @@ class SkipgramResult:
     loss_per_epoch: list[float] = field(default_factory=list)
 
 
+def window_pairs(length: int, window: int) -> tuple[np.ndarray, np.ndarray]:
+    """(center, context) positions of a walk of `length`, center-major.
+
+    Contexts of a center come in ascending position order, the order in which
+    a plain loop over positions and their windows visits them.
+    """
+    offsets = np.concatenate([np.arange(-window, 0), np.arange(1, window + 1)])
+    center = np.broadcast_to(np.arange(length)[:, None], (length, len(offsets)))
+    context = center + offsets
+    inside = (context >= 0) & (context < length)
+    return center[inside], context[inside]
+
+
+def _scatter_sub(w: np.ndarray, rows: np.ndarray, data: np.ndarray, dense: np.ndarray,
+                 max_hits: int | None = None) -> None:
+    """w[rows[i, j]] -= data[i, j] * dense[i], summed over i and j, as one sparse product.
+
+    With `max_hits`, the sum of a row hit m > max_hits times is scaled by max_hits / m.
+    """
+    n, k = rows.shape
+    uniq, local = np.unique(rows, return_inverse=True)
+    local = local.ravel()
+    a = sparse.csc_matrix((data.ravel(), local.astype(np.int32),
+                           np.arange(0, n * k + 1, k, dtype=np.int32)), shape=(len(uniq), n))
+    step = a @ dense
+    if max_hits is not None:
+        step *= np.minimum(1.0, max_hits / np.bincount(local))[:, None]
+    w[uniq] -= step
+
+
+def sgns_walk_update(w_in: np.ndarray, w_out: np.ndarray, centers: np.ndarray,
+                     targets: np.ndarray, lr: float, window: int) -> float:
+    """One SGNS step over all (center, context) pairs of a walk; returns the summed loss.
+
+    `targets` is (pairs, 1 + negatives): the context token, then the drawn
+    negatives. Every pair's gradient is taken at the parameters as they were
+    before the step, and gradients hitting the same row are summed.
+
+    A w_out row hit more than 2 * window * (1 + negatives) times in the walk
+    (every slot of one center's window) has its sum scaled down to that many
+    hits' worth. Without the cap, a token that fills the walks of a tiny
+    vocabulary collects hundreds of hits per walk, and the feedback between
+    w_in and w_out diverges.
+    """
+    n_pairs, k = targets.shape
+    v = w_in[centers]                                              # (p, d)
+    u = w_out[targets]                                             # (p, k, d)
+    s = np.einsum("pkd,pd->pk", u, v)
+    s[:, 0] *= -1.0               # flipped context score: every term is log(1 + e^s)
+    loss = float(np.logaddexp(0.0, s).sum())
+    coeff = expit(s) * lr         # lr * d loss / d score, up to the flip
+    coeff[:, 0] *= -1.0
+    _scatter_sub(w_in, np.repeat(centers, k)[:, None], coeff, u.reshape(n_pairs * k, -1))
+    _scatter_sub(w_out, targets, coeff, v, max_hits=2 * window * k)
+    return loss
+
+
 def train_skipgram(corpus: list[list[int]], n_tokens: int, dim: int,
                    epochs: int = 30, rng_seed: int = 0, window: int = 5,
                    negatives: int = 5, learning_rate: float = 0.025) -> SkipgramResult:
     """Skip-gram with negative sampling over triple-id sequences.
 
-    Noise distribution is unigram^0.75; the learning rate decays linearly.
-    Sequential and deterministic under rng_seed.
+    Noise distribution is unigram^0.75; the learning rate decays linearly,
+    one step per walk. Each walk is one vectorized update: all of its
+    (center, context) pairs and their negatives are scored against the same
+    parameters and the summed gradients applied at once (`sgns_walk_update`).
+    Walks are processed in corpus order, so the result is deterministic under
+    rng_seed. Raises ValueError for token ids outside [0, n_tokens) or a
+    dim, epochs, window or negatives below 1, and TrainingDiverged if the
+    vectors stop being finite.
     """
-    if not corpus or all(len(s) == 0 for s in corpus):
+    for name, value in (("dim", dim), ("epochs", epochs), ("window", window),
+                        ("negatives", negatives)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
+    lengths = np.fromiter(map(len, corpus), dtype=np.int64, count=len(corpus))
+    if not lengths.any():
         raise ValueError("empty corpus")
+    tokens = np.fromiter(chain.from_iterable(corpus), dtype=np.int64, count=int(lengths.sum()))
+    if tokens.min() < 0 or tokens.max() >= n_tokens:
+        bad = tokens[(tokens < 0) | (tokens >= n_tokens)][0]
+        raise ValueError(f"token id {bad} outside [0, {n_tokens})")
+    ends = np.cumsum(lengths).tolist()
     rng = np.random.default_rng(rng_seed)
-    counts = np.zeros(n_tokens)
-    for sent in corpus:
-        for tok in sent:
-            counts[tok] += 1
+    counts = np.bincount(tokens, minlength=n_tokens).astype(np.float64)
     seen = counts > 0
-    noise = counts ** 0.75
-    noise /= noise.sum()
-    noise_cdf = np.cumsum(noise)
+    noise_cdf = np.cumsum(counts ** 0.75)
+    noise_cdf /= noise_cdf[-1]
 
     w_in = (rng.random((n_tokens, dim)) - 0.5) / dim
     w_out = np.zeros((n_tokens, dim))
@@ -212,36 +292,28 @@ def train_skipgram(corpus: list[list[int]], n_tokens: int, dim: int,
     total_sentences = epochs * len(corpus)
     processed = 0
     min_lr = learning_rate * 1e-4
+    pairs_by_length: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     history = []
-    for _epoch in range(epochs):
+    for epoch in range(epochs):
         epoch_loss = 0.0
         n_pairs = 0
-        for sent in corpus:
+        for lo, hi in zip([0] + ends[:-1], ends):
             lr = learning_rate - (learning_rate - min_lr) * (processed / total_sentences)
             processed += 1
-            length = len(sent)
-            for pos, center in enumerate(sent):
-                lo = max(0, pos - window)
-                hi = min(length, pos + window + 1)
-                ctx = [sent[i] for i in range(lo, hi) if i != pos]
-                if not ctx:
-                    continue
-                ctx = np.array(ctx, dtype=np.int64)
-                m = len(ctx)
-                negs = np.searchsorted(noise_cdf, rng.random((m, negatives)), side="right")
-                targets = np.concatenate([ctx[:, None], negs], axis=1)     # (m, 1+k)
-                labels = np.zeros((m, 1 + negatives))
-                labels[:, 0] = 1.0
-                v = w_in[center]                                           # (d,)
-                u = w_out[targets]                                         # (m, 1+k, d)
-                s = u @ v                                                  # (m, 1+k)
-                sig = 1.0 / (1.0 + np.exp(-np.clip(s, -60, 60)))
-                epoch_loss += float(-np.sum(np.log(np.where(labels > 0, sig, 1 - sig) + 1e-12)))
-                n_pairs += m
-                coeff = (sig - labels) * lr                                # (m, 1+k)
-                dv = np.einsum("mk,mkd->d", coeff, u)
-                np.add.at(w_out, targets, -coeff[:, :, None] * v[None, None, :])
-                w_in[center] -= dv
+            if hi - lo not in pairs_by_length:
+                pairs_by_length[hi - lo] = window_pairs(hi - lo, window)
+            center_pos, context_pos = pairs_by_length[hi - lo]
+            if not len(center_pos):
+                continue
+            walk = tokens[lo:hi]
+            negs = np.searchsorted(noise_cdf, rng.random((len(center_pos), negatives)),
+                                   side="right")
+            targets = np.concatenate([walk[context_pos][:, None], negs], axis=1)
+            epoch_loss += sgns_walk_update(w_in, w_out, walk[center_pos], targets, lr,
+                                            window)
+            n_pairs += len(center_pos)
+        if not (np.isfinite(w_in).all() and np.isfinite(w_out).all()):
+            raise TrainingDiverged(f"non-finite skip-gram vectors at epoch {epoch}")
         history.append(epoch_loss / max(1, n_pairs))
     return SkipgramResult(w_in, seen, history)
 

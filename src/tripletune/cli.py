@@ -13,6 +13,7 @@ from . import seeds as seedmod
 from . import siamese
 from .evaluation import ClassifierSpec, EvalReport, evaluate
 from .graph import compute_stats, load_triples
+from .optim import TrainingDiverged
 from .pipeline import (ExperimentConfig, PipelineError, compare_report,
                        comparison_to_csv, run_pipeline)
 
@@ -242,6 +243,9 @@ def main(argv: list[str] | None = None) -> int:
     except PipelineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except TrainingDiverged as exc:
+        print(f"error: training diverged: {exc}", file=sys.stderr)
+        return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -373,6 +373,10 @@ def evaluate(triple_emb: np.ndarray, g: KnowledgeGraph,
     triple_emb = np.asarray(triple_emb, dtype=np.float64)
     if triple_emb.shape[0] != g.num_triples:
         raise ValueError("embedding rows must align with graph triples")
+    bad = np.flatnonzero(~np.isfinite(triple_emb).all(axis=1))
+    if bad.size:
+        raise ValueError(f"non-finite embedding values in row {bad[0]} "
+                         f"({bad.size} row(s) affected)")
     if specs is None:
         specs = [ClassifierSpec(kind="logreg-ovr"), ClassifierSpec(kind="mlp")]
 

@@ -1,8 +1,13 @@
-"""Minimal Adam optimizer shared by seed training, fine-tuning and the classifiers."""
+"""Minimal Adam optimizer shared by seed training, fine-tuning and the classifiers,
+and the error that fine-tuning and skip-gram raise on non-finite parameters."""
 
 from __future__ import annotations
 
 import numpy as np
+
+
+class TrainingDiverged(RuntimeError):
+    """A training loop produced non-finite parameters."""
 
 
 class Adam:

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .graph import KnowledgeGraph
-from .optim import Adam
+from .optim import Adam, TrainingDiverged
 from .pairs import PtssDataset
 from .seeds import EmbeddingSet
 
@@ -24,10 +24,6 @@ AGG_OPS = ("avg", "had", "l1", "l2", "ht")
 # "sum" (h + p + t) is a diagnostic operator used to demonstrate how
 # translation-trained seeds collapse to 2t; it is not part of the standard set.
 EXTRA_OPS = ("sum",)
-
-
-class TrainingDiverged(RuntimeError):
-    pass
 
 
 def aggregate(h_vec: np.ndarray, t_vec: np.ndarray, op: str,

@@ -6,8 +6,10 @@ import pytest
 from tripletune.baseline import (LineGraph, build_cm, build_line_graph,
                                  cooccurrence_counts, itf_weight, load_corpus,
                                  predicate_similarity, random_walks, save_corpus,
-                                 tf_weight, train_baseline, train_skipgram)
+                                 sgns_walk_update, tf_weight, train_baseline,
+                                 train_skipgram, window_pairs)
 from tripletune.graph import KnowledgeGraph
+from tripletune.optim import TrainingDiverged
 from conftest import random_named_triples
 
 
@@ -246,3 +248,103 @@ def test_train_baseline_shapes(rng):
     assert res.vectors.shape == (g.num_triples, 6)
     assert np.all(np.isfinite(res.vectors))
     assert len(res.loss_per_epoch) == 2
+
+
+# -- input validation -----------------------------------------------------------
+
+@pytest.mark.parametrize("corpus, n_tokens, kwargs", [
+    ([[0, -1]], 3, {}),                 # a negative id would wrap to the last row
+    ([[0, 3]], 3, {}),
+    ([[0, 1]], 2, {"epochs": 0}),
+    ([[0, 1]], 2, {"window": 0}),
+    ([[0, 1]], 2, {"negatives": 0}),
+    ([[0, 1]], 2, {"dim": 0}),
+])
+def test_skipgram_rejects_bad_input(corpus, n_tokens, kwargs):
+    args = {"dim": 4, **kwargs}
+    with pytest.raises(ValueError):
+        train_skipgram(corpus, n_tokens, **args)
+
+
+@pytest.mark.parametrize("lg, kwargs", [
+    (LineGraph(2, [np.array([1]), np.array([0])], [np.ones(1), np.ones(1)]),
+     {"walks_per_node": 0}),
+    (LineGraph(2, [np.array([-1]), np.array([0])], [np.ones(1), np.ones(1)]), {}),
+    (LineGraph(2, [np.array([2]), np.array([0])], [np.ones(1), np.ones(1)]), {}),
+    (LineGraph(2, [np.array([1])], [np.ones(1)]), {}),
+])
+def test_walks_reject_bad_input(lg, kwargs):
+    with pytest.raises(ValueError):
+        random_walks(lg, **kwargs)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_skipgram_divergence_detected():
+    corpus = [[0, 1, 2, 1, 0]] * 4
+    with pytest.raises(TrainingDiverged, match="epoch 0"):
+        train_skipgram(corpus, 3, dim=4, epochs=2, learning_rate=math.inf)
+
+
+# -- vectorized walk update ----------------------------------------------------
+
+def test_window_pairs_match_plain_loop():
+    for length in range(0, 9):
+        for window in (1, 2, 5):
+            expected = [(pos, i) for pos in range(length)
+                        for i in range(max(0, pos - window), min(length, pos + window + 1))
+                        if i != pos]
+            center, context = window_pairs(length, window)
+            assert list(zip(center.tolist(), context.tolist())) == expected
+
+
+@pytest.mark.parametrize("walk, n_tokens, capped", [
+    ([3, 0, 3, 5, 3, 3, 1], 7, True),        # token 3 repeats, also as its own context
+    ([0, 1, 2, 3, 4, 5, 6], 50, False),
+])
+def test_walk_update_matches_per_pair_loop(walk, n_tokens, capped):
+    rng = np.random.default_rng(4)
+    dim, window, negatives, lr = 5, 2, 3, 0.05
+    w_in = rng.normal(size=(n_tokens, dim))
+    w_out = rng.normal(size=(n_tokens, dim))
+    walk = np.array(walk)
+    center_pos, context_pos = window_pairs(len(walk), window)
+    negs = rng.integers(n_tokens, size=(len(center_pos), negatives))
+    negs[0, 0] = walk[context_pos[0]]              # a negative equal to the context
+    targets = np.concatenate([walk[context_pos][:, None], negs], axis=1)
+
+    # oracle: every pair's gradient at the pre-step parameters, one scalar loop;
+    # a w_out row's sum is scaled down past 2 * window * (1 + negatives) hits
+    g_in = np.zeros_like(w_in)
+    g_out = np.zeros_like(w_out)
+    hits = np.zeros(n_tokens)
+    loss = 0.0
+    for p, c in enumerate(walk[center_pos]):
+        for j, t in enumerate(targets[p]):
+            label = 1.0 if j == 0 else 0.0
+            sig = 1.0 / (1.0 + math.exp(-float(w_in[c] @ w_out[t])))
+            loss -= math.log(sig if label else 1.0 - sig)
+            g_in[c] += (sig - label) * w_out[t]
+            g_out[t] += (sig - label) * w_in[c]
+            hits[t] += 1
+    max_hits = 2 * window * (1 + negatives)
+    assert (hits.max() > max_hits) == capped
+    scale = np.minimum(1.0, max_hits / np.maximum(hits, 1))
+    expected_in = w_in - lr * g_in
+    expected_out = w_out - lr * g_out * scale[:, None]
+
+    got = sgns_walk_update(w_in, w_out, walk[center_pos], targets, lr, window)
+    assert got == pytest.approx(loss, rel=1e-12)
+    assert np.allclose(w_in, expected_in, rtol=0, atol=1e-12)
+    assert np.allclose(w_out, expected_out, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("corpus, n_tokens", [
+    # token 0 sits at every other position of every walk of a four-token vocabulary
+    ([[0, 1, 0, 2, 0, 3, 0, 1, 0, 2, 0, 3, 0, 1, 0, 2, 0, 3, 0, 1]] * 30, 4),
+    ([[0, 1] * 10] * 30, 2),
+])
+def test_skipgram_hub_token_collisions_stay_finite(corpus, n_tokens):
+    res = train_skipgram(corpus, n_tokens, dim=8, epochs=10, rng_seed=0)
+    assert np.all(np.isfinite(res.vectors))
+    assert np.all(np.isfinite(res.loss_per_epoch))
+    assert res.loss_per_epoch[-1] < res.loss_per_epoch[0]

@@ -276,6 +276,17 @@ def test_evaluate_row_mismatch(rng):
         evaluate(x[:-1], g)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("tasks", [("classify",), ("cluster",)])
+def test_evaluate_rejects_non_finite_features(rng, bad, tasks):
+    g, x, _ = labeled_graph_and_features(rng)
+    x = x.copy()
+    x[7, 2] = bad
+    x[40, 0] = bad
+    with pytest.raises(ValueError, match="row 7 "):
+        evaluate(x, g, tasks=tasks)
+
+
 def test_evaluate_restriction_too_small(tiny_graph):
     # tiny graph has one multi-predicate (h, t) pair -> only 2 rows survive
     feat = np.random.default_rng(0).normal(size=(tiny_graph.num_triples, 3))

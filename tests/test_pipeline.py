@@ -1,8 +1,11 @@
+import functools
 import json
+import math
 
 import numpy as np
 import pytest
 
+from tripletune import baseline as t2v
 from tripletune.cli import main as cli_main
 from tripletune.evaluation import EvalReport
 from tripletune.graph import save_triples
@@ -223,6 +226,45 @@ def test_cli_run_all(tmp_path, capsys):
     cfgf = small_config(tmp_path, gf)
     assert cli_main(["run-all", "--config", str(cfgf)]) == 0
     assert (tmp_path / "out" / "manifest.json").exists()
+
+
+def test_cli_baseline_rejects_zero_epochs(tmp_path, capsys):
+    gf, _ = write_graph(tmp_path)
+    embf = tmp_path / "baseline.tsv"
+    rc = cli_main(["baseline", "--graph", str(gf), "--dim", "8", "--walks", "1",
+                   "--walk-length", "5", "--epochs", "0", "--out", str(embf)])
+    assert rc == 1
+    assert "epochs must be >= 1" in capsys.readouterr().err
+    assert not embf.exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_cli_finetune_divergence_exits_nonzero(tmp_path, capsys):
+    gf, _ = write_graph(tmp_path)
+    ents, preds, pairsf = (tmp_path / n for n in ("ents.tsv", "preds.tsv", "pairs.tsv"))
+    assert cli_main(["seed-train", "--graph", str(gf), "--dim", "8", "--epochs", "2",
+                     "--out-entities", str(ents), "--out-predicates", str(preds)]) == 0
+    assert cli_main(["sample", "--graph", str(gf), "--entities", str(ents),
+                     "--predicates", str(preds), "--n", "2", "--out", str(pairsf)]) == 0
+    capsys.readouterr()
+    rc = cli_main(["finetune", "--graph", str(gf), "--entities", str(ents),
+                   "--predicates", str(preds), "--pairs", str(pairsf), "--epochs", "1",
+                   "--warmup", "0", "--lr", "inf", "--out", str(tmp_path / "emb.tsv")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "training diverged" in err and "epoch 0" in err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_cli_baseline_divergence_exits_nonzero(tmp_path, capsys, monkeypatch):
+    gf, _ = write_graph(tmp_path)
+    monkeypatch.setattr(t2v, "train_skipgram",
+                        functools.partial(t2v.train_skipgram, learning_rate=math.inf))
+    rc = cli_main(["baseline", "--graph", str(gf), "--dim", "8", "--walks", "1",
+                   "--walk-length", "5", "--epochs", "1", "--out", str(tmp_path / "b.tsv")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "training diverged" in err and "epoch 0" in err
 
 
 def test_cli_error_exit_codes(tmp_path, capsys):
