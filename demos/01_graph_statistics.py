@@ -10,6 +10,8 @@ components).
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 from tripletune.graph import compute_stats, load_triples, save_triples
 from tripletune.synthetic import cross_linked_clustered_graph
 
@@ -23,7 +25,7 @@ def main():
         path = Path(tmp) / "graph.tsv"
         save_triples(g, path)
         reloaded = load_triples(path)
-        assert reloaded.triples == g.triples
+        assert np.array_equal(reloaded.ids, g.ids)
 
         stats = compute_stats(reloaded)
         print(stats.to_json())

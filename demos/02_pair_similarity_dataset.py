@@ -9,7 +9,7 @@ similarities. Shows the score distribution per provenance label.
 
 import numpy as np
 
-from tripletune.pairs import build_dataset
+from tripletune.pairs import PROVENANCES, build_dataset
 from tripletune.seeds import SeedTrainConfig, train_seed
 from tripletune.synthetic import cross_linked_clustered_graph
 
@@ -27,11 +27,10 @@ def main():
         print(f"{len(ds.negative_deficit_anchors)} anchors could not fill "
               "their negative quota")
 
-    by_prov = {}
-    for p in ds.pairs:
-        by_prov.setdefault(p.provenance, []).append(p.score)
-    for prov in ("shared-head", "shared-tail", "shared-predicate", "negative"):
-        scores = np.array(by_prov.get(prov, [0.0]))
+    for code, prov in enumerate(PROVENANCES):
+        scores = ds.score[ds.provenance == code]
+        if scores.size == 0:
+            continue
         print(f"  {prov:17s} n={len(scores):5d} mean={scores.mean():+.3f} "
               f"min={scores.min():+.3f} max={scores.max():+.3f}")
     print("\nshared-slot pairs score higher than slot-disjoint negatives, which "

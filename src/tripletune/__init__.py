@@ -11,7 +11,7 @@ from .graph import (GraphParseError, GraphStats, KnowledgeGraph, Triple, Vocabul
 from .seeds import (EmbeddingSet, SeedTrainConfig, import_embeddings, export_embeddings,
                     score_complex, score_distmult, score_rescal, score_rotate,
                     score_transe, train_seed)
-from .pairs import (PtssDataset, PtssPair, build_dataset, compute_ptss, cosine_sim,
+from .pairs import (PtssDataset, build_dataset, compute_ptss, cosine_sim,
                     sample_candidates)
 from .siamese import (AGG_OPS, FineTuneConfig, SiameseModel, aggregate,
                       export_triple_embeddings, init_embedding_layer, train)

@@ -31,19 +31,22 @@ def cooccurrence_counts(g: KnowledgeGraph) -> np.ndarray:
     The diagonal holds each predicate's own (h, t)-pair count so that the
     inverse-frequency denominator is never zero for a used predicate.
     """
-    pair_preds: dict[tuple[int, int], set[int]] = {}
-    for t in g.triples:
-        pair_preds.setdefault((t.head, t.tail), set()).add(t.predicate)
-    c = np.zeros((g.num_predicates, g.num_predicates), dtype=np.int64)
-    for preds in pair_preds.values():
-        ps = sorted(preds)
-        for i in ps:
-            c[i, i] += 1
-        for a in range(len(ps)):
-            for b in range(a + 1, len(ps)):
-                c[ps[a], ps[b]] += 1
-                c[ps[b], ps[a]] += 1
-    return c
+    # rows are distinct, so a (h, t) pair's triples carry distinct predicates
+    _, pair = np.unique(g.ids[:, 0] * g.num_entities + g.ids[:, 2], return_inverse=True)
+    p_x, p_y = _pairs_within_groups(pair, g.ids[:, 1])
+    n = g.num_predicates
+    return np.bincount(p_x * n + p_y, minlength=n * n).reshape(n, n)
+
+
+def _pairs_within_groups(group: np.ndarray, member: np.ndarray
+                         ) -> tuple[np.ndarray, np.ndarray]:
+    """Every ordered pair (x, y) of members with equal group ids, x == y included."""
+    order = np.argsort(group, kind="stable")
+    group, member = group[order], member[order]
+    size = np.bincount(group)[group]
+    first = np.repeat(np.searchsorted(group, group), size)
+    offset = np.arange(len(first)) - np.repeat(np.cumsum(size) - size, size)
+    return np.repeat(member, size), member[first + offset]
 
 
 def tf_weight(i: int, j: int, c: np.ndarray) -> float:
@@ -108,31 +111,29 @@ class LineGraph:
 
 
 def build_line_graph(g: KnowledgeGraph, cm: np.ndarray | None = None) -> LineGraph:
-    """Connect triples sharing an entity endpoint, weighted by predicate similarity."""
+    """Connect triples sharing an entity endpoint, weighted by predicate similarity.
+
+    Edge {i, j} with i < j weighs max(0, M_r[p_i, p_j]) in both directions,
+    once however many endpoints the two triples share.
+    """
     if cm is None:
         cm = build_cm(cooccurrence_counts(g), g.num_triples)
     m_r = predicate_similarity(cm)
-    adjacency: list[dict[int, float]] = [dict() for _ in range(g.num_triples)]
-    incident: dict[int, list[int]] = {}
-    for idx, t in enumerate(g.triples):
-        for e in {t.head, t.tail}:
-            incident.setdefault(e, []).append(idx)
-    for ids in incident.values():
-        for a in range(len(ids)):
-            ia = ids[a]
-            pa = g.triples[ia].predicate
-            for b in range(a + 1, len(ids)):
-                ib = ids[b]
-                w = max(0.0, float(m_r[pa, g.triples[ib].predicate]))
-                adjacency[ia][ib] = w
-                adjacency[ib][ia] = w
-    neighbors = []
-    weights = []
-    for d in adjacency:
-        ks = np.array(sorted(d.keys()), dtype=np.int64)
-        neighbors.append(ks)
-        weights.append(np.array([d[k] for k in ks]))
-    return LineGraph(g.num_triples, neighbors, weights)
+    n = g.num_triples
+    h, p, t = g.ids.T
+    triple = np.arange(n)
+    # (entity, triple) incidences, a self-loop's entity once
+    src, dst = _pairs_within_groups(np.concatenate([h, t[h != t]]),
+                                    np.concatenate([triple, triple[h != t]]))
+    key = np.sort((src * n + dst)[src != dst])
+    key = key[np.diff(key, prepend=-1) != 0]   # a pair sharing both endpoints once
+    src, dst = key // n, key % n
+    w = m_r[p[np.minimum(src, dst)], p[np.maximum(src, dst)]]
+    w = np.where(w > 0.0, w, 0.0)
+    ends = np.cumsum(np.bincount(src, minlength=n)).tolist()
+    starts = [0] + ends[:-1]
+    return LineGraph(n, [dst[a:b] for a, b in zip(starts, ends)],
+                     [w[a:b] for a, b in zip(starts, ends)])
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from . import baseline as t2v
 from . import pairs as pairmod
 from . import seeds as seedmod
 from . import siamese
-from .evaluation import ClassifierSpec, EvalReport, evaluate
+from .evaluation import EvalReport, classifier_specs, evaluate
 from .graph import compute_stats, load_triples
 from .optim import TrainingDiverged
 from .pipeline import (ExperimentConfig, PipelineError, compare_report,
@@ -63,7 +63,7 @@ def cmd_sample(args) -> int:
                                    value_kind=args.value_kind)
     ds = pairmod.build_dataset(g, es, args.n, rng_seed=args.seed)
     pairmod.save_dataset(ds, args.out)
-    msg = f"wrote {len(ds.pairs)} pairs to {args.out}"
+    msg = f"wrote {len(ds)} pairs to {args.out}"
     if ds.negative_deficit_anchors:
         msg += f" ({len(ds.negative_deficit_anchors)} anchors short of negatives)"
     print(msg)
@@ -88,20 +88,11 @@ def cmd_finetune(args) -> int:
     return 0
 
 
-def _specs_for(choice: str, seed: int) -> list[ClassifierSpec]:
-    specs = []
-    if choice in ("logreg", "both"):
-        specs.append(ClassifierSpec(kind="logreg-ovr", rng_seed=seed))
-    if choice in ("mlp", "both"):
-        specs.append(ClassifierSpec(kind="mlp", rng_seed=seed))
-    return specs
-
-
 def cmd_eval(args) -> int:
     g = load_triples(args.graph)
     matrix = siamese.read_triple_embedding_tsv(args.embeddings)
     tasks = ("classify", "cluster") if args.task == "all" else (args.task,)
-    report = evaluate(matrix, g, specs=_specs_for(args.classifier, args.seed),
+    report = evaluate(matrix, g, specs=classifier_specs(args.classifier, args.seed),
                       restrict_multi_predicate=args.restrict_multi_predicate,
                       folds=args.folds, rng_seed=args.seed, tasks=tasks,
                       metadata={"dataset": args.tag, "method": args.method})

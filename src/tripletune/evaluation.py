@@ -30,6 +30,14 @@ class ClassifierSpec:
     rng_seed: int = 0
 
 
+def classifier_specs(choice: str, rng_seed: int = 0) -> list[ClassifierSpec]:
+    """The classifiers that "logreg", "mlp" or "both" names."""
+    kinds = {"logreg": ["logreg-ovr"], "mlp": ["mlp"], "both": ["logreg-ovr", "mlp"]}
+    if choice not in kinds:
+        raise ValueError(f"unknown classifier choice {choice!r}")
+    return [ClassifierSpec(kind=kind, rng_seed=rng_seed) for kind in kinds[choice]]
+
+
 @dataclass
 class EvalReport:
     micro_f1_per_fold: dict[str, list[float]]
@@ -380,9 +388,9 @@ def evaluate(triple_emb: np.ndarray, g: KnowledgeGraph,
     if specs is None:
         specs = [ClassifierSpec(kind="logreg-ovr"), ClassifierSpec(kind="mlp")]
 
-    labels = np.array([t.predicate for t in g.triples])
+    labels = g.ids[:, 1]
     if restrict_multi_predicate:
-        keep = np.array(multi_predicate_triple_ids(g), dtype=np.int64)
+        keep = multi_predicate_triple_ids(g)
         if len(keep) < 10:
             raise ValueError("fewer than 10 triples after multi-predicate restriction")
         triple_emb = triple_emb[keep]

@@ -2,19 +2,24 @@
 
 from __future__ import annotations
 
+import functools
 import json
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
+
+import numpy as np
+from scipy import sparse
+from scipy.sparse.csgraph import connected_components
 
 
 class GraphParseError(ValueError):
     """Raised for malformed triple files."""
 
 
-@dataclass(frozen=True)
-class Triple:
+class Triple(NamedTuple):
+    """One row of `KnowledgeGraph.ids`."""
     head: int
     predicate: int
     tail: int
@@ -57,22 +62,45 @@ class Vocabulary:
         return isinstance(other, Vocabulary) and self._names == other._names
 
 
+class Postings:
+    """CSR posting lists of one slot: the triple ids holding each value, ascending."""
+
+    def __init__(self, column: np.ndarray, n_values: int):
+        self.ids = np.argsort(column, kind="stable")
+        self.offsets = np.zeros(n_values + 1, dtype=np.int64)
+        np.cumsum(np.bincount(column, minlength=n_values), out=self.offsets[1:])
+
+    def __getitem__(self, value: int) -> np.ndarray:
+        return self.ids[self.offsets[value]:self.offsets[value + 1]]
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+    def __iter__(self):
+        return (self[v] for v in range(len(self)))
+
+
 class KnowledgeGraph:
-    """Immutable-after-load triple store with by-head/by-tail/by-predicate indices."""
+    """Immutable-after-load triple store.
+
+    `ids` is a (T, 3) int64 array of distinct (head, predicate, tail) rows;
+    `by_head`, `by_tail` and `by_predicate` are its posting lists per slot.
+    """
 
     def __init__(self, entities: Vocabulary, predicates: Vocabulary,
-                 triples: Sequence[Triple], duplicates_dropped: int = 0):
+                 ids, duplicates_dropped: int = 0):
         self.entities = entities
         self.predicates = predicates
-        self.triples: list[Triple] = list(triples)
+        self.ids = np.asarray(ids, dtype=np.int64).reshape(-1, 3)
         self.duplicates_dropped = duplicates_dropped
-        self.by_head: list[list[int]] = [[] for _ in range(len(entities))]
-        self.by_tail: list[list[int]] = [[] for _ in range(len(entities))]
-        self.by_predicate: list[list[int]] = [[] for _ in range(len(predicates))]
-        for i, t in enumerate(self.triples):
-            self.by_head[t.head].append(i)
-            self.by_tail[t.tail].append(i)
-            self.by_predicate[t.predicate].append(i)
+        self.by_head = Postings(self.ids[:, 0], len(entities))
+        self.by_tail = Postings(self.ids[:, 2], len(entities))
+        self.by_predicate = Postings(self.ids[:, 1], len(predicates))
+
+    @functools.cached_property
+    def triples(self) -> list[Triple]:
+        """The rows of `ids` as `Triple` tuples."""
+        return [Triple(*row) for row in self.ids.tolist()]
 
     @property
     def num_entities(self) -> int:
@@ -84,23 +112,21 @@ class KnowledgeGraph:
 
     @property
     def num_triples(self) -> int:
-        return len(self.triples)
+        return len(self.ids)
 
     @classmethod
     def from_named_triples(cls, rows: Iterable[tuple[str, str, str]]) -> "KnowledgeGraph":
         entities = Vocabulary()
         predicates = Vocabulary()
-        triples: list[Triple] = []
-        seen: set[tuple[int, int, int]] = set()
+        ids: dict[tuple[int, int, int], None] = {}
         dropped = 0
         for h, p, t in rows:
             key = (entities.add(h), predicates.add(p), entities.add(t))
-            if key in seen:
+            if key in ids:
                 dropped += 1
-                continue
-            seen.add(key)
-            triples.append(Triple(key[0], key[1], key[2]))
-        return cls(entities, predicates, triples, duplicates_dropped=dropped)
+            else:
+                ids[key] = None
+        return cls(entities, predicates, list(ids), duplicates_dropped=dropped)
 
 
 def load_triples(paths: str | Path | Sequence[str | Path]) -> KnowledgeGraph:
@@ -138,10 +164,10 @@ def load_triples(paths: str | Path | Sequence[str | Path]) -> KnowledgeGraph:
 
 
 def save_triples(g: KnowledgeGraph, path: str | Path) -> None:
+    ent, pred = g.entities.names, g.predicates.names
     with Path(path).open("w", encoding="utf-8") as fh:
-        for t in g.triples:
-            fh.write(f"{g.entities.name(t.head)}\t{g.predicates.name(t.predicate)}"
-                     f"\t{g.entities.name(t.tail)}\n")
+        for h, p, t in g.ids.tolist():
+            fh.write(f"{ent[h]}\t{pred[p]}\t{ent[t]}\n")
 
 
 @dataclass
@@ -157,116 +183,27 @@ class GraphStats:
         return json.dumps(self.__dict__, indent=2)
 
 
-def _entity_adjacency(g: KnowledgeGraph) -> list[list[int]]:
-    # Directed entity graph, parallel predicate edges collapsed.
-    adj: list[set[int]] = [set() for _ in range(g.num_entities)]
-    for t in g.triples:
-        adj[t.head].add(t.tail)
-    return [sorted(s) for s in adj]
-
-
-def _tarjan_scc_count(adj: list[list[int]]) -> int:
-    """Number of strongly connected components (iterative Tarjan)."""
-    n = len(adj)
-    index = [-1] * n
-    lowlink = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    count = 0
-    counter = 0
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        # work items: (node, iterator position)
-        work = [(root, 0)]
-        while work:
-            v, pi = work.pop()
-            if pi == 0:
-                index[v] = lowlink[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            recurse = False
-            neighbors = adj[v]
-            for i in range(pi, len(neighbors)):
-                w = neighbors[i]
-                if index[w] == -1:
-                    work.append((v, i + 1))
-                    work.append((w, 0))
-                    recurse = True
-                    break
-                if on_stack[w]:
-                    if index[w] < lowlink[v]:
-                        lowlink[v] = index[w]
-            if recurse:
-                continue
-            if lowlink[v] == index[v]:
-                count += 1
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    if w == v:
-                        break
-            if work:
-                parent = work[-1][0]
-                if lowlink[v] < lowlink[parent]:
-                    lowlink[parent] = lowlink[v]
-    return count
-
-
-class UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.rank = [0] * n
-        self.n_components = n
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if self.rank[ra] < self.rank[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        if self.rank[ra] == self.rank[rb]:
-            self.rank[ra] += 1
-        self.n_components -= 1
-
-
-def _multi_edge_pairs(g: KnowledgeGraph) -> dict[tuple[int, int], int]:
-    counts: dict[tuple[int, int], set[int]] = {}
-    for t in g.triples:
-        counts.setdefault((t.head, t.tail), set()).add(t.predicate)
-    return {pair: len(preds) for pair, preds in counts.items()}
-
-
-def multi_predicate_triple_ids(g: KnowledgeGraph) -> list[int]:
-    """Indices of triples whose (head, tail) pair carries >= 2 distinct predicates."""
-    pair_preds = _multi_edge_pairs(g)
-    return [i for i, t in enumerate(g.triples) if pair_preds[(t.head, t.tail)] >= 2]
+def multi_predicate_triple_ids(g: KnowledgeGraph) -> np.ndarray:
+    """Ascending ids of triples whose (head, tail) pair carries >= 2 distinct predicates."""
+    # rows are distinct, so a pair's triple count is its predicate count
+    _, pair, count = np.unique(g.ids[:, 0] * g.num_entities + g.ids[:, 2],
+                               return_inverse=True, return_counts=True)
+    return np.flatnonzero(count[pair] >= 2)
 
 
 def compute_stats(g: KnowledgeGraph) -> GraphStats:
     if g.num_triples == 0:
         raise ValueError("empty graph")
-    adj = _entity_adjacency(g)
-    num_scc = _tarjan_scc_count(adj)
-    uf = UnionFind(g.num_entities)
-    for t in g.triples:
-        uf.union(t.head, t.tail)
-    num_multi = len(multi_predicate_triple_ids(g))
+    n = g.num_entities
+    adjacency = sparse.csr_matrix((np.ones(g.num_triples), (g.ids[:, 0], g.ids[:, 2])),
+                                  shape=(n, n))
+    num_scc, _ = connected_components(adjacency, directed=True, connection="strong")
+    num_wcc, _ = connected_components(adjacency, directed=True, connection="weak")
     return GraphStats(
-        num_entities=g.num_entities,
+        num_entities=n,
         num_predicates=g.num_predicates,
         num_triples=g.num_triples,
-        num_multi_edge_triples=num_multi,
-        num_scc=num_scc,
-        num_wcc=uf.n_components,
+        num_multi_edge_triples=len(multi_predicate_triple_ids(g)),
+        num_scc=int(num_scc),
+        num_wcc=int(num_wcc),
     )

@@ -22,17 +22,17 @@ PROVENANCES = ("shared-head", "shared-tail", "shared-predicate", "negative")
 NEGATIVE_RETRY_FACTOR = 100
 
 
-@dataclass(frozen=True)
-class PtssPair:
-    triple_a: int
-    triple_b: int
-    score: float
-    provenance: str
-
-
 @dataclass
 class PtssDataset:
-    pairs: list[PtssPair]
+    """Scored pairs as parallel arrays.
+
+    Pair i joins triples `a[i]` and `b[i]` with weak label `score[i]`;
+    `provenance[i]` indexes PROVENANCES.
+    """
+    a: np.ndarray
+    b: np.ndarray
+    score: np.ndarray
+    provenance: np.ndarray
     n_param: int
     seed_tag: str
     rng_seed: int
@@ -40,7 +40,7 @@ class PtssDataset:
     negative_deficit_anchors: list[int] = field(default_factory=list)
 
     def __len__(self) -> int:
-        return len(self.pairs)
+        return len(self.a)
 
 
 def cosine_sim(u: np.ndarray, v: np.ndarray) -> float:
@@ -56,7 +56,8 @@ def cosine_sim(u: np.ndarray, v: np.ndarray) -> float:
 
 
 def compute_ptss(a: Triple, b: Triple, emb: EmbeddingSet) -> float:
-    """Arithmetic mean of head/predicate/tail cosine similarities."""
+    """Arithmetic mean of head/predicate/tail cosine similarities; the scalar
+    reference for `ptss_scores`."""
     ent = emb.entity_vectors
     pred = emb.predicate_vectors
     return (cosine_sim(ent[a.head], ent[b.head])
@@ -73,6 +74,30 @@ def anchor_rng(rng_seed: int, triple_id: int) -> np.random.Generator:
     return np.random.default_rng([rng_seed, triple_id])
 
 
+def _row_dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    # one BLAS dot per row, the kernel np.dot and np.linalg.norm use on vectors
+    return (u[:, None, :] @ v[:, :, None])[:, 0, 0]
+
+
+def _slot_cosines(table: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """cosine_sim(table[i[k]], table[j[k]]) for every k, bit for bit."""
+    norms = np.sqrt(_row_dot(table, table))
+    ni, nj = norms[i], norms[j]
+    ok = (ni != 0.0) & (nj != 0.0)
+    cos = _row_dot(table[i], table[j]) / np.where(ok, ni * nj, 1.0)
+    return np.where(ok, np.clip(cos, -1.0, 1.0), 0.0)
+
+
+def ptss_scores(g: KnowledgeGraph, emb: EmbeddingSet, a: np.ndarray,
+                b: np.ndarray) -> np.ndarray:
+    """compute_ptss of every pair (a[k], b[k]) of triple ids, one slot at a time."""
+    ta, tb = g.ids[a], g.ids[b]
+    score = _slot_cosines(emb.entity_vectors, ta[:, 0], tb[:, 0])
+    score += _slot_cosines(emb.predicate_vectors, ta[:, 1], tb[:, 1])
+    score += _slot_cosines(emb.entity_vectors, ta[:, 2], tb[:, 2])
+    return score / 3.0
+
+
 def sample_candidates(g: KnowledgeGraph, triple_id: int, n: int,
                       rng: np.random.Generator) -> tuple[list[tuple[int, str]], bool]:
     """Draw up to 4N labeled candidates for one anchor.
@@ -84,20 +109,18 @@ def sample_candidates(g: KnowledgeGraph, triple_id: int, n: int,
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    anchor = g.triples[triple_id]
+    h, p, t = g.ids[triple_id].tolist()
     out: list[tuple[int, str]] = []
 
     for posting, provenance in (
-        (g.by_head[anchor.head], "shared-head"),
-        (g.by_tail[anchor.tail], "shared-tail"),
-        (g.by_predicate[anchor.predicate], "shared-predicate"),
+        (g.by_head[h], "shared-head"),
+        (g.by_tail[t], "shared-tail"),
+        (g.by_predicate[p], "shared-predicate"),
     ):
-        eligible = [i for i in posting if i != triple_id]
-        if len(eligible) <= n:
-            chosen = eligible
-        else:
-            chosen = [eligible[j] for j in rng.choice(len(eligible), size=n, replace=False)]
-        out.extend((c, provenance) for c in chosen)
+        eligible = posting[posting != triple_id]
+        if len(eligible) > n:
+            eligible = eligible[rng.choice(len(eligible), size=n, replace=False)]
+        out.extend((c, provenance) for c in eligible.tolist())
 
     negatives: set[int] = set()
     budget = NEGATIVE_RETRY_FACTOR * n
@@ -107,7 +130,8 @@ def sample_candidates(g: KnowledgeGraph, triple_id: int, n: int,
         cand = int(rng.integers(n_triples))
         if cand == triple_id or cand in negatives:
             continue
-        if not shares_slot(anchor, g.triples[cand]):
+        hc, pc, tc = g.ids[cand].tolist()
+        if hc != h and pc != p and tc != t:
             negatives.add(cand)
     out.extend((c, "negative") for c in sorted(negatives))
     deficit = len(negatives) < n
@@ -116,36 +140,54 @@ def sample_candidates(g: KnowledgeGraph, triple_id: int, n: int,
 
 def build_dataset(g: KnowledgeGraph, emb: EmbeddingSet, n: int,
                   rng_seed: int = 0) -> PtssDataset:
-    """Sample and score pairs for every triple, in anchor order."""
+    """Sample pairs for every triple, in anchor order, then score them all at once."""
     emb.validate(g)
-    pairs: list[PtssPair] = []
+    code = {name: i for i, name in enumerate(PROVENANCES)}
+    a: list[int] = []
+    b: list[int] = []
+    provenance: list[int] = []
     deficits: list[int] = []
     for anchor_id in range(g.num_triples):
-        rng = anchor_rng(rng_seed, anchor_id)
-        candidates, deficit = sample_candidates(g, anchor_id, n, rng)
+        candidates, deficit = sample_candidates(g, anchor_id, n,
+                                                anchor_rng(rng_seed, anchor_id))
         if deficit:
             deficits.append(anchor_id)
-        a = g.triples[anchor_id]
-        for cand_id, provenance in candidates:
-            score = compute_ptss(a, g.triples[cand_id], emb)
-            pairs.append(PtssPair(anchor_id, cand_id, score, provenance))
-    return PtssDataset(pairs, n_param=n, seed_tag=emb.model_tag, rng_seed=rng_seed,
+        a.extend([anchor_id] * len(candidates))
+        for cand_id, name in candidates:
+            b.append(cand_id)
+            provenance.append(code[name])
+    a_ids = np.array(a, dtype=np.int64)
+    b_ids = np.array(b, dtype=np.int64)
+    return PtssDataset(a_ids, b_ids, ptss_scores(g, emb, a_ids, b_ids),
+                       np.array(provenance, dtype=np.int8), n_param=n,
+                       seed_tag=emb.model_tag, rng_seed=rng_seed,
                        negative_deficit_anchors=deficits)
 
 
 def save_dataset(ds: PtssDataset, path: str | Path) -> None:
     with Path(path).open("w", encoding="utf-8") as fh:
-        for p in ds.pairs:
-            fh.write(f"{p.triple_a}\t{p.triple_b}\t{p.score:.17g}\t{p.provenance}\n")
+        for a, b, score, code in zip(ds.a.tolist(), ds.b.tolist(), ds.score.tolist(),
+                                     ds.provenance.tolist()):
+            fh.write(f"{a}\t{b}\t{score:.17g}\t{PROVENANCES[code]}\n")
 
 
 def load_dataset(path: str | Path, n_param: int = 0, seed_tag: str = "unknown",
                  rng_seed: int = 0) -> PtssDataset:
-    pairs = []
+    """Read a pairs file; a row that is not a<TAB>b<TAB>score<TAB>provenance,
+    or names an unknown provenance, raises ValueError naming its line."""
+    code = {name: i for i, name in enumerate(PROVENANCES)}
+    rows: list[tuple[int, int, float, int]] = []
     with Path(path).open("r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            a, b, score, provenance = line.rstrip("\n").split("\t")
-            pairs.append(PtssPair(int(a), int(b), float(score), provenance))
-    return PtssDataset(pairs, n_param=n_param, seed_tag=seed_tag, rng_seed=rng_seed)
+            try:
+                a, b, score, provenance = line.rstrip("\n").split("\t")
+                rows.append((int(a), int(b), float(score), code[provenance]))
+            except (ValueError, KeyError):
+                raise ValueError(f"{path}:{lineno}: expected triple id, triple id, score "
+                                 f"and one of {', '.join(PROVENANCES)}, got {line!r}") from None
+    a, b, score, provenance = zip(*rows) if rows else ((), (), (), ())
+    return PtssDataset(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64),
+                       np.array(score, dtype=np.float64), np.array(provenance, dtype=np.int8),
+                       n_param=n_param, seed_tag=seed_tag, rng_seed=rng_seed)

@@ -19,7 +19,7 @@ from . import baseline as t2v
 from . import pairs as pairmod
 from . import seeds as seedmod
 from . import siamese
-from .evaluation import ClassifierSpec, EvalReport, evaluate, pearson, spearman
+from .evaluation import EvalReport, classifier_specs, evaluate, pearson, spearman
 from .graph import KnowledgeGraph, compute_stats, load_triples
 
 
@@ -244,20 +244,10 @@ class Pipeline:
 
         self._run_stage("finetune", key, ["siamese.npz", "triple_embeddings.tsv"], run)
 
-    def _classifier_specs(self) -> list[ClassifierSpec]:
-        choice = self.cfg.eval["classifier"]
-        specs = []
-        if choice in ("logreg", "both"):
-            specs.append(ClassifierSpec(kind="logreg-ovr", rng_seed=self.cfg.rng_seed))
-        if choice in ("mlp", "both"):
-            specs.append(ClassifierSpec(kind="mlp", rng_seed=self.cfg.rng_seed))
-        if not specs:
-            raise ValueError(f"unknown classifier choice {choice!r}")
-        return specs
-
     def _evaluate_matrix(self, matrix: np.ndarray, method: str, out_name: str):
         report = evaluate(
-            matrix, self.graph, specs=self._classifier_specs(),
+            matrix, self.graph,
+            specs=classifier_specs(self.cfg.eval["classifier"], self.cfg.rng_seed),
             restrict_multi_predicate=self.cfg.eval["restrict_multi_predicate"],
             folds=self.cfg.eval["folds"], rng_seed=self.cfg.rng_seed,
             metadata={"method": method, "dataset": self.cfg.dataset_tag,

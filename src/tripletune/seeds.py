@@ -182,14 +182,6 @@ def score_rescal_grad(h, p_matrix, t):
     return s, p_matrix @ t, np.outer(h, t), p_matrix.T @ h
 
 
-SCORERS = {
-    "transe": score_transe,
-    "distmult": score_distmult,
-    "complex": score_complex,
-    "rotate": score_rotate,
-}
-
-
 # ---------------------------------------------------------------------------
 # in-repo seed training (desk-scale; full-scale seeds come from imports)
 # ---------------------------------------------------------------------------
@@ -230,16 +222,15 @@ def train_seed(g: KnowledgeGraph, model_tag: str, cfg: SeedTrainConfig,
         pred = rng.uniform(-bound, bound, size=(g.num_predicates, d))
         params = {"ent": ent, "pred": pred}
 
-    triples = np.array([(t.head, t.predicate, t.tail) for t in g.triples], dtype=np.int64)
-    known = {(t.head, t.predicate, t.tail) for t in g.triples}
-    n = len(triples)
+    known = set(map(tuple, g.ids.tolist()))
+    n = g.num_triples
     for epoch in range(cfg.epochs):
         # linear decay keeps late epochs from oscillating around the optimum
         lr = cfg.learning_rate * max(0.01, 1.0 - epoch / cfg.epochs)
         order = rng.permutation(n)
         epoch_loss = 0.0
         for start in range(0, n, cfg.batch_size):
-            batch = triples[order[start:start + cfg.batch_size]]
+            batch = g.ids[order[start:start + cfg.batch_size]]
             g_ent = np.zeros_like(params["ent"])
             if model_tag == "rotate":
                 g_pred = np.zeros_like(params["phases"])

@@ -21,14 +21,16 @@ from .pairs import PtssDataset
 from .seeds import EmbeddingSet
 
 AGG_OPS = ("avg", "had", "l1", "l2", "ht")
-# "sum" (h + p + t) is a diagnostic operator used to demonstrate how
-# translation-trained seeds collapse to 2t; it is not part of the standard set.
-EXTRA_OPS = ("sum",)
 
 
 def aggregate(h_vec: np.ndarray, t_vec: np.ndarray, op: str,
               p_vec: np.ndarray | None = None) -> np.ndarray:
-    if len(h_vec) != len(t_vec):
+    """Combine head and tail vectors, or rows of head and tail matrices.
+
+    "sum" (h + p + t) is a diagnostic operator, outside AGG_OPS, that shows how
+    translation-trained seeds collapse to 2t; it needs the predicate vector.
+    """
+    if h_vec.shape[-1] != t_vec.shape[-1]:
         raise ValueError("head/tail dimension mismatch")
     if op == "avg":
         return (h_vec + t_vec) / 2.0
@@ -39,7 +41,7 @@ def aggregate(h_vec: np.ndarray, t_vec: np.ndarray, op: str,
     if op == "l2":
         return np.abs(h_vec - t_vec) ** 2
     if op == "ht":
-        return np.concatenate([h_vec, t_vec])
+        return np.concatenate([h_vec, t_vec], axis=-1)
     if op == "sum":
         if p_vec is None:
             raise ValueError("sum aggregation needs the predicate vector")
@@ -54,10 +56,8 @@ def aggregated_dim(dim: int, op: str) -> int:
 def init_embedding_layer(g: KnowledgeGraph, emb: EmbeddingSet, op: str) -> np.ndarray:
     emb.validate(g)
     ent = emb.entity_vectors
-    pred = emb.predicate_vectors
-    rows = [aggregate(ent[t.head], ent[t.tail], op, p_vec=pred[t.predicate])
-            for t in g.triples]
-    return np.stack(rows)
+    return aggregate(ent[g.ids[:, 0]], ent[g.ids[:, 2]], op,
+                     p_vec=emb.predicate_vectors[g.ids[:, 1]])
 
 
 @dataclass
@@ -67,13 +67,13 @@ class FineTuneConfig:
     warmup_fraction: float = 0.10
     epochs: int = 30
     rng_seed: int = 0
-    n_layers: int = 1   # a single encode/score layer; deeper stacks are rejected
 
     def __post_init__(self):
         if not 0.0 <= self.warmup_fraction < 1.0:
             raise ValueError("warmup_fraction must be in [0, 1)")
-        if self.n_layers != 1:
-            raise ValueError("only a single encode/score layer is supported")
+        for name in ("epochs", "batch_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 class SiameseModel:
@@ -153,24 +153,28 @@ def batch_loss_and_grads(model: SiameseModel, a_ids: np.ndarray, b_ids: np.ndarr
     de_a = dz_a @ model.w1
     de_b = dz_b @ model.w1
 
-    d = model.dim
-    touched = np.unique(np.concatenate([a_ids, b_ids]))
-    pos = {row: k for k, row in enumerate(touched)}
-    grad_rows = np.zeros((len(touched), d))
-    for i in range(batch):
-        grad_rows[pos[a_ids[i]]] += de_a[i]
-        grad_rows[pos[b_ids[i]]] += de_b[i]
+    # rows interleaved as a0, b0, a1, b1, ... so each row sums in batch order
+    touched, local = np.unique(np.stack([a_ids, b_ids], axis=1).ravel(),
+                               return_inverse=True)
+    grad_rows = np.zeros((len(touched), model.dim))
+    np.add.at(grad_rows, local, np.stack([de_a, de_b], axis=1).reshape(2 * batch, -1))
     return loss, grad_w1, grad_b1, touched, grad_rows
 
 
 def train(model: SiameseModel, dataset: PtssDataset, cfg: FineTuneConfig,
           loss_history: list[float] | None = None) -> SiameseModel:
-    """Adam fine-tuning of the embedding layer plus the shared dense layer."""
-    pairs = np.array([(p.triple_a, p.triple_b) for p in dataset.pairs], dtype=np.int64)
-    targets = np.array([p.score for p in dataset.pairs])
-    if len(pairs) == 0:
+    """Adam fine-tuning of the embedding layer plus the shared dense layer.
+
+    Raises ValueError for an empty dataset or a pair id outside the layer's rows.
+    """
+    n = len(dataset)
+    if n == 0:
         raise ValueError("empty pair dataset")
-    n = len(pairs)
+    n_rows = len(model.triple_embeddings)
+    ids = np.concatenate([dataset.a, dataset.b])
+    bad = ids[(ids < 0) | (ids >= n_rows)]
+    if bad.size:
+        raise ValueError(f"pair triple id {bad[0]} outside [0, {n_rows})")
     rng = np.random.default_rng(cfg.rng_seed)
     steps_per_epoch = math.ceil(n / cfg.batch_size)
     total_steps = cfg.epochs * steps_per_epoch
@@ -184,8 +188,8 @@ def train(model: SiameseModel, dataset: PtssDataset, cfg: FineTuneConfig,
         epoch_loss = 0.0
         for start in range(0, n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
-            a_ids, b_ids = pairs[idx, 0], pairs[idx, 1]
-            loss, gw, gb, rows, grows = batch_loss_and_grads(model, a_ids, b_ids, targets[idx])
+            loss, gw, gb, rows, grows = batch_loss_and_grads(
+                model, dataset.a[idx], dataset.b[idx], dataset.score[idx])
             step += 1
             lr = cfg.learning_rate * min(1.0, step / warmup_steps) if warmup_steps else cfg.learning_rate
             opt.begin_step()
@@ -228,11 +232,19 @@ def write_triple_embedding_tsv(matrix: np.ndarray, path: str | Path) -> None:
 
 
 def read_triple_embedding_tsv(path: str | Path) -> np.ndarray:
-    rows: dict[int, np.ndarray] = {}
+    """Rows keyed by triple id; ids must be 0..n-1, each once, in any order."""
+    rows: dict[int, list[float]] = {}
     with Path(path).open("r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             fields = line.rstrip("\n").split("\t")
-            rows[int(fields[0])] = np.array([float(x) for x in fields[1:]])
-    return np.stack([rows[i] for i in range(len(rows))])
+            triple_id = int(fields[0])
+            if triple_id in rows:
+                raise ValueError(f"{path}:{lineno}: duplicate triple id {triple_id}")
+            rows[triple_id] = [float(x) for x in fields[1:]]
+    missing = next((i for i in range(len(rows)) if i not in rows), None)
+    if missing is not None:
+        raise ValueError(f"{path}: no row for triple id {missing} "
+                         f"(ids must be 0..{len(rows) - 1})")
+    return np.array([rows[i] for i in range(len(rows))])

@@ -149,8 +149,3 @@ def cross_linked_clustered_graph(n_triples: int = 500, n_clusters: int = 10,
             push(h, c, t)
     return KnowledgeGraph.from_named_triples(rows[:n_triples])
 
-
-def dense_graph(n_triples: int, n_entities: int, n_predicates: int = 10,
-                rng_seed: int = 0) -> KnowledgeGraph:
-    """Few entities relative to triples, so the line graph grows quadratically."""
-    return random_graph(n_triples, n_entities, n_predicates, rng_seed=rng_seed)

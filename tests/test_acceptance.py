@@ -20,7 +20,7 @@ from tripletune.evaluation import (ClassifierSpec, calinski_harabasz, evaluate,
                                    kfold_split, micro_f1, pearson, train_classify)
 from tripletune.graph import (KnowledgeGraph, compute_stats, load_triples,
                               multi_predicate_triple_ids)
-from tripletune.pairs import (anchor_rng, build_dataset, compute_ptss,
+from tripletune.pairs import (PROVENANCES, anchor_rng, build_dataset, compute_ptss,
                               sample_candidates, shares_slot)
 from tripletune.seeds import (EmbeddingSet, SeedTrainConfig, score_complex_grad,
                               score_distmult_grad, score_rescal_grad, score_rotate,
@@ -28,8 +28,8 @@ from tripletune.seeds import (EmbeddingSet, SeedTrainConfig, score_complex_grad,
                               train_seed)
 from tripletune.siamese import (FineTuneConfig, SiameseModel, batch_loss_and_grads,
                                 init_embedding_layer, train)
-from tripletune.synthetic import (cross_linked_clustered_graph, dense_graph,
-                                  exact_translation_graph, random_graph)
+from tripletune.synthetic import (cross_linked_clustered_graph, exact_translation_graph,
+                                  random_graph)
 from conftest import random_named_triples
 
 
@@ -129,17 +129,17 @@ def test_criterion_2_pair_score_invariants():
     if len(ds) > 4 * n * g.num_triples:
         ok = False
         detail.append("size-bound")
-    for p in ds.pairs:
-        ta, tb = g.triples[p.triple_a], g.triples[p.triple_b]
-        derived = ("shared-head" if p.provenance == "shared-head" and ta.head == tb.head
-                   else "shared-tail" if p.provenance == "shared-tail" and ta.tail == tb.tail
-                   else "shared-predicate" if p.provenance == "shared-predicate"
+    for a, b, code in zip(ds.a, ds.b, ds.provenance):
+        ta, tb, provenance = g.triples[a], g.triples[b], PROVENANCES[code]
+        derived = ("shared-head" if provenance == "shared-head" and ta.head == tb.head
+                   else "shared-tail" if provenance == "shared-tail" and ta.tail == tb.tail
+                   else "shared-predicate" if provenance == "shared-predicate"
                    and ta.predicate == tb.predicate
-                   else "negative" if p.provenance == "negative" and not shares_slot(ta, tb)
+                   else "negative" if provenance == "negative" and not shares_slot(ta, tb)
                    else None)
-        if derived != p.provenance:
+        if derived != provenance:
             ok = False
-            detail.append(f"provenance {p.provenance}")
+            detail.append(f"provenance {provenance}")
             break
     announce(2, ok, f"{n_pairs} pairs, dataset of {len(ds)} <= {4 * n * g.num_triples}"
              + (f"; failed: {detail}" if detail else ""))
@@ -433,7 +433,7 @@ def test_criterion_7_scaling_exponents():
 
     lg_times = {}
     for nt in (1_000, 3_000):
-        g = dense_graph(nt, n_entities=60, n_predicates=10, rng_seed=0)
+        g = random_graph(nt, n_entities=60, n_predicates=10, rng_seed=0)
         t0 = time.perf_counter()
         build_line_graph(g)
         lg_times[nt] = time.perf_counter() - t0

@@ -197,11 +197,11 @@ def test_build_dataset_counts(rng):
     ds = build_dataset(g, emb, n=2, rng_seed=11)
     assert 0 < len(ds) <= 4 * 2 * g.num_triples
     assert ds.n_param == 2
-    for p in ds.pairs:
-        assert p.provenance in PROVENANCES
-        assert -1.0 <= p.score <= 1.0
+    for a, b, score, provenance in zip(ds.a, ds.b, ds.score, ds.provenance):
+        assert 0 <= provenance < len(PROVENANCES)
+        assert -1.0 <= score <= 1.0
         # stored score is exactly the recomputed one
-        assert p.score == compute_ptss(g.triples[p.triple_a], g.triples[p.triple_b], emb)
+        assert score == compute_ptss(g.triples[a], g.triples[b], emb)
 
 
 def test_build_dataset_deterministic(tmp_path, rng):
@@ -222,7 +222,7 @@ def test_build_dataset_seed_changes_output(rng):
     emb = make_embeddings(g, 4)
     d1 = build_dataset(g, emb, n=3, rng_seed=5)
     d2 = build_dataset(g, emb, n=3, rng_seed=6)
-    assert [p.triple_b for p in d1.pairs] != [p.triple_b for p in d2.pairs]
+    assert d1.b.tolist() != d2.b.tolist()
 
 
 def test_dataset_round_trip(tmp_path, rng):
@@ -233,7 +233,17 @@ def test_dataset_round_trip(tmp_path, rng):
     f = tmp_path / "pairs.tsv"
     save_dataset(ds, f)
     back = load_dataset(f, n_param=2, seed_tag=ds.seed_tag, rng_seed=1)
-    assert back.pairs == ds.pairs
+    for field in ("a", "b", "score", "provenance"):
+        assert np.array_equal(getattr(back, field), getattr(ds, field))
+
+
+@pytest.mark.parametrize("row", ["0\t1\t0.5\n", "0\t1\t0.5\tsame-tail\n",
+                                 "0\tx\t0.5\tnegative\n"])
+def test_load_dataset_rejects_bad_row_naming_its_line(tmp_path, row):
+    f = tmp_path / "pairs.tsv"
+    f.write_text("0\t1\t0.5\tshared-head\n" + row, encoding="utf-8")
+    with pytest.raises(ValueError, match="pairs.tsv:2:"):
+        load_dataset(f)
 
 
 @settings(max_examples=25, deadline=None)

@@ -267,6 +267,42 @@ def test_cli_baseline_divergence_exits_nonzero(tmp_path, capsys, monkeypatch):
     assert "training diverged" in err and "epoch 0" in err
 
 
+# case: (command, extra arguments, file to overwrite or None, its text)
+BAD_CLI_INPUTS = {
+    "finetune-epochs-0": ("finetune", ["--epochs", "0"], None, ""),
+    "finetune-batch-size-0": ("finetune", ["--batch-size", "0"], None, ""),
+    "pairs-negative-id": ("finetune", [], "pairs.tsv", "-1\t0\t0.5\tshared-head\n"),
+    "pairs-id-past-end": ("finetune", [], "pairs.tsv", "0\t99999\t0.5\tshared-head\n"),
+    "pairs-unknown-provenance": ("finetune", [], "pairs.tsv", "0\t1\t0.5\tsame-tail\n"),
+    "pairs-short-row": ("finetune", [], "pairs.tsv", "0\t1\t0.5\n"),
+    "embeddings-id-gap": ("eval", [], "emb.tsv", "0\t1.0\n2\t1.0\n"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_CLI_INPUTS))
+def test_cli_bad_input_exits_one_with_message(tmp_path, capsys, case):
+    command, extra, bad_file, text = BAD_CLI_INPUTS[case]
+    gf, _ = write_graph(tmp_path)
+    ents, preds, pairsf, embf = (tmp_path / n for n in
+                                 ("ents.tsv", "preds.tsv", "pairs.tsv", "emb.tsv"))
+    assert cli_main(["seed-train", "--graph", str(gf), "--dim", "8", "--epochs", "2",
+                     "--out-entities", str(ents), "--out-predicates", str(preds)]) == 0
+    assert cli_main(["sample", "--graph", str(gf), "--entities", str(ents),
+                     "--predicates", str(preds), "--n", "2", "--out", str(pairsf)]) == 0
+    if bad_file:
+        (tmp_path / bad_file).write_text(text, encoding="utf-8")
+    capsys.readouterr()
+    if command == "finetune":
+        argv = ["finetune", "--graph", str(gf), "--entities", str(ents), "--predicates",
+                str(preds), "--pairs", str(pairsf), "--out", str(tmp_path / "out.tsv")]
+    else:
+        argv = ["eval", "--graph", str(gf), "--embeddings", str(embf)]
+    rc = cli_main(argv + extra)
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_cli_error_exit_codes(tmp_path, capsys):
     # missing graph file -> generic input error
     assert cli_main(["stats", "--graph", str(tmp_path / "nope.tsv")]) == 1

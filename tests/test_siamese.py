@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from tripletune.graph import KnowledgeGraph
-from tripletune.pairs import PtssDataset, PtssPair, build_dataset
+from tripletune.pairs import PtssDataset, build_dataset
 from tripletune.seeds import EmbeddingSet
 from tripletune.siamese import (AGG_OPS, FineTuneConfig, SiameseModel, TrainingDiverged,
                                 aggregate, aggregated_dim, batch_loss_and_grads,
@@ -131,8 +131,12 @@ def test_initialize_deterministic(tiny_graph):
 def test_config_validation():
     with pytest.raises(ValueError):
         FineTuneConfig(warmup_fraction=1.0)
-    with pytest.raises(ValueError):
-        FineTuneConfig(n_layers=2)
+
+
+@pytest.mark.parametrize("field", ["epochs", "batch_size"])
+def test_config_rejects_counts_below_one(field):
+    with pytest.raises(ValueError, match=f"{field} must be >= 1"):
+        FineTuneConfig(**{field: 0})
 
 
 # -- loss and gradients ------------------------------------------------------
@@ -188,6 +192,57 @@ def test_batch_gradients_match_finite_differences():
     dense = np.zeros_like(m.triple_embeddings)
     dense[rows] = grows
     assert np.allclose(dense, fd_e, atol=1e-7)
+
+
+def per_row_loop_loss_and_grads(model, a_ids, b_ids, targets):
+    """batch_loss_and_grads as it was with a Python loop scattering row gradients."""
+    batch = len(a_ids)
+    e_a = model.triple_embeddings[a_ids]
+    e_b = model.triple_embeddings[b_ids]
+    o_a = np.tanh(e_a @ model.w1.T + model.b1)
+    o_b = np.tanh(e_b @ model.w1.T + model.b1)
+    na = np.linalg.norm(o_a, axis=1)
+    nb = np.linalg.norm(o_b, axis=1)
+    ok = (na > 0) & (nb > 0)
+    dots = np.einsum("ij,ij->i", o_a, o_b)
+    denom = np.where(ok, na * nb, 1.0)
+    s = np.where(ok, dots / denom, 0.0)
+    residual = s - targets
+    loss = float(np.mean(residual ** 2))
+    ds = np.where(ok, 2.0 * residual / batch, 0.0)
+    na_safe = np.where(ok, na, 1.0)
+    nb_safe = np.where(ok, nb, 1.0)
+    do_a = (o_b / denom[:, None] - (s / na_safe**2)[:, None] * o_a) * ds[:, None]
+    do_b = (o_a / denom[:, None] - (s / nb_safe**2)[:, None] * o_b) * ds[:, None]
+    dz_a = do_a * (1.0 - o_a ** 2)
+    dz_b = do_b * (1.0 - o_b ** 2)
+    grad_w1 = dz_a.T @ e_a + dz_b.T @ e_b
+    grad_b1 = dz_a.sum(axis=0) + dz_b.sum(axis=0)
+    de_a = dz_a @ model.w1
+    de_b = dz_b @ model.w1
+    touched = np.unique(np.concatenate([a_ids, b_ids]))
+    pos = {row: k for k, row in enumerate(touched)}
+    grad_rows = np.zeros((len(touched), model.dim))
+    for i in range(batch):
+        grad_rows[pos[a_ids[i]]] += de_a[i]
+        grad_rows[pos[b_ids[i]]] += de_b[i]
+    return loss, grad_w1, grad_b1, touched, grad_rows
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_batch_row_gradients_equal_per_row_loop(seed):
+    # ids repeat inside each side, across the two sides and within one pair
+    rng = np.random.default_rng([23, seed])
+    m = small_model(n=6, d=5, seed=seed)
+    a_ids = rng.integers(0, 6, size=40)
+    b_ids = rng.integers(0, 6, size=40)
+    b_ids[:3] = a_ids[:3]
+    targets = rng.uniform(-1, 1, size=40)
+    got = batch_loss_and_grads(m, a_ids, b_ids, targets)
+    want = per_row_loop_loss_and_grads(m, a_ids, b_ids, targets)
+    assert got[0] == want[0]
+    for g, w in zip(got[1:], want[1:]):
+        assert g.shape == w.shape and np.all(g == w)
 
 
 def test_batch_gradient_zero_at_perfect_fit():
@@ -246,7 +301,8 @@ def test_training_leaves_untouched_rows_alone():
 
 def test_training_empty_dataset_rejected():
     model = small_model()
-    ds = PtssDataset([], n_param=1, seed_tag="x", rng_seed=0)
+    ds = PtssDataset(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0),
+                     np.zeros(0, dtype=np.int8), n_param=1, seed_tag="x", rng_seed=0)
     with pytest.raises(ValueError):
         train(model, ds, FineTuneConfig(epochs=1))
 
@@ -254,10 +310,19 @@ def test_training_empty_dataset_rejected():
 def test_training_divergence_detected():
     model = small_model()
     model.w1[0, 0] = np.inf
-    ds = PtssDataset([PtssPair(0, 1, 0.5, "shared-head")], n_param=1, seed_tag="x",
-                     rng_seed=0)
+    ds = PtssDataset(np.array([0]), np.array([1]), np.array([0.5]), np.array([0]),
+                     n_param=1, seed_tag="x", rng_seed=0)
     with pytest.raises(TrainingDiverged, match="epoch"):
         train(model, ds, FineTuneConfig(epochs=1, warmup_fraction=0.0))
+
+
+@pytest.mark.parametrize("bad_id", [-1, 40])
+def test_training_rejects_pair_ids_outside_the_layer(bad_id):
+    model = small_model(n=40)
+    ds = PtssDataset(np.array([0, bad_id]), np.array([1, 2]), np.array([0.5, 0.5]),
+                     np.array([0, 0]), n_param=1, seed_tag="x", rng_seed=0)
+    with pytest.raises(ValueError, match=f"id {bad_id} outside \\[0, 40\\)"):
+        train(model, ds, FineTuneConfig(epochs=1))
 
 
 def test_warmup_shrinks_early_updates():
@@ -301,3 +366,21 @@ def test_tsv_round_trip(tmp_path):
     write_triple_embedding_tsv(mat, f)
     back = read_triple_embedding_tsv(f)
     assert np.array_equal(back, mat)
+
+
+def test_tsv_rows_in_any_order(tmp_path):
+    f = tmp_path / "emb.tsv"
+    f.write_text("1\t2.0\n0\t1.0\n", encoding="utf-8")
+    assert read_triple_embedding_tsv(f).tolist() == [[1.0], [2.0]]
+
+
+@pytest.mark.parametrize("text, message", [
+    ("0\t1.0\n2\t1.0\n3\t1.0\n", "no row for triple id 1"),
+    ("0\t1.0\n1\t1.0\n0\t2.0\n", ":3: duplicate triple id 0"),
+    ("-1\t1.0\n0\t1.0\n", "no row for triple id 1"),
+])
+def test_tsv_rejects_missing_or_duplicate_ids(tmp_path, text, message):
+    f = tmp_path / "emb.tsv"
+    f.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError, match=message):
+        read_triple_embedding_tsv(f)
