@@ -14,11 +14,10 @@ from itertools import chain
 from pathlib import Path
 
 import numpy as np
-from scipy import sparse
 from scipy.special import expit
 
 from .graph import KnowledgeGraph
-from .optim import TrainingDiverged
+from .optim import TrainingDiverged, scatter_rows
 
 
 # ---------------------------------------------------------------------------
@@ -217,14 +216,9 @@ def _scatter_sub(w: np.ndarray, rows: np.ndarray, data: np.ndarray, dense: np.nd
 
     With `max_hits`, the sum of a row hit m > max_hits times is scaled by max_hits / m.
     """
-    n, k = rows.shape
-    uniq, local = np.unique(rows, return_inverse=True)
-    local = local.ravel()
-    a = sparse.csc_matrix((data.ravel(), local.astype(np.int32),
-                           np.arange(0, n * k + 1, k, dtype=np.int32)), shape=(len(uniq), n))
-    step = a @ dense
+    uniq, step, hits = scatter_rows(rows, dense, data)
     if max_hits is not None:
-        step *= np.minimum(1.0, max_hits / np.bincount(local))[:, None]
+        step *= np.minimum(1.0, max_hits / hits)[:, None]
     w[uniq] -= step
 
 

@@ -11,7 +11,7 @@ import numpy as np
 from scipy import stats as sp_stats
 
 from .graph import KnowledgeGraph, multi_predicate_triple_ids
-from .optim import Adam
+from .optim import Adam, scatter_rows
 
 CH_DEGENERATE = float("inf")
 
@@ -327,41 +327,54 @@ def _kmeans_pp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
     return centers
 
 
+# values in one block of row-to-centre differences (1 MiB): k-means memory is
+# n*k plus this, not n*k*d
+KMEANS_BLOCK = 1 << 17
+
+
+def _sq_distances(x: np.ndarray, centers: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out[i, c] = ||x[i] - centers[c]||^2, a block of rows at a time."""
+    step = max(1, KMEANS_BLOCK // centers.size)
+    for s in range(0, len(x), step):
+        out[s:s + step] = ((x[s:s + step, None, :] - centers[None]) ** 2).sum(axis=2)
+    return out
+
+
 def kmeans(features: np.ndarray, k: int, rng_seed: int = 0, restarts: int = 10,
            max_iter: int = 300, tol: float = 1e-6) -> KMeansResult:
-    """Lloyd iterations with k-means++ seeding, best of `restarts` by inertia."""
+    """Lloyd iterations with k-means++ seeding, best of `restarts` by inertia.
+
+    Each centre moves to the mean of its members, summed in row order; an
+    empty cluster is re-seeded at the point farthest from its centre.
+    """
     x = np.asarray(features, dtype=np.float64)
     n = x.shape[0]
     if n < k:
         raise ValueError("fewer points than clusters")
     degenerate = len(np.unique(x, axis=0)) < k
     best: KMeansResult | None = None
+    d2 = np.empty((n, k))
+    rows = np.arange(n)
     for r in range(restarts):
         rng = np.random.default_rng([rng_seed, r])
         centers = _kmeans_pp_init(x, k, rng)
         history: list[float] = []
-        labels = np.zeros(n, dtype=np.int64)
         for _ in range(max_iter):
-            d2 = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-            labels = np.argmin(d2, axis=1)
-            inertia = float(d2[np.arange(n), labels].sum())
-            history.append(inertia)
+            labels = np.argmin(_sq_distances(x, centers, d2), axis=1)
+            nearest = d2[rows, labels]
+            history.append(float(nearest.sum()))
             new_centers = centers.copy()
-            for c in range(k):
-                members = x[labels == c]
-                if len(members):
-                    new_centers[c] = members.mean(axis=0)
-                else:
-                    # re-seed empty cluster at the farthest point
-                    far = int(np.argmax(d2[np.arange(n), labels]))
-                    new_centers[c] = x[far]
+            used, sums, members = scatter_rows(labels, x)
+            new_centers[used] = sums / members[:, None]
+            if len(used) < k:
+                # re-seed empty clusters at the farthest point
+                new_centers[np.setdiff1d(np.arange(k), used)] = x[int(np.argmax(nearest))]
             shift = float(np.sqrt(((new_centers - centers) ** 2).sum(axis=1)).max())
             centers = new_centers
             if shift < tol:
                 break
-        d2 = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-        labels = np.argmin(d2, axis=1)
-        inertia = float(d2[np.arange(n), labels].sum())
+        labels = np.argmin(_sq_distances(x, centers, d2), axis=1)
+        inertia = float(d2[rows, labels].sum())
         history.append(inertia)
         if best is None or inertia < best.inertia:
             best = KMeansResult(labels, centers, inertia, degenerate, history)
@@ -378,6 +391,12 @@ def evaluate(triple_emb: np.ndarray, g: KnowledgeGraph,
              folds: int = 5, rng_seed: int = 0,
              tasks: tuple[str, ...] = ("classify", "cluster"),
              metadata: dict | None = None) -> EvalReport:
+    """Predicate classification (micro-F1 per classifier) and clusterability (CH index).
+
+    k-means uses one cluster per predicate label among the triples evaluated:
+    all predicates of the graph, or with `restrict_multi_predicate` only those
+    that label a kept triple.
+    """
     triple_emb = np.asarray(triple_emb, dtype=np.float64)
     if triple_emb.shape[0] != g.num_triples:
         raise ValueError("embedding rows must align with graph triples")
@@ -408,7 +427,7 @@ def evaluate(triple_emb: np.ndarray, g: KnowledgeGraph,
     ch = float("nan")
     ch_degenerate = False
     if "cluster" in tasks:
-        k = g.num_predicates
+        k = len(np.unique(labels))
         if k >= 2 and len(labels) > k:
             km = kmeans(triple_emb, k, rng_seed=rng_seed)
             ch = calinski_harabasz(triple_emb, km.assignment, k)

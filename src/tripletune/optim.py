@@ -1,13 +1,37 @@
 """Minimal Adam optimizer shared by seed training, fine-tuning and the classifiers,
-and the error that fine-tuning and skip-gram raise on non-finite parameters."""
+the ordered row scatter that sums their sparse gradients, and the error that
+fine-tuning and skip-gram raise on non-finite parameters."""
 
 from __future__ import annotations
 
 import numpy as np
+from scipy import sparse
 
 
 class TrainingDiverged(RuntimeError):
     """A training loop produced non-finite parameters."""
+
+
+def scatter_rows(ids: np.ndarray, rows: np.ndarray, weights: np.ndarray | None = None
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sum weights[i, j] * rows[i] into the row named by ids[i, j], as one sparse product.
+
+    `ids` holds k ids per row of `rows` (n, d), in row order: (n,), (n, k), or
+    any shape with n * k ids. `weights` has one value per id, default ones.
+    Returns (uniq, sums, hits): the sorted distinct ids, the (len(uniq), d)
+    sums and how many entries hit each id. Every sum is taken in flat index
+    order, starting from zero, so with unit weights it equals `np.add.at` into
+    zeros bit for bit.
+    """
+    n = len(rows)
+    uniq, local = np.unique(ids, return_inverse=True)
+    local = local.ravel()
+    data = np.ones(local.size) if weights is None else np.ravel(weights)
+    per_col = local.size // n if n else 1   # column i holds the entries of ids[i]
+    a = sparse.csc_matrix((data, local.astype(np.int32),
+                           np.arange(0, local.size + 1, per_col, dtype=np.int32)),
+                          shape=(len(uniq), n))
+    return uniq, a @ rows, np.bincount(local, minlength=len(uniq))
 
 
 class Adam:

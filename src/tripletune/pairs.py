@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .graph import KnowledgeGraph, Triple
-from .seeds import EmbeddingSet
+from .seeds import EmbeddingSet, row_dot
 
 PROVENANCES = ("shared-head", "shared-tail", "shared-predicate", "negative")
 
@@ -74,17 +74,12 @@ def anchor_rng(rng_seed: int, triple_id: int) -> np.random.Generator:
     return np.random.default_rng([rng_seed, triple_id])
 
 
-def _row_dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    # one BLAS dot per row, the kernel np.dot and np.linalg.norm use on vectors
-    return (u[:, None, :] @ v[:, :, None])[:, 0, 0]
-
-
 def _slot_cosines(table: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     """cosine_sim(table[i[k]], table[j[k]]) for every k, bit for bit."""
-    norms = np.sqrt(_row_dot(table, table))
+    norms = np.sqrt(row_dot(table, table))
     ni, nj = norms[i], norms[j]
     ok = (ni != 0.0) & (nj != 0.0)
-    cos = _row_dot(table[i], table[j]) / np.where(ok, ni * nj, 1.0)
+    cos = row_dot(table[i], table[j]) / np.where(ok, ni * nj, 1.0)
     return np.where(ok, np.clip(cos, -1.0, 1.0), 0.0)
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import time
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
@@ -107,8 +108,15 @@ class RunManifest:
     stages: dict = field(default_factory=dict)
 
     def save(self, path: Path) -> None:
-        path.write_text(json.dumps({"config": self.config, "stages": self.stages},
-                                   indent=2), encoding="utf-8")
+        """Write to a temporary file beside `path`, then rename it over `path`, so an
+        interrupted save leaves the previous manifest intact."""
+        tmp = path.with_name(f".{path.name}.tmp")
+        try:
+            tmp.write_text(json.dumps({"config": self.config, "stages": self.stages},
+                                      indent=2), encoding="utf-8")
+            os.replace(tmp, path)
+        finally:
+            tmp.unlink(missing_ok=True)
 
     @classmethod
     def load(cls, path: Path) -> "RunManifest":

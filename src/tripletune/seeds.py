@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .graph import KnowledgeGraph
+from .optim import scatter_rows
 
 REAL_KIND = "real"
 COMPLEX_KIND = "complex-interleaved"
@@ -113,15 +114,16 @@ def score_distmult_grad(h, p, t):
 
 
 def _as_complex(v: np.ndarray) -> np.ndarray:
-    if len(v) % 2 != 0:
+    """Complex slots of an interleaved vector, or of each row of a matrix."""
+    if v.shape[-1] % 2 != 0:
         raise EmbeddingError("complex-interleaved vector must have even dimension")
-    return v[0::2] + 1j * v[1::2]
+    return v[..., 0::2] + 1j * v[..., 1::2]
 
 
 def _interleave(c: np.ndarray) -> np.ndarray:
-    out = np.empty(2 * len(c))
-    out[0::2] = c.real
-    out[1::2] = c.imag
+    out = np.empty(c.shape[:-1] + (2 * c.shape[-1],))
+    out[..., 0::2] = c.real
+    out[..., 1::2] = c.imag
     return out
 
 
@@ -193,6 +195,65 @@ def _phases_to_interleaved(phases: np.ndarray) -> np.ndarray:
     return out
 
 
+def row_dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """u[i] @ v[i] for every row, one BLAS dot per row: the kernel `float(u[i] @ v[i])`
+    and `np.linalg.norm` use on vectors, so each value matches them bit for bit."""
+    return (u[:, None, :] @ v[:, :, None])[:, 0, 0]
+
+
+def _batch_terms(model_tag, params, tri, is_pos, margin):
+    """Loss terms and gradient rows of every scored triple in a batch.
+
+    `tri` is (N, 3) ids, `is_pos` marks the positives. Returns (terms, keep,
+    d_head, d_tail, d_pred): the loss term of each row, the rows that carry a
+    gradient, and the signed gradient rows for the head, tail and predicate.
+    Each row is computed with the same element-wise operations as one triple
+    at a time would be, so the values match that bit for bit.
+    """
+    ent = params["ent"]
+    h_i, p_i, t_i = tri[:, 0], tri[:, 1], tri[:, 2]
+    if model_tag in ("transe", "rotate"):
+        # margin loss on squared distances: d(pos)^2 + max(0, margin - d(neg)^2)
+        if model_tag == "transe":
+            r = ent[h_i] + params["pred"][p_i] - ent[t_i]
+            d2 = row_dot(r, r)
+            grad = 2.0 * r
+            d_head, d_tail, d_pred = grad, -grad, grad
+        else:
+            # cos/sin of the whole phase table, once per batch
+            phases = params["phases"]
+            hc, tc = _as_complex(ent[h_i]), _as_complex(ent[t_i])
+            pc = np.cos(phases)[p_i] + 1j * np.sin(phases)[p_i]
+            r = hc * pc - tc
+            d2 = np.sum(r.real ** 2 + r.imag ** 2, axis=1)
+            cr = np.conj(r)
+            d_head = 2.0 * _interleave(np.conj(cr * pc))
+            d_tail = 2.0 * _interleave(-r)
+            d_pred = 2.0 * (cr * hc * 1j * pc).real   # d||r||^2 / d theta
+        keep = is_pos | (margin - d2 > 0)
+        terms = np.where(is_pos, d2, np.where(keep, margin - d2, 0.0))
+        sign = np.where(is_pos, 1.0, -1.0)[:, None]
+        return terms, keep, sign * d_head, sign * d_tail, sign * d_pred
+
+    # distmult / complex: binary cross-entropy on sigmoid scores, one scalar
+    # exp/log per score as in the reference (np.exp differs in the last ulp)
+    hv, pv, tv = ent[h_i], params["pred"][p_i], ent[t_i]
+    if model_tag == "distmult":
+        score = np.sum(hv * pv * tv, axis=1)
+        d_head, d_pred, d_tail = pv * tv, hv * tv, hv * pv
+    else:
+        hc, pc, tc = _as_complex(hv), _as_complex(pv), _as_complex(tv)
+        score = np.real(np.sum(hc * pc * np.conj(tc), axis=1))
+        d_head = _interleave(np.conj(pc * np.conj(tc)))
+        d_pred = _interleave(np.conj(hc * np.conj(tc)))
+        d_tail = _interleave(hc * pc)
+    sig = np.array([1.0 / (1.0 + math.exp(-max(-500.0, min(500.0, s)))) for s in score.tolist()])
+    terms = np.array([-math.log(max(q if y else 1 - q, 1e-300))
+                      for q, y in zip(sig.tolist(), is_pos.tolist())])
+    coeff = (sig - is_pos)[:, None]
+    return terms, np.ones(len(tri), dtype=bool), coeff * d_head, coeff * d_tail, coeff * d_pred
+
+
 def train_seed(g: KnowledgeGraph, model_tag: str, cfg: SeedTrainConfig,
                loss_history: list[float] | None = None) -> EmbeddingSet:
     """Train seed embeddings by mini-batch SGD with uniform negative sampling.
@@ -201,9 +262,16 @@ def train_seed(g: KnowledgeGraph, model_tag: str, cfg: SeedTrainConfig,
     d(pos)^2 + max(0, margin - d(neg)^2), which drives positive distances to
     zero and is smooth enough for plain gradient descent with a linearly
     decaying step to reduce the loss monotonically at desk scale.
-    DistMult/ComplEx use binary cross-entropy on sigmoid scores. Sampled
-    corruptions that reproduce a known fact are re-drawn a bounded number of
-    times. Deterministic under cfg.rng_seed.
+    DistMult/ComplEx use binary cross-entropy on sigmoid scores.
+
+    Each mini-batch is one vectorised step. Corruptions are drawn per example,
+    in order, replacing the head or the tail with a uniform entity; one that
+    reproduces a known fact is re-drawn up to 10 times. The batch's positives
+    and negatives are then scored together against the same parameters, and
+    each parameter row gets the sum of its gradient rows in example order
+    (h, t, then nh, nt of each negative; negatives outside the margin carry
+    none), so the result equals an example-at-a-time accumulation bit for
+    bit. Deterministic under cfg.rng_seed.
     """
     if model_tag not in TRAINABLE_MODELS:
         raise ValueError(f"cannot train model {model_tag!r}; import it instead")
@@ -221,9 +289,10 @@ def train_seed(g: KnowledgeGraph, model_tag: str, cfg: SeedTrainConfig,
     else:
         pred = rng.uniform(-bound, bound, size=(g.num_predicates, d))
         params = {"ent": ent, "pred": pred}
+    pred_key = "phases" if model_tag == "rotate" else "pred"
 
     known = set(map(tuple, g.ids.tolist()))
-    n = g.num_triples
+    n, k, n_ent = g.num_triples, cfg.negatives_per_positive, g.num_entities
     for epoch in range(cfg.epochs):
         # linear decay keeps late epochs from oscillating around the optimum
         lr = cfg.learning_rate * max(0.01, 1.0 - epoch / cfg.epochs)
@@ -231,30 +300,39 @@ def train_seed(g: KnowledgeGraph, model_tag: str, cfg: SeedTrainConfig,
         epoch_loss = 0.0
         for start in range(0, n, cfg.batch_size):
             batch = g.ids[order[start:start + cfg.batch_size]]
-            g_ent = np.zeros_like(params["ent"])
-            if model_tag == "rotate":
-                g_pred = np.zeros_like(params["phases"])
-            else:
-                g_pred = np.zeros_like(params["pred"])
-            batch_loss = 0.0
-            for h_i, p_i, t_i in batch:
-                negs = []
-                for _ in range(cfg.negatives_per_positive):
+            tri = []   # per example: the positive, then its k corruptions
+            for h_i, p_i, t_i in batch.tolist():
+                tri.append((h_i, p_i, t_i))
+                for _ in range(k):
                     for _retry in range(10):
-                        e_new = int(rng.integers(g.num_entities))
+                        e_new = int(rng.integers(n_ent))
                         if rng.random() < 0.5:
                             neg = (e_new, p_i, t_i)
                         else:
                             neg = (h_i, p_i, e_new)
                         if neg not in known:
                             break
-                    negs.append(neg)
-                batch_loss += _accumulate_example(
-                    model_tag, params, cfg.margin, (h_i, p_i, t_i), negs, g_ent, g_pred)
-            params["ent"] -= lr * g_ent / len(batch)
-            pred_key = "phases" if model_tag == "rotate" else "pred"
-            params[pred_key] -= lr * g_pred / len(batch)
-            epoch_loss += batch_loss
+                    tri.append(neg)
+            tri = np.array(tri, dtype=np.int64)
+            is_pos = np.zeros(len(tri), dtype=bool)
+            is_pos[::1 + k] = True
+            terms, keep, d_head, d_tail, d_pred = _batch_terms(
+                model_tag, params, tri, is_pos, cfg.margin)
+
+            # each example's loss summed from 0.0 in order, then the batch in
+            # order, as a running float sum would (0.0 + -0.0 is 0.0)
+            terms = terms.reshape(len(batch), 1 + k)
+            example_loss = 0.0 + terms[:, 0]
+            for j in range(1, 1 + k):
+                example_loss = example_loss + terms[:, j]
+            epoch_loss += float(np.add.accumulate(example_loss)[-1])
+
+            tri = tri[keep]
+            ent_rows, g_ent, _ = scatter_rows(
+                tri[:, [0, 2]], np.stack([d_head[keep], d_tail[keep]], axis=1).reshape(-1, d))
+            pred_rows, g_pred, _ = scatter_rows(tri[:, 1], d_pred[keep])
+            params["ent"][ent_rows] -= lr * g_ent / len(batch)
+            params[pred_key][pred_rows] -= lr * g_pred / len(batch)
         if loss_history is not None:
             loss_history.append(epoch_loss / n)
 
@@ -266,80 +344,6 @@ def train_seed(g: KnowledgeGraph, model_tag: str, cfg: SeedTrainConfig,
     es = EmbeddingSet(params["ent"], pred_out, value_kind=kind, model_tag=model_tag)
     es.validate(g)
     return es
-
-
-def _accumulate_example(model_tag, params, margin, pos, negs, g_ent, g_pred) -> float:
-    ent = params["ent"]
-    if model_tag == "rotate":
-        phases = params["phases"]
-        cos_p, sin_p = np.cos(phases), np.sin(phases)
-
-        def dist_grad(h_i, p_i, t_i):
-            hc = ent[h_i, 0::2] + 1j * ent[h_i, 1::2]
-            tc = ent[t_i, 0::2] + 1j * ent[t_i, 1::2]
-            pc = cos_p[p_i] + 1j * sin_p[p_i]
-            r = hc * pc - tc
-            d2 = float(np.sum(r.real ** 2 + r.imag ** 2))
-            cr = np.conj(r)
-            grads = (
-                2.0 * _interleave(np.conj(cr * pc)),   # d||r||^2 / d h components
-                2.0 * _interleave(-r),                 # d||r||^2 / d t components
-                2.0 * (cr * hc * 1j * pc).real,        # d||r||^2 / d theta
-            )
-            return d2, grads
-
-        loss = 0.0
-        d_pos, gp = dist_grad(*pos)
-        loss += d_pos
-        g_ent[pos[0]] += gp[0]
-        g_ent[pos[2]] += gp[1]
-        g_pred[pos[1]] += gp[2]
-        for neg in negs:
-            d_neg, gn = dist_grad(*neg)
-            if margin - d_neg > 0:
-                loss += margin - d_neg
-                g_ent[neg[0]] -= gn[0]
-                g_ent[neg[2]] -= gn[1]
-                g_pred[neg[1]] -= gn[2]
-        return loss
-
-    pred = params["pred"]
-    if model_tag == "transe":
-        def dist_grad(h_i, p_i, t_i):
-            r = ent[h_i] + pred[p_i] - ent[t_i]
-            return float(r @ r), 2.0 * r
-
-        loss = 0.0
-        d_pos, gr = dist_grad(*pos)
-        loss += d_pos
-        g_ent[pos[0]] += gr
-        g_pred[pos[1]] += gr
-        g_ent[pos[2]] -= gr
-        for neg in negs:
-            d_neg, gr = dist_grad(*neg)
-            if margin - d_neg > 0:
-                loss += margin - d_neg
-                g_ent[neg[0]] -= gr
-                g_pred[neg[1]] -= gr
-                g_ent[neg[2]] += gr
-        return loss
-
-    # distmult / complex: BCE with sigmoid scores
-    if model_tag == "distmult":
-        grad_fn = score_distmult_grad
-    else:
-        grad_fn = score_complex_grad
-
-    loss = 0.0
-    for (h_i, p_i, t_i), y in [(pos, 1.0)] + [(n_, 0.0) for n_ in negs]:
-        s, dh, dp, dt = grad_fn(ent[h_i], pred[p_i], ent[t_i])
-        sig = 1.0 / (1.0 + math.exp(-max(-500.0, min(500.0, s))))
-        loss += -math.log(max(sig if y else 1 - sig, 1e-300))
-        coeff = sig - y
-        g_ent[h_i] += coeff * dh
-        g_pred[p_i] += coeff * dp
-        g_ent[t_i] += coeff * dt
-    return loss
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .graph import KnowledgeGraph
-from .optim import Adam, TrainingDiverged
+from .optim import Adam, TrainingDiverged, scatter_rows
 from .pairs import PtssDataset
 from .seeds import EmbeddingSet
 
@@ -154,10 +154,8 @@ def batch_loss_and_grads(model: SiameseModel, a_ids: np.ndarray, b_ids: np.ndarr
     de_b = dz_b @ model.w1
 
     # rows interleaved as a0, b0, a1, b1, ... so each row sums in batch order
-    touched, local = np.unique(np.stack([a_ids, b_ids], axis=1).ravel(),
-                               return_inverse=True)
-    grad_rows = np.zeros((len(touched), model.dim))
-    np.add.at(grad_rows, local, np.stack([de_a, de_b], axis=1).reshape(2 * batch, -1))
+    touched, grad_rows, _ = scatter_rows(np.stack([a_ids, b_ids], axis=1),
+                                         np.stack([de_a, de_b], axis=1).reshape(2 * batch, -1))
     return loss, grad_w1, grad_b1, touched, grad_rows
 
 

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from tripletune import evaluation
 from tripletune.evaluation import (CH_DEGENERATE, ClassifierSpec, EvalReport,
-                                   calinski_harabasz, evaluate, kfold_split, kmeans,
-                                   micro_f1, pearson, spearman, train_classify)
-from tripletune.graph import KnowledgeGraph
+                                   _kmeans_pp_init, calinski_harabasz, evaluate,
+                                   kfold_split, kmeans, micro_f1, pearson, spearman,
+                                   train_classify)
+from tripletune.graph import KnowledgeGraph, multi_predicate_triple_ids
 
 
 def blobs(rng, k=3, per=40, dim=4, spread=0.3, sep=8.0):
@@ -224,6 +226,62 @@ def test_kmeans_degenerate_flag_and_validation():
         kmeans(np.zeros((2, 2)), 3)
 
 
+def _reference_kmeans(x, k, rng_seed, restarts, empties, max_iter=300, tol=1e-6):
+    """kmeans with the full n x k x d difference tensor and one mean per cluster."""
+    n = x.shape[0]
+    best = None
+    for r in range(restarts):
+        rng = np.random.default_rng([rng_seed, r])
+        centers = _kmeans_pp_init(x, k, rng)
+        history = []
+        for _ in range(max_iter):
+            d2 = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+            labels = np.argmin(d2, axis=1)
+            history.append(float(d2[np.arange(n), labels].sum()))
+            new_centers = centers.copy()
+            for c in range(k):
+                members = x[labels == c]
+                if len(members):
+                    new_centers[c] = members.mean(axis=0)
+                else:
+                    empties.append(r)
+                    new_centers[c] = x[int(np.argmax(d2[np.arange(n), labels]))]
+            shift = float(np.sqrt(((new_centers - centers) ** 2).sum(axis=1)).max())
+            centers = new_centers
+            if shift < tol:
+                break
+        d2 = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        labels = np.argmin(d2, axis=1)
+        inertia = float(d2[np.arange(n), labels].sum())
+        history.append(inertia)
+        if best is None or inertia < best[2]:
+            best = (labels, centers, inertia, history)
+    return best
+
+
+@pytest.mark.parametrize("case", ["blobs-0", "blobs-1", "blobs-2", "duplicates"])
+def test_kmeans_equals_dense_reference(case, monkeypatch):
+    kind, _, seed = case.partition("-")
+    if kind == "blobs":
+        x, _ = blobs(np.random.default_rng(int(seed)), k=5, per=20, spread=2.0, sep=3.0)
+        k, seed = 5, int(seed)
+    else:
+        # 3 distinct points for 4 clusters: every restart empties a cluster
+        x = np.repeat(np.random.default_rng(3).normal(size=(3, 4)), [20, 15, 10], axis=0)
+        k, seed = 4, 3
+    # blocks of 32 rows: the 100 or 45 rows fill a few blocks and part of one
+    monkeypatch.setattr(evaluation, "KMEANS_BLOCK", 32 * k * x.shape[1])
+    empties = []
+    labels, centers, inertia, history = _reference_kmeans(x, k, seed, 3, empties)
+    res = kmeans(x, k, rng_seed=seed, restarts=3)
+    assert np.array_equal(res.assignment, labels)
+    assert np.array_equal(res.centers, centers)
+    assert res.inertia == inertia
+    assert res.inertia_history == history
+    if kind == "duplicates":
+        assert sorted(set(empties)) == [0, 1, 2]
+
+
 # -- report and top-level evaluate -------------------------------------------
 
 def test_report_json_round_trip(tmp_path):
@@ -292,6 +350,20 @@ def test_evaluate_restriction_too_small(tiny_graph):
     feat = np.random.default_rng(0).normal(size=(tiny_graph.num_triples, 3))
     with pytest.raises(ValueError, match="fewer than 10"):
         evaluate(feat, tiny_graph, restrict_multi_predicate=True)
+
+
+def test_evaluate_restriction_clusters_by_kept_labels():
+    # p0 and p1 share every (head, tail) pair, p2 never does: the restricted
+    # rows carry 2 of the graph's 3 predicates, so k-means uses k = 2
+    rows = [(f"e{i}", p, f"e{i + 1}") for i in range(10) for p in ("p0", "p1")]
+    rows += [(f"e{i}", "p2", f"e{i + 3}") for i in range(10)]
+    g = KnowledgeGraph.from_named_triples(rows)
+    feat = np.random.default_rng(0).normal(size=(g.num_triples, 3))
+    rep = evaluate(feat, g, restrict_multi_predicate=True, tasks=("cluster",), rng_seed=0)
+    keep = multi_predicate_triple_ids(g)
+    assert g.num_predicates == 3 and len(np.unique(g.ids[keep, 1])) == 2
+    km = kmeans(feat[keep], 2, rng_seed=0)
+    assert rep.ch_index == calinski_harabasz(feat[keep], km.assignment, 2)
 
 
 def test_evaluate_cluster_only(rng):

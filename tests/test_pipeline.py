@@ -1,6 +1,7 @@
 import functools
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -76,6 +77,25 @@ def test_pipeline_resume_skips_stages(tmp_path):
     for stage in m1.stages:
         assert m2.stages[stage]["artifact_sha256"] == m1.stages[stage]["artifact_sha256"]
         assert m2.stages[stage]["wall_seconds"] == m1.stages[stage]["wall_seconds"]
+
+
+def test_manifest_save_interrupted_keeps_previous(tmp_path, monkeypatch):
+    path = tmp_path / "manifest.json"
+    RunManifest(config={"seed": 1}, stages={"stats": {"wall_seconds": 0.5}}).save(path)
+    real_write_text = Path.write_text
+
+    def write_half_then_fail(self, text, *args, **kwargs):
+        real_write_text(self, text[:len(text) // 2], *args, **kwargs)
+        raise OSError("disk full")
+
+    monkeypatch.setattr(Path, "write_text", write_half_then_fail)
+    with pytest.raises(OSError, match="disk full"):
+        RunManifest(config={"seed": 2}, stages={}).save(path)
+    monkeypatch.undo()
+    back = RunManifest.load(path)
+    assert back.config == {"seed": 1}
+    assert back.stages == {"stats": {"wall_seconds": 0.5}}
+    assert [p.name for p in tmp_path.iterdir()] == ["manifest.json"]
 
 
 def test_pipeline_tampered_artifact_refuses_resume(tmp_path):

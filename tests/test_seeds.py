@@ -233,6 +233,166 @@ def test_train_seed_separates_clusters():
     assert intra > inter
 
 
+# -- exact oracle: the example-at-a-time training loop -----------------------
+
+def _reference_interleave(c):
+    out = np.empty(2 * len(c))
+    out[0::2] = c.real
+    out[1::2] = c.imag
+    return out
+
+
+def _reference_example(model_tag, params, margin, pos, negs, g_ent, g_pred, hinges):
+    """One example's loss, its gradients added row by row (the scalar reference)."""
+    ent = params["ent"]
+    if model_tag == "rotate":
+        phases = params["phases"]
+        cos_p, sin_p = np.cos(phases), np.sin(phases)
+
+        def dist_grad(h_i, p_i, t_i):
+            hc = ent[h_i, 0::2] + 1j * ent[h_i, 1::2]
+            tc = ent[t_i, 0::2] + 1j * ent[t_i, 1::2]
+            pc = cos_p[p_i] + 1j * sin_p[p_i]
+            r = hc * pc - tc
+            d2 = float(np.sum(r.real ** 2 + r.imag ** 2))
+            cr = np.conj(r)
+            grads = (
+                2.0 * _reference_interleave(np.conj(cr * pc)),   # d||r||^2 / d h components
+                2.0 * _reference_interleave(-r),                 # d||r||^2 / d t components
+                2.0 * (cr * hc * 1j * pc).real,                  # d||r||^2 / d theta
+            )
+            return d2, grads
+
+        loss = 0.0
+        d_pos, gp = dist_grad(*pos)
+        loss += d_pos
+        g_ent[pos[0]] += gp[0]
+        g_ent[pos[2]] += gp[1]
+        g_pred[pos[1]] += gp[2]
+        for neg in negs:
+            d_neg, gn = dist_grad(*neg)
+            hinges[margin - d_neg > 0] += 1
+            if margin - d_neg > 0:
+                loss += margin - d_neg
+                g_ent[neg[0]] -= gn[0]
+                g_ent[neg[2]] -= gn[1]
+                g_pred[neg[1]] -= gn[2]
+        return loss
+
+    pred = params["pred"]
+    if model_tag == "transe":
+        def dist_grad(h_i, p_i, t_i):
+            r = ent[h_i] + pred[p_i] - ent[t_i]
+            return float(r @ r), 2.0 * r
+
+        loss = 0.0
+        d_pos, gr = dist_grad(*pos)
+        loss += d_pos
+        g_ent[pos[0]] += gr
+        g_pred[pos[1]] += gr
+        g_ent[pos[2]] -= gr
+        for neg in negs:
+            d_neg, gr = dist_grad(*neg)
+            hinges[margin - d_neg > 0] += 1
+            if margin - d_neg > 0:
+                loss += margin - d_neg
+                g_ent[neg[0]] -= gr
+                g_pred[neg[1]] -= gr
+                g_ent[neg[2]] += gr
+        return loss
+
+    # distmult / complex: BCE with sigmoid scores
+    if model_tag == "distmult":
+        grad_fn = score_distmult_grad
+    else:
+        grad_fn = score_complex_grad
+
+    loss = 0.0
+    for (h_i, p_i, t_i), y in [(pos, 1.0)] + [(n_, 0.0) for n_ in negs]:
+        s, dh, dp, dt = grad_fn(ent[h_i], pred[p_i], ent[t_i])
+        sig = 1.0 / (1.0 + math.exp(-max(-500.0, min(500.0, s))))
+        loss += -math.log(max(sig if y else 1 - sig, 1e-300))
+        coeff = sig - y
+        g_ent[h_i] += coeff * dh
+        g_pred[p_i] += coeff * dp
+        g_ent[t_i] += coeff * dt
+    return loss
+
+
+def _reference_train_seed(g, model_tag, cfg, hinges):
+    """train_seed as one Python iteration per example, with dense gradient buffers."""
+    d = cfg.dim
+    rng = np.random.default_rng(cfg.rng_seed)
+    bound = 6.0 / math.sqrt(d)
+    ent = rng.uniform(-bound, bound, size=(g.num_entities, d))
+    pred_key = "phases" if model_tag == "rotate" else "pred"
+    if model_tag == "rotate":
+        params = {"ent": ent, "phases": rng.uniform(0.0, 2.0 * math.pi,
+                                                    size=(g.num_predicates, d // 2))}
+    else:
+        params = {"ent": ent, "pred": rng.uniform(-bound, bound, size=(g.num_predicates, d))}
+    known = set(map(tuple, g.ids.tolist()))
+    n = g.num_triples
+    history = []
+    for epoch in range(cfg.epochs):
+        lr = cfg.learning_rate * max(0.01, 1.0 - epoch / cfg.epochs)
+        order = rng.permutation(n)
+        epoch_loss = 0.0
+        for start in range(0, n, cfg.batch_size):
+            batch = g.ids[order[start:start + cfg.batch_size]]
+            g_ent = np.zeros_like(params["ent"])
+            g_pred = np.zeros_like(params[pred_key])
+            batch_loss = 0.0
+            for h_i, p_i, t_i in batch:
+                negs = []
+                for _ in range(cfg.negatives_per_positive):
+                    for _retry in range(10):
+                        e_new = int(rng.integers(g.num_entities))
+                        if rng.random() < 0.5:
+                            neg = (e_new, p_i, t_i)
+                        else:
+                            neg = (h_i, p_i, e_new)
+                        if neg not in known:
+                            break
+                    negs.append(neg)
+                batch_loss += _reference_example(model_tag, params, cfg.margin,
+                                                 (h_i, p_i, t_i), negs, g_ent, g_pred, hinges)
+            params["ent"] -= lr * g_ent / len(batch)
+            params[pred_key] -= lr * g_pred / len(batch)
+            epoch_loss += batch_loss
+        history.append(epoch_loss / n)
+    return params, history
+
+
+@pytest.mark.parametrize("negatives", [1, 3])
+@pytest.mark.parametrize("model", ["transe", "distmult", "complex", "rotate"])
+def test_train_seed_equals_example_loop(model, negatives):
+    # 9 entities over 45 facts (self-loops included): every batch of 7 (which
+    # does not divide 45) repeats entities, the wide margin leaves some
+    # negatives inside it and some outside, and the large step carries a
+    # last-ulp difference in any gradient row into the parameters
+    rng = np.random.default_rng(3)
+    rows = {(f"e{rng.integers(9)}", f"r{rng.integers(3)}", f"e{rng.integers(9)}")
+            for _ in range(60)}
+    g = KnowledgeGraph.from_named_triples(sorted(rows)[:45])
+    assert g.num_triples == 45
+    cfg = SeedTrainConfig(dim=6, epochs=4, batch_size=7, negatives_per_positive=negatives,
+                          margin=12.0, learning_rate=0.5, rng_seed=7)
+    history = []
+    es = train_seed(g, model, cfg, loss_history=history)
+    hinges = np.zeros(2, dtype=np.int64)   # [inactive, active] negatives
+    params, ref_history = _reference_train_seed(g, model, cfg, hinges)
+    assert np.array_equal(es.entity_vectors, params["ent"])
+    if model == "rotate":
+        assert np.array_equal(es.predicate_vectors[:, 0::2], np.cos(params["phases"]))
+        assert np.array_equal(es.predicate_vectors[:, 1::2], np.sin(params["phases"]))
+    else:
+        assert np.array_equal(es.predicate_vectors, params["pred"])
+    assert history == ref_history
+    if model in ("transe", "rotate"):
+        assert hinges.min() > 0, hinges
+
+
 # -- import / export ---------------------------------------------------------
 
 def test_export_import_round_trip(tmp_path):
