@@ -68,6 +68,13 @@ class EvalReport:
         return cls.from_json(Path(path).read_text(encoding="utf-8"))
 
 
+def _reject_non_finite(x: np.ndarray, what: str) -> None:
+    bad = np.flatnonzero(~np.isfinite(x).all(axis=1))
+    if bad.size:
+        raise ValueError(f"non-finite {what} values in row {bad[0]} "
+                         f"({bad.size} row(s) affected)")
+
+
 # ---------------------------------------------------------------------------
 # metrics
 # ---------------------------------------------------------------------------
@@ -82,15 +89,10 @@ def micro_f1(y_true: np.ndarray, y_pred: np.ndarray) -> float:
     y_pred = np.asarray(y_pred)
     if len(y_true) != len(y_pred):
         raise ValueError("length mismatch")
-    classes = np.unique(np.concatenate([y_true, y_pred]))
-    tp = fp = fn = 0
-    for c in classes:
-        tp += int(np.sum((y_pred == c) & (y_true == c)))
-        fp += int(np.sum((y_pred == c) & (y_true != c)))
-        fn += int(np.sum((y_pred != c) & (y_true == c)))
-    if 2 * tp + fp + fn == 0:
+    if len(y_true) == 0:
         return 0.0
-    return 2 * tp / (2 * tp + fp + fn)
+    # fp = fn = n - tp, so 2tp / (2tp + fp + fn) is exactly tp / n
+    return int(np.count_nonzero(y_true == y_pred)) / len(y_true)
 
 
 def pearson(x, y) -> float:
@@ -180,9 +182,16 @@ class LogisticOvR:
         b = np.zeros(c)
         opt = Adam({"w": w, "b": b}, lr=self.learning_rate)
         for _ in range(self.iters):
-            scores = x @ w.T + b
-            prob = 1.0 / (1.0 + np.exp(-np.clip(scores, -500, 500)))
-            err = (prob - onehot) / n
+            # err = (sigmoid(clip(x w^T + b)) - onehot) / n, in place
+            err = x @ w.T
+            err += b
+            np.clip(err, -500, 500, out=err)
+            np.negative(err, out=err)
+            np.exp(err, out=err)
+            err += 1.0
+            np.divide(1.0, err, out=err)
+            err -= onehot
+            err /= n
             gw = err.T @ x + (self.l2 / n) * w
             gb = err.sum(axis=0)
             opt.begin_step()
@@ -327,17 +336,56 @@ def _kmeans_pp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
     return centers
 
 
-# values in one block of row-to-centre differences (1 MiB): k-means memory is
-# n*k plus this, not n*k*d
+# values in one block of row-to-centre scores or of gathered rows (1 MiB):
+# k-means memory is 2n plus a few such blocks, not n*k*d
 KMEANS_BLOCK = 1 << 17
 
 
-def _sq_distances(x: np.ndarray, centers: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """out[i, c] = ||x[i] - centers[c]||^2, a block of rows at a time."""
-    step = max(1, KMEANS_BLOCK // centers.size)
+def _nearest_centers(x: np.ndarray, xx: np.ndarray,
+                     centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First argmin over c of ||x[i] - centers[c]||^2, and that distance.
+
+    Distances are summed as ((x[i] - centers[c]) ** 2).sum(), so they equal
+    the dense difference form bit for bit. Only a shortlist is summed that
+    way: every centre whose ||x||^2 - 2 x.c + ||c||^2 (one BLAS product per
+    block; `xx` holds ||x||^2) lies within 2E of the row's least, where
+    E = 4 (d + 4) eps (||x|| + max ||c||)^2. Both forms are within
+    (d + 2) eps/2 (||x|| + ||c||)^2 of the true distance in any summation
+    order, and E is over 8x that, so a centre left out is farther than the
+    argmin in the difference form too. The `tiny` term covers underflow.
+    """
+    k, d = centers.shape
+    neg2c = -2.0 * centers
+    cc = (centers ** 2).sum(axis=1)
+    eps, tiny = np.finfo(np.float64).eps, np.finfo(np.float64).tiny
+    cmax = np.sqrt(cc.max())
+    labels = np.empty(len(x), dtype=np.intp)
+    nearest = np.empty(len(x))
+    step = max(1, KMEANS_BLOCK // k)
+    pstep = max(1, KMEANS_BLOCK // d)
     for s in range(0, len(x), step):
-        out[s:s + step] = ((x[s:s + step, None, :] - centers[None]) ** 2).sum(axis=2)
-    return out
+        xb = x[s:s + step]
+        rows = np.arange(len(xb))
+        approx = xb @ neg2c.T
+        approx += xx[s:s + step, None]
+        approx += cc
+        best = np.argmin(approx, axis=1)
+        margin = 8 * (d + 4) * eps * (np.sqrt(xx[s:s + step]) + cmax) ** 2 + (d + 4) * tiny
+        # NaN from an overflowed form fails `>`, so it keeps its centre
+        near = ~(approx > (approx[rows, best] + margin)[:, None])
+        single = np.count_nonzero(near) == len(xb)   # the common case
+        ii, jj = (rows, best) if single else np.nonzero(near)
+        dist = np.empty(len(ii))
+        for p in range(0, len(ii), pstep):
+            dist[p:p + pstep] = ((xb[ii[p:p + pstep]] - centers[jj[p:p + pstep]]) ** 2
+                                 ).sum(axis=1)
+        if not single:
+            approx.fill(np.inf)
+            approx[ii, jj] = dist
+            best = np.argmin(approx, axis=1)
+            dist = approx[rows, best]
+        labels[s:s + step], nearest[s:s + step] = best, dist
+    return labels, nearest
 
 
 def kmeans(features: np.ndarray, k: int, rng_seed: int = 0, restarts: int = 10,
@@ -351,17 +399,16 @@ def kmeans(features: np.ndarray, k: int, rng_seed: int = 0, restarts: int = 10,
     n = x.shape[0]
     if n < k:
         raise ValueError("fewer points than clusters")
+    _reject_non_finite(x, "feature")
     degenerate = len(np.unique(x, axis=0)) < k
     best: KMeansResult | None = None
-    d2 = np.empty((n, k))
-    rows = np.arange(n)
+    xx = (x ** 2).sum(axis=1)
     for r in range(restarts):
         rng = np.random.default_rng([rng_seed, r])
         centers = _kmeans_pp_init(x, k, rng)
         history: list[float] = []
         for _ in range(max_iter):
-            labels = np.argmin(_sq_distances(x, centers, d2), axis=1)
-            nearest = d2[rows, labels]
+            labels, nearest = _nearest_centers(x, xx, centers)
             history.append(float(nearest.sum()))
             new_centers = centers.copy()
             used, sums, members = scatter_rows(labels, x)
@@ -373,8 +420,8 @@ def kmeans(features: np.ndarray, k: int, rng_seed: int = 0, restarts: int = 10,
             centers = new_centers
             if shift < tol:
                 break
-        labels = np.argmin(_sq_distances(x, centers, d2), axis=1)
-        inertia = float(d2[rows, labels].sum())
+        labels, nearest = _nearest_centers(x, xx, centers)
+        inertia = float(nearest.sum())
         history.append(inertia)
         if best is None or inertia < best.inertia:
             best = KMeansResult(labels, centers, inertia, degenerate, history)
@@ -400,10 +447,7 @@ def evaluate(triple_emb: np.ndarray, g: KnowledgeGraph,
     triple_emb = np.asarray(triple_emb, dtype=np.float64)
     if triple_emb.shape[0] != g.num_triples:
         raise ValueError("embedding rows must align with graph triples")
-    bad = np.flatnonzero(~np.isfinite(triple_emb).all(axis=1))
-    if bad.size:
-        raise ValueError(f"non-finite embedding values in row {bad[0]} "
-                         f"({bad.size} row(s) affected)")
+    _reject_non_finite(triple_emb, "embedding")
     if specs is None:
         specs = [ClassifierSpec(kind="logreg-ovr"), ClassifierSpec(kind="mlp")]
 

@@ -1,11 +1,16 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tripletune import evaluation
-from tripletune.evaluation import (CH_DEGENERATE, ClassifierSpec, EvalReport,
-                                   _kmeans_pp_init, calinski_harabasz, evaluate,
-                                   kfold_split, kmeans, micro_f1, pearson, spearman,
-                                   train_classify)
+from tripletune.evaluation import (CH_DEGENERATE, ClassifierSpec, EvalReport, LogisticOvR,
+                                   _kmeans_pp_init, _nearest_centers, calinski_harabasz,
+                                   evaluate, kfold_split, kmeans, micro_f1, pearson,
+                                   spearman, train_classify)
+from tripletune.optim import Adam
 from tripletune.graph import KnowledgeGraph, multi_predicate_triple_ids
 
 
@@ -38,6 +43,30 @@ def test_micro_f1_equals_accuracy_single_label(rng):
         y_true = rng.integers(0, 4, size=50)
         y_pred = rng.integers(0, 4, size=50)
         assert micro_f1(y_true, y_pred) == pytest.approx(np.mean(y_true == y_pred))
+
+
+def _confusion_micro_f1(y_true, y_pred):
+    """2tp / (2tp + fp + fn) from per-class confusion counts."""
+    classes = np.unique(np.concatenate([y_true, y_pred]))
+    tp = fp = fn = 0
+    for c in classes:
+        tp += int(np.sum((y_pred == c) & (y_true == c)))
+        fp += int(np.sum((y_pred == c) & (y_true != c)))
+        fn += int(np.sum((y_pred != c) & (y_true == c)))
+    if 2 * tp + fp + fn == 0:
+        return 0.0
+    return 2 * tp / (2 * tp + fp + fn)
+
+
+def test_micro_f1_equals_confusion_count_formula(rng):
+    for n in [0, 1, 2, 3, 7, 50, 999]:
+        for _ in range(10):
+            y_true = rng.integers(0, 5, size=n)
+            # classes 5..7 never occur in y_true
+            y_pred = rng.integers(0, 8, size=n)
+            assert micro_f1(y_true, y_pred) == _confusion_micro_f1(y_true, y_pred)
+            assert micro_f1(y_true, y_true) == _confusion_micro_f1(y_true, y_true)
+    assert micro_f1(np.array([], dtype=int), np.array([], dtype=int)) == 0.0
 
 
 # -- correlations ------------------------------------------------------------
@@ -183,6 +212,52 @@ def test_absent_class_warns():
         train_classify(x, y, ClassifierSpec(kind="logreg-ovr", logreg_iters=5), folds)
 
 
+class _AllocatingLogisticOvR(LogisticOvR):
+    """LogisticOvR with the step written out as whole-array expressions."""
+
+    def fit(self, x, y, classes=None):
+        x = np.asarray(x, dtype=np.float64)
+        y = np.asarray(y)
+        self.classes_ = np.unique(y) if classes is None else np.asarray(classes)
+        n, d = x.shape
+        c = len(self.classes_)
+        onehot = (y[:, None] == self.classes_[None, :]).astype(np.float64)
+        w = np.zeros((c, d))
+        b = np.zeros(c)
+        opt = Adam({"w": w, "b": b}, lr=self.learning_rate)
+        for _ in range(self.iters):
+            scores = x @ w.T + b
+            prob = 1.0 / (1.0 + np.exp(-np.clip(scores, -500, 500)))
+            err = (prob - onehot) / n
+            gw = err.T @ x + (self.l2 / n) * w
+            gb = err.sum(axis=0)
+            opt.begin_step()
+            opt.step("w", gw)
+            opt.step("b", gb)
+        self.weights, self.bias = w, b
+        return self
+
+
+def test_logreg_in_place_step_equals_allocating_step(rng, monkeypatch):
+    # at learning rate 2 some scores pass the +-500 clip
+    x, y = blobs(rng, k=4, per=30, spread=3.0, sep=40.0)
+    for lr in (0.1, 2.0):
+        new = LogisticOvR(iters=60, learning_rate=lr).fit(x, y)
+        old = _AllocatingLogisticOvR(iters=60, learning_rate=lr).fit(x, y)
+        assert np.array_equal(new.weights, old.weights)
+        assert np.array_equal(new.bias, old.bias)
+    assert np.abs(x @ new.weights.T + new.bias).max() > 500
+    # half the labels shuffled, so fold scores sit strictly between 0 and 1
+    y_noisy = y.copy()
+    y_noisy[::2] = rng.permutation(y_noisy[::2])
+    spec = ClassifierSpec(kind="logreg-ovr", logreg_iters=40)
+    folds = kfold_split(len(y), rng_seed=0)
+    scores = train_classify(x, y_noisy, spec, folds)
+    assert all(0.0 < s < 1.0 for s in scores)
+    monkeypatch.setattr(evaluation, "LogisticOvR", _AllocatingLogisticOvR)
+    assert scores == train_classify(x, y_noisy, spec, folds)
+
+
 def test_standardize_option(rng):
     x, y = blobs(rng, k=2, per=20)
     x[:, 0] *= 1e6   # wildly different feature scales
@@ -259,18 +334,22 @@ def _reference_kmeans(x, k, rng_seed, restarts, empties, max_iter=300, tol=1e-6)
     return best
 
 
-@pytest.mark.parametrize("case", ["blobs-0", "blobs-1", "blobs-2", "duplicates"])
+@pytest.mark.parametrize("case", ["blobs-0", "blobs-1", "blobs-2", "duplicates", "wide"])
 def test_kmeans_equals_dense_reference(case, monkeypatch):
     kind, _, seed = case.partition("-")
     if kind == "blobs":
         x, _ = blobs(np.random.default_rng(int(seed)), k=5, per=20, spread=2.0, sep=3.0)
         k, seed = 5, int(seed)
+    elif kind == "wide":
+        # the evaluation's own shape on FB-like graphs: k = 100 predicates
+        x, _ = blobs(np.random.default_rng(4), k=100, per=8, dim=32, spread=2.0, sep=1.0)
+        k, seed = 100, 4
     else:
         # 3 distinct points for 4 clusters: every restart empties a cluster
         x = np.repeat(np.random.default_rng(3).normal(size=(3, 4)), [20, 15, 10], axis=0)
         k, seed = 4, 3
-    # blocks of 32 rows: the 100 or 45 rows fill a few blocks and part of one
-    monkeypatch.setattr(evaluation, "KMEANS_BLOCK", 32 * k * x.shape[1])
+    # blocks of 32 rows: the 100, 800 or 45 rows fill blocks and part of one
+    monkeypatch.setattr(evaluation, "KMEANS_BLOCK", 32 * k)
     empties = []
     labels, centers, inertia, history = _reference_kmeans(x, k, seed, 3, empties)
     res = kmeans(x, k, rng_seed=seed, restarts=3)
@@ -280,6 +359,99 @@ def test_kmeans_equals_dense_reference(case, monkeypatch):
     assert res.inertia_history == history
     if kind == "duplicates":
         assert sorted(set(empties)) == [0, 1, 2]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_kmeans_rejects_non_finite_features(rng, bad):
+    x, _ = blobs(rng, k=3, per=10)
+    x[4, 1] = bad
+    x[20, 0] = bad
+    with pytest.raises(ValueError, match="row 4 "):
+        kmeans(x, 3)
+
+
+def _dense_nearest(x, centers):
+    d2 = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+    labels = np.argmin(d2, axis=1)
+    return labels, d2[np.arange(len(x)), labels]
+
+
+def test_nearest_centers_exact_tie_goes_to_first_index():
+    # x is 1 from both centres, but ||x||^2 - 2 x.c + ||c||^2 rounds to 4 and -4:
+    # the recheck must restore the tie and pick the first centre
+    t = 2.0 ** 27 + 2
+    x = np.array([[t], [t - 1.0], [t + 1.0]])
+    centers = np.array([[t - 1.0], [t + 1.0]])
+    approx = (x ** 2).sum(axis=1)[:, None] - 2 * x @ centers.T + (centers ** 2).sum(axis=1)
+    assert approx[0, 1] < approx[0, 0]
+    labels, nearest = _nearest_centers(x, (x ** 2).sum(axis=1), centers)
+    assert labels.tolist() == [0, 0, 1]
+    assert nearest.tolist() == [1.0, 0.0, 0.0]
+    # the same centre twice: the first copy wins
+    labels, _ = _nearest_centers(x, (x ** 2).sum(axis=1), centers[[1, 1, 0, 0]])
+    assert labels.tolist() == [0, 2, 0]
+
+
+def test_nearest_centers_subnormal_distances():
+    # at 1e-160 squared distances are subnormal and the relative margin
+    # underflows to zero; the absolute term must still cover the rounding
+    rng = np.random.default_rng(5)
+    for _ in range(300):
+        x = rng.integers(-3, 4, size=(12, 3)) * 1e-160
+        centers = x[rng.integers(12, size=4)] + rng.normal(size=(4, 3)) * 1e-162
+        labels, nearest = _nearest_centers(x, (x ** 2).sum(axis=1), centers)
+        want_labels, want_nearest = _dense_nearest(x, centers)
+        assert np.array_equal(labels, want_labels)
+        assert np.array_equal(nearest, want_nearest)
+
+
+@st.composite
+def point_sets(draw, max_n=30):
+    """Points with duplicates, on a small integer grid (exact ties) or Gaussian,
+    scaled by 10^-100 .. 10^100, or by 10^-165 .. 10^-150 where squared
+    distances underflow to subnormals."""
+    d = draw(st.integers(1, 4))
+    n = draw(st.integers(1, max_n))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n_distinct = draw(st.integers(1, n))
+    if draw(st.booleans()):
+        base = rng.integers(-3, 4, size=(n_distinct, d)).astype(np.float64)
+    else:
+        base = rng.normal(size=(n_distinct, d))
+    scale = draw(st.one_of(st.integers(-100, 100), st.integers(-165, -150)))
+    x = base[rng.integers(n_distinct, size=n)] * 10.0 ** scale
+    return x, rng
+
+
+@settings(deadline=None)
+@given(point_sets(), st.integers(1, 6), st.sampled_from([1, 5, 1 << 17]))
+def test_nearest_centers_equals_dense_argmin(points, k, block):
+    x, rng = points
+    # centres drawn from the points, repeats included, so ties are common
+    centers = x[rng.integers(len(x), size=k)]
+    with mock.patch.object(evaluation, "KMEANS_BLOCK", block):
+        labels, nearest = _nearest_centers(x, (x ** 2).sum(axis=1), centers)
+    want_labels, want_nearest = _dense_nearest(x, centers)
+    assert np.array_equal(labels, want_labels)
+    assert np.array_equal(nearest, want_nearest)
+
+
+@settings(deadline=None, max_examples=60)
+@given(point_sets(), st.integers(1, 5), st.integers(0, 1000), st.sampled_from([3, 1 << 17]))
+def test_kmeans_equals_dense_reference_property(points, k, seed, block):
+    x, _ = points
+    k = min(k, len(x))
+    with mock.patch.object(evaluation, "KMEANS_BLOCK", block):
+        res = kmeans(x, k, rng_seed=seed, restarts=2)
+    # np.mean sums a lone column pairwise, where kmeans sums members in row
+    # order; a zero column makes the oracle sum row by row and moves no distance
+    d = x.shape[1]
+    ref_x = x if d > 1 else np.hstack([x, np.zeros_like(x)])
+    labels, centers, inertia, history = _reference_kmeans(ref_x, k, seed, 2, [])
+    assert np.array_equal(res.assignment, labels)
+    assert np.array_equal(res.centers, centers[:, :d])
+    assert res.inertia == inertia
+    assert res.inertia_history == history
 
 
 # -- report and top-level evaluate -------------------------------------------
