@@ -2,15 +2,19 @@
 """The Triple2vec-style line-graph random-walk baseline, step by step.
 
 Builds the predicate co-occurrence matrix, weights it with TF/ITF, turns the
-knowledge graph into a line graph of triples, runs weighted random walks, and
-trains skip-gram with negative sampling on the walk corpus. Ends with the same
-evaluation used for the fine-tuned embeddings.
+knowledge graph into a CSR line graph of triples, and advances weighted random
+walks from every triple in lockstep into one walk matrix. The triple vectors
+come from the closed-form skip-gram trainer: the walks' positive PMI shifted by
+log(negatives), factorised by a truncated SVD (Levy & Goldberg, NeurIPS 2014).
+Skip-gram with negative sampling on the same walks is trained as the
+reference, and both are evaluated the same way as the fine-tuned embeddings.
 """
 
 import numpy as np
 
 from tripletune.baseline import (build_cm, build_line_graph, cooccurrence_counts,
-                                 predicate_similarity, random_walks, train_skipgram)
+                                 predicate_similarity, random_walks, sppmi_matrix,
+                                 train_skipgram, train_sppmi)
 from tripletune.evaluation import ClassifierSpec, evaluate
 from tripletune.synthetic import cross_linked_clustered_graph
 
@@ -31,19 +35,24 @@ def main():
     lg = build_line_graph(g, cm)
     print(f"line graph: {lg.n_nodes} nodes, {lg.n_edges} edges")
 
-    corpus = random_walks(lg, walks_per_node=5, walk_length=10, rng_seed=0)
-    lengths = [len(w) for w in corpus]
-    print(f"walk corpus: {len(corpus)} walks, mean length {np.mean(lengths):.1f} "
-          f"(dead ends truncate)")
+    walks = random_walks(lg, walks_per_node=5, walk_length=10, rng_seed=0)
+    lengths = (walks >= 0).sum(axis=1)
+    print(f"walk matrix {walks.shape}, mean length {lengths.mean():.1f} "
+          f"(-1 pads a walk after a dead end); first walk: {walks[0].tolist()}")
 
-    result = train_skipgram(corpus, g.num_triples, dim=16, epochs=10, rng_seed=0)
-    print(f"skip-gram loss {result.loss_per_epoch[0]:.3f} -> "
-          f"{result.loss_per_epoch[-1]:.3f}")
+    m = sppmi_matrix(walks, g.num_triples, window=5, negatives=5)
+    print(f"shifted positive PMI: {m.nnz} non-zeros of {g.num_triples ** 2}")
 
-    report = evaluate(result.vectors, g, specs=[ClassifierSpec(kind="logreg-ovr")],
-                      rng_seed=0)
-    print(f"baseline micro-F1 {report.micro_f1_mean['logreg-ovr']:.3f}, "
-          f"CH {report.ch_index:.1f}")
+    specs = [ClassifierSpec(kind="logreg-ovr")]
+    sppmi = train_sppmi(walks, g.num_triples, dim=16, rng_seed=0)
+    corpus = [row[row >= 0].tolist() for row in walks]
+    sgns = train_skipgram(corpus, g.num_triples, dim=16, epochs=10, rng_seed=0)
+    print(f"skip-gram reference loss {sgns.loss_per_epoch[0]:.3f} -> "
+          f"{sgns.loss_per_epoch[-1]:.3f}")
+    for name, result in (("closed-form SPPMI", sppmi), ("skip-gram (SGNS)", sgns)):
+        report = evaluate(result.vectors, g, specs=specs, rng_seed=0)
+        print(f"{name}: micro-F1 {report.micro_f1_mean['logreg-ovr']:.3f}, "
+              f"CH {report.ch_index:.1f}")
 
 
 if __name__ == "__main__":

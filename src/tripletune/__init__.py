@@ -19,7 +19,7 @@ from .evaluation import (ClassifierSpec, EvalReport, calinski_harabasz, evaluate
                          kfold_split, kmeans, micro_f1, pearson, spearman,
                          train_classify)
 from .baseline import (LineGraph, build_cm, build_line_graph, cooccurrence_counts,
-                       random_walks, train_baseline, train_skipgram)
+                       random_walks, train_baseline, train_skipgram, train_sppmi)
 from .pipeline import ExperimentConfig, RunManifest, compare_report, run_pipeline
 
 __version__ = "0.1.0"

@@ -2,8 +2,18 @@
 
 Triples become nodes of a line graph whose edges connect triples sharing an
 entity endpoint. Edge weights come from predicate co-occurrence statistics
-(TF/ITF), walks over the weighted line graph form a corpus, and skip-gram
-with negative sampling turns the corpus into triple embeddings.
+(TF/ITF). Every node starts the same number of weight-proportional walks,
+and all walkers advance in lockstep over the CSR line graph into one walk
+matrix, padded with -1 after a dead end.
+
+Skip-gram with k negative samples and the unigram^0.75 noise distribution
+factorises the walks' pointwise mutual information shifted by log k (Levy &
+Goldberg, "Neural Word Embedding as Implicit Matrix Factorization", NeurIPS
+2014; Qiu et al., WSDM 2018, for DeepWalk-style walks). `train_sppmi` solves
+that objective in closed form: window co-occurrence counts, the positive
+shifted PMI, and a rank-dim truncated SVD. It has no epochs, no learning rate
+and nothing that can diverge. `train_skipgram` fits the same objective by
+stochastic gradient steps and stays as the reference.
 """
 
 from __future__ import annotations
@@ -11,9 +21,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import chain
-from pathlib import Path
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse.linalg import LinearOperator, eigsh
 from scipy.special import expit
 
 from .graph import KnowledgeGraph
@@ -93,20 +104,27 @@ def predicate_similarity(cm: np.ndarray) -> np.ndarray:
 
 @dataclass
 class LineGraph:
-    n_nodes: int
-    neighbors: list[np.ndarray]   # per node, adjacent triple ids
-    weights: list[np.ndarray]     # matching non-negative edge weights
+    """Weighted line graph in CSR form.
 
-    def edges(self):
-        """Each undirected edge once, as (i, j, weight) with i < j."""
-        for i in range(self.n_nodes):
-            for j, w in zip(self.neighbors[i], self.weights[i]):
-                if i < j:
-                    yield i, int(j), float(w)
+    Node i's neighbours are indices[indptr[i]:indptr[i + 1]], with the matching
+    non-negative weights. Each undirected edge is stored once per direction.
+    """
+    indptr: np.ndarray
+    indices: np.ndarray
+    weights: np.ndarray
+
+    @property
+    def n_nodes(self) -> int:
+        return len(self.indptr) - 1
 
     @property
     def n_edges(self) -> int:
-        return sum(1 for _ in self.edges())
+        return len(self.indices) // 2
+
+    @property
+    def neighbors(self) -> list[np.ndarray]:
+        """Per-node views of `indices`."""
+        return np.split(self.indices, self.indptr[1:-1])
 
 
 def build_line_graph(g: KnowledgeGraph, cm: np.ndarray | None = None) -> LineGraph:
@@ -128,11 +146,8 @@ def build_line_graph(g: KnowledgeGraph, cm: np.ndarray | None = None) -> LineGra
     key = key[np.diff(key, prepend=-1) != 0]   # a pair sharing both endpoints once
     src, dst = key // n, key % n
     w = m_r[p[np.minimum(src, dst)], p[np.maximum(src, dst)]]
-    w = np.where(w > 0.0, w, 0.0)
-    ends = np.cumsum(np.bincount(src, minlength=n)).tolist()
-    starts = [0] + ends[:-1]
-    return LineGraph(n, [dst[a:b] for a, b in zip(starts, ends)],
-                     [w[a:b] for a, b in zip(starts, ends)])
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(src, minlength=n))])
+    return LineGraph(indptr, dst, np.where(w > 0.0, w, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -140,50 +155,55 @@ def build_line_graph(g: KnowledgeGraph, cm: np.ndarray | None = None) -> LineGra
 # ---------------------------------------------------------------------------
 
 def random_walks(lg: LineGraph, walks_per_node: int = 10, walk_length: int = 20,
-                 rng_seed: int = 0) -> list[list[int]]:
-    """Weight-proportional walks from every node; dead ends truncate the walk."""
+                 rng_seed: int = 0) -> np.ndarray:
+    """Weight-proportional walks, `walks_per_node` from every node, advanced in lockstep.
+
+    Returns a (n_nodes * walks_per_node, walk_length) int32 matrix; row r starts
+    at node r // walks_per_node. Each step draws one uniform number per live
+    walker and finds its edge with one search over the per-node normalised
+    cumulative weights, offset by the node index so that node v's values lie
+    in [v, v + 1]: each node keeps a unit interval however large the graph. A
+    walker that reaches a node without a positive edge weight stops there, and
+    the rest of its row is -1.
+    """
     if walk_length < 1:
         raise ValueError("walk_length must be >= 1")
     if walks_per_node < 1:
         raise ValueError("walks_per_node must be >= 1")
-    if len(lg.neighbors) != lg.n_nodes or len(lg.weights) != lg.n_nodes:
-        raise ValueError("line graph needs one neighbour and weight array per node")
-    ids = np.concatenate([np.empty(0, dtype=np.int64), *lg.neighbors])
-    if ids.size and (ids.min() < 0 or ids.max() >= lg.n_nodes):
-        raise ValueError(f"line graph neighbour ids must lie in [0, {lg.n_nodes})")
-    cumw = []
-    for w in lg.weights:
-        tot = w.sum()
-        cumw.append(np.cumsum(w) / tot if tot > 0 else None)
-    corpus: list[list[int]] = []
-    for start in range(lg.n_nodes):
-        rng = np.random.default_rng([rng_seed, start])
-        for _ in range(walks_per_node):
-            walk = [start]
-            node = start
-            while len(walk) < walk_length:
-                cw = cumw[node]
-                if cw is None:
-                    break
-                node = int(lg.neighbors[node][np.searchsorted(cw, rng.random(), side="right")])
-                walk.append(node)
-            corpus.append(walk)
-    return corpus
+    indptr, indices, weights = (np.asarray(a) for a in (lg.indptr, lg.indices, lg.weights))
+    n = lg.n_nodes
+    if (n < 0 or indptr[0] != 0 or np.any(np.diff(indptr) < 0)
+            or indptr[-1] != len(indices) or len(weights) != len(indices)):
+        raise ValueError("line graph needs CSR arrays: indptr rising from 0 to "
+                         "len(indices), and one weight per neighbour id")
+    if indices.size and (indices.min() < 0 or indices.max() >= n):
+        raise ValueError(f"line graph neighbour ids must lie in [0, {n})")
+    if not np.all(np.isfinite(weights) & (weights >= 0.0)):
+        raise ValueError("line graph weights must be finite and non-negative")
 
+    node = np.repeat(np.arange(n), np.diff(indptr))
+    cum = np.cumsum(weights, dtype=np.float64)
+    cum -= np.concatenate([[0.0], cum])[indptr[:-1]][node]   # restart at each node
+    total = np.zeros(n)
+    has_edges = indptr[1:] > indptr[:-1]
+    total[has_edges] = cum[indptr[1:][has_edges] - 1]
+    live = total > 0.0
+    # a node's last positive-weight edge ends at exactly v + 1, and a zero-weight
+    # edge ends where the edge before it does, so no draw can select it
+    key = node + np.divide(cum, total[node], out=np.zeros_like(cum), where=live[node])
+    top = np.nextafter(np.arange(1, n + 1, dtype=np.float64), 0.0)   # largest draw below v + 1
 
-def save_corpus(corpus: list[list[int]], path: str | Path) -> None:
-    with Path(path).open("w", encoding="utf-8") as fh:
-        for walk in corpus:
-            fh.write(" ".join(str(n) for n in walk) + "\n")
-
-
-def load_corpus(path: str | Path) -> list[list[int]]:
-    corpus = []
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                corpus.append([int(x) for x in line.split()])
-    return corpus
+    rng = np.random.default_rng(rng_seed)
+    walks = np.full((n * walks_per_node, walk_length), -1, dtype=np.int32)
+    walks[:, 0] = np.repeat(np.arange(n), walks_per_node)
+    row = np.flatnonzero(live[walks[:, 0]])
+    for step in range(1, walk_length):
+        cur = walks[row, step - 1]
+        x = np.minimum(cur + rng.random(len(row)), top[cur])
+        nxt = indices[np.searchsorted(key, x, side="right")]
+        walks[row, step] = nxt
+        row = row[live[nxt]]
+    return walks
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +213,8 @@ def load_corpus(path: str | Path) -> list[list[int]]:
 @dataclass
 class SkipgramResult:
     vectors: np.ndarray          # |T| x dim input vectors
-    seen: np.ndarray             # bool mask; False rows kept their init values
+    seen: np.ndarray             # bool mask; False rows were never walked and keep
+                                 # their initial values (skip-gram) or zeros (SPPMI)
     loss_per_epoch: list[float] = field(default_factory=list)
 
 
@@ -313,12 +334,136 @@ def train_skipgram(corpus: list[list[int]], n_tokens: int, dim: int,
     return SkipgramResult(w_in, seen, history)
 
 
+# ---------------------------------------------------------------------------
+# skip-gram in closed form: shifted positive PMI and a truncated SVD
+# ---------------------------------------------------------------------------
+
+COUNT_BLOCK = 1 << 20   # (center, context) slots counted at once by `window_counts`
+
+
+def window_counts(walks: np.ndarray, n_tokens: int, window: int) -> sparse.csr_matrix:
+    """Symmetric counts of token pairs at most `window` positions apart in a walk.
+
+    Entry (a, b) is the number of (center, context) slots with center a and
+    context b, the slots `window_pairs` gives each walk; -1 padding is no token.
+    Walks are counted a block at a time, so the scratch memory beyond the
+    matrix is one block's slots, not tokens x window.
+    """
+    length = walks.shape[1]
+    offsets = range(1, min(window, length - 1) + 1)
+    per_walk = sum(length - d for d in offsets)
+    per_block = max(1, COUNT_BLOCK // max(1, per_walk))
+    counts = sparse.csr_matrix((n_tokens, n_tokens))
+    if not per_walk:
+        return counts
+    for lo in range(0, len(walks), per_block):
+        block = walks[lo:lo + per_block]
+        a = np.concatenate([block[:, :-d].ravel() for d in offsets])
+        b = np.concatenate([block[:, d:].ravel() for d in offsets])
+        slot = b >= 0      # padding trails, so a is a token wherever b is
+        counts += sparse.csr_matrix((np.ones(int(slot.sum())), (a[slot], b[slot])),
+                                    shape=(n_tokens, n_tokens))
+    return (counts + counts.T).tocsr()
+
+
+def sppmi_matrix(walks: np.ndarray, n_tokens: int, window: int,
+                 negatives: int) -> sparse.csr_matrix:
+    """Positive pointwise mutual information of the walks, shifted by log(negatives).
+
+    Entry (w, c) is max(0, log(#(w, c) / (#(w) P(c))) - log(negatives)), with
+    #(w, c) from `window_counts`, #(w) its row sum and P the unigram^0.75
+    distribution of walk tokens, the noise distribution of `train_skipgram`.
+    It is the score w . c at which the expected skip-gram loss of the pair is
+    stationary (Levy & Goldberg, NeurIPS 2014).
+    """
+    counts = window_counts(walks, n_tokens, window)
+    noise = np.bincount(walks[walks >= 0], minlength=n_tokens) ** 0.75
+    noise /= max(noise.sum(), 1.0)
+    row_sum = np.asarray(counts.sum(axis=1)).ravel()
+    pmi = np.log(counts.data)   # in place, one array of non-zeros at a time
+    pmi -= np.repeat(np.log(np.maximum(row_sum, 1.0)), np.diff(counts.indptr))
+    pmi -= np.log(noise[counts.indices])
+    pmi -= math.log(negatives)
+    counts.data = np.maximum(pmi, 0.0, out=pmi)
+    counts.eliminate_zeros()
+    return counts
+
+
+def factorise(m: sparse.csr_matrix, dim: int, rng_seed: int = 0) -> np.ndarray:
+    """U sqrt(S) of the best rank-`dim` approximation U S V^T of `m`, as (rows, dim).
+
+    V comes from ARPACK (`scipy.sparse.linalg.eigsh`) on the operator m^T m,
+    started from a vector drawn under `rng_seed`; a matrix at most twice
+    `dim` wide gets a dense SVD instead. U sqrt(S) is m V / sqrt(S), so a zero
+    row of `m` gives an exactly zero row. Components come in descending
+    singular-value order, each signed so that the largest |entry| of its
+    column is positive. Singular values at or below sqrt(rows * eps) of the
+    largest, where the eigen-solver's rounding leaves a null direction, and
+    components past min(m.shape) give zero columns.
+
+    `svds` runs the same ARPACK iteration, then re-orthonormalises V and
+    takes a small dense SVD; on 1,200-triple hub-baseline graphs those two
+    LAPACK calls raised the peak RSS of a `run-all` by 0.7-2.0 MiB, mostly
+    library code pages.
+    """
+    n = min(m.shape)
+    k = min(dim, n)
+    out = np.zeros((m.shape[0], dim))
+    if m.nnz == 0:
+        return out
+    if 2 * k >= n:
+        v = np.linalg.svd(m.toarray(), full_matrices=False)[2][:k].T
+    else:
+        cols = m.shape[1]
+        gram = LinearOperator((cols, cols), matvec=lambda x: m.T @ (m @ x),
+                              dtype=np.float64)
+        v = eigsh(gram, k=k, v0=np.random.default_rng(rng_seed).standard_normal(cols))[1]
+    u = m @ v
+    s = np.linalg.norm(u, axis=0)
+    order = np.argsort(-s, kind="stable")
+    order = order[s[order] > s.max() * math.sqrt(m.shape[0] * np.finfo(np.float64).eps)]
+    u = u[:, order] / np.sqrt(s[order])
+    out[:, :len(order)] = u * np.where(u[np.abs(u).argmax(axis=0), np.arange(len(order))] < 0,
+                                       -1.0, 1.0)
+    return out
+
+
+def train_sppmi(walks: np.ndarray, n_tokens: int, dim: int, window: int = 5,
+                negatives: int = 5, rng_seed: int = 0) -> SkipgramResult:
+    """Skip-gram with negative sampling solved in closed form over a walk matrix.
+
+    The vectors are U sqrt(S) of the rank-`dim` truncated SVD of
+    `sppmi_matrix`: the factorisation that skip-gram with `negatives` noise
+    samples approximates (Levy & Goldberg, "Neural Word Embedding as Implicit
+    Matrix Factorization", NeurIPS 2014). There are no epochs and no learning
+    rate, so `loss_per_epoch` is empty. Rows of `walks` are token ids followed
+    by -1 padding. Raises ValueError for other ids outside [0, n_tokens) and
+    for a dim, window or negatives below 1. A token with no positive entry
+    gets a zero row.
+    """
+    for name, value in (("dim", dim), ("window", window), ("negatives", negatives)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
+    walks = np.asarray(walks)
+    if walks.ndim != 2 or not np.issubdtype(walks.dtype, np.integer):
+        raise ValueError("walks must be a 2-D integer matrix")
+    bad = walks[(walks < -1) | (walks >= n_tokens)]
+    if bad.size:
+        raise ValueError(f"token id {bad[0]} outside [0, {n_tokens})")
+    if np.any((walks[:, :-1] < 0) & (walks[:, 1:] >= 0)):
+        raise ValueError("-1 padding must only follow a walk's tokens")
+    seen = np.bincount(walks[walks >= 0], minlength=n_tokens) > 0
+    vectors = factorise(sppmi_matrix(walks, n_tokens, window, negatives), dim, rng_seed)
+    return SkipgramResult(vectors, seen)
+
+
 def train_baseline(g: KnowledgeGraph, dim: int, walks_per_node: int = 10,
-                   walk_length: int = 20, epochs: int = 30,
-                   rng_seed: int = 0, window: int = 5, negatives: int = 5) -> SkipgramResult:
-    """End-to-end baseline: line graph -> walks -> skip-gram triple vectors."""
+                   walk_length: int = 20, rng_seed: int = 0, window: int = 5,
+                   negatives: int = 5) -> SkipgramResult:
+    """End-to-end baseline: line graph -> lockstep walks -> SPPMI triple vectors."""
     lg = build_line_graph(g)
-    corpus = random_walks(lg, walks_per_node=walks_per_node, walk_length=walk_length,
-                          rng_seed=rng_seed)
-    return train_skipgram(corpus, g.num_triples, dim, epochs=epochs, rng_seed=rng_seed,
-                          window=window, negatives=negatives)
+    walks = random_walks(lg, walks_per_node=walks_per_node, walk_length=walk_length,
+                         rng_seed=rng_seed)
+    del lg   # the counts need the memory more than the line graph
+    return train_sppmi(walks, g.num_triples, dim, window=window, negatives=negatives,
+                       rng_seed=rng_seed)

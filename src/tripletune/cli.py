@@ -106,11 +106,11 @@ def cmd_eval(args) -> int:
 def cmd_baseline(args) -> int:
     g = load_triples(args.graph)
     result = t2v.train_baseline(g, args.dim, walks_per_node=args.walks,
-                                walk_length=args.walk_length, epochs=args.epochs,
-                                rng_seed=args.seed)
+                                walk_length=args.walk_length, rng_seed=args.seed)
     siamese.write_triple_embedding_tsv(result.vectors, args.out)
-    unseen = int((~result.seen).sum())
-    print(f"wrote {args.out} ({result.vectors.shape[0]} rows, {unseen} never walked)")
+    zero = int((~result.vectors.any(axis=1)).sum())
+    print(f"wrote {args.out} ({result.vectors.shape[0]} rows, {zero} zero rows: "
+          "no positive shifted PMI)")
     return 0
 
 
@@ -210,7 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, default=32)
     p.add_argument("--walks", type=int, default=10)
     p.add_argument("--walk-length", type=int, default=20)
-    p.add_argument("--epochs", type=int, default=30)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_baseline)

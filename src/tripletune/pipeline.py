@@ -38,8 +38,8 @@ DEFAULTS = {
     "pairs": {"n": 5},
     "finetune": {"aggregation": "avg", "batch_size": 128, "learning_rate": 2e-3,
                  "warmup_fraction": 0.10, "epochs": 30},
-    "baseline": {"enabled": True, "walks_per_node": 10, "walk_length": 20, "epochs": 30,
-                 "window": 5, "negatives": 5},
+    "baseline": {"enabled": True, "walks_per_node": 10, "walk_length": 20, "window": 5,
+                 "negatives": 5},
     "eval": {"classifier": "both", "restrict_multi_predicate": False, "folds": 5},
     "seed": {"mode": "train", "model": "transe", "dim": 32, "epochs": 100,
              "learning_rate": 0.05, "batch_size": 64, "negatives": 1, "margin": 1.0,
@@ -282,8 +282,8 @@ class Pipeline:
         def run():
             result = t2v.train_baseline(
                 self.graph, dim, walks_per_node=bc["walks_per_node"],
-                walk_length=bc["walk_length"], epochs=bc["epochs"],
-                rng_seed=self.cfg.rng_seed, window=bc["window"], negatives=bc["negatives"])
+                walk_length=bc["walk_length"], rng_seed=self.cfg.rng_seed,
+                window=bc["window"], negatives=bc["negatives"])
             siamese.write_triple_embedding_tsv(result.vectors,
                                                self.out / "baseline_embeddings.tsv")
             self._evaluate_matrix(result.vectors, "triple2vec", "report_baseline.json")

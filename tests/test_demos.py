@@ -10,7 +10,8 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("demo", ["01_graph_statistics.py", "02_pair_similarity_dataset.py"])
+@pytest.mark.parametrize("demo", ["01_graph_statistics.py", "02_pair_similarity_dataset.py",
+                                  "04_line_graph_baseline.py"])
 def test_demo_exits_zero(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),

@@ -2,7 +2,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tripletune import evaluation
@@ -302,7 +302,8 @@ def test_kmeans_degenerate_flag_and_validation():
 
 
 def _reference_kmeans(x, k, rng_seed, restarts, empties, max_iter=300, tol=1e-6):
-    """kmeans with the full n x k x d difference tensor and one mean per cluster."""
+    """kmeans with the full n x k x d difference tensor and one mean per cluster,
+    its members summed one row at a time."""
     n = x.shape[0]
     best = None
     for r in range(restarts):
@@ -317,7 +318,10 @@ def _reference_kmeans(x, k, rng_seed, restarts, empties, max_iter=300, tol=1e-6)
             for c in range(k):
                 members = x[labels == c]
                 if len(members):
-                    new_centers[c] = members.mean(axis=0)
+                    total = np.zeros(x.shape[1])
+                    for row in members:   # row order, as kmeans sums
+                        total += row
+                    new_centers[c] = total / len(members)
                 else:
                     empties.append(r)
                     new_centers[c] = x[int(np.argmax(d2[np.arange(n), labels]))]
@@ -438,18 +442,16 @@ def test_nearest_centers_equals_dense_argmin(points, k, block):
 
 @settings(deadline=None, max_examples=60)
 @given(point_sets(), st.integers(1, 5), st.integers(0, 1000), st.sampled_from([3, 1 << 17]))
+# one column of 8 equal values: a pairwise sum and a row-order sum differ in the last bit
+@example((np.full((8, 1), 12.57302211), None), 1, 0, 1 << 17)
 def test_kmeans_equals_dense_reference_property(points, k, seed, block):
     x, _ = points
     k = min(k, len(x))
     with mock.patch.object(evaluation, "KMEANS_BLOCK", block):
         res = kmeans(x, k, rng_seed=seed, restarts=2)
-    # np.mean sums a lone column pairwise, where kmeans sums members in row
-    # order; a zero column makes the oracle sum row by row and moves no distance
-    d = x.shape[1]
-    ref_x = x if d > 1 else np.hstack([x, np.zeros_like(x)])
-    labels, centers, inertia, history = _reference_kmeans(ref_x, k, seed, 2, [])
+    labels, centers, inertia, history = _reference_kmeans(x, k, seed, 2, [])
     assert np.array_equal(res.assignment, labels)
-    assert np.array_equal(res.centers, centers[:, :d])
+    assert np.array_equal(res.centers, centers)
     assert res.inertia == inertia
     assert res.inertia_history == history
 

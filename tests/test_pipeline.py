@@ -1,12 +1,9 @@
-import functools
 import json
-import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tripletune import baseline as t2v
 from tripletune.cli import main as cli_main
 from tripletune.evaluation import EvalReport
 from tripletune.graph import save_triples
@@ -33,7 +30,7 @@ def small_config(tmp_path, graph_file, **overrides):
         "seed": {"dim": 8, "epochs": 10},
         "pairs": {"n": 2},
         "finetune": {"epochs": 3, "batch_size": 32},
-        "baseline": {"walks_per_node": 2, "walk_length": 5, "epochs": 2},
+        "baseline": {"walks_per_node": 2, "walk_length": 5},
         "eval": {"classifier": "logreg", "folds": 5},
     }
     cfg.update(overrides)
@@ -143,6 +140,16 @@ def test_config_defaults_merged(tmp_path):
     assert cfg.baseline["window"] == DEFAULTS["baseline"]["window"]
 
 
+def test_config_with_baseline_epochs_still_runs(tmp_path):
+    # the skip-gram epoch count no longer applies; older configs set it
+    gf, g = write_graph(tmp_path)
+    cfgf = small_config(tmp_path, gf, baseline={"walks_per_node": 2, "walk_length": 5,
+                                                 "epochs": 2})
+    run_pipeline(ExperimentConfig.from_file(cfgf))
+    rows = np.loadtxt(tmp_path / "out" / "baseline_embeddings.tsv", ndmin=2)
+    assert rows.shape[0] == g.num_triples
+
+
 # -- comparison ---------------------------------------------------------------
 
 def make_report(method, f1, ch, dataset="toy"):
@@ -228,7 +235,7 @@ def test_cli_baseline_and_compare(tmp_path, capsys):
     gf, _ = write_graph(tmp_path)
     embf = tmp_path / "baseline.tsv"
     rc = cli_main(["baseline", "--graph", str(gf), "--dim", "8", "--walks", "2",
-                   "--walk-length", "5", "--epochs", "2", "--out", str(embf)])
+                   "--walk-length", "5", "--out", str(embf)])
     assert rc == 0
 
     r1 = tmp_path / "r1.json"
@@ -248,16 +255,6 @@ def test_cli_run_all(tmp_path, capsys):
     assert (tmp_path / "out" / "manifest.json").exists()
 
 
-def test_cli_baseline_rejects_zero_epochs(tmp_path, capsys):
-    gf, _ = write_graph(tmp_path)
-    embf = tmp_path / "baseline.tsv"
-    rc = cli_main(["baseline", "--graph", str(gf), "--dim", "8", "--walks", "1",
-                   "--walk-length", "5", "--epochs", "0", "--out", str(embf)])
-    assert rc == 1
-    assert "epochs must be >= 1" in capsys.readouterr().err
-    assert not embf.exists()
-
-
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_cli_finetune_divergence_exits_nonzero(tmp_path, capsys):
     gf, _ = write_graph(tmp_path)
@@ -275,18 +272,6 @@ def test_cli_finetune_divergence_exits_nonzero(tmp_path, capsys):
     assert "training diverged" in err and "epoch 0" in err
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_cli_baseline_divergence_exits_nonzero(tmp_path, capsys, monkeypatch):
-    gf, _ = write_graph(tmp_path)
-    monkeypatch.setattr(t2v, "train_skipgram",
-                        functools.partial(t2v.train_skipgram, learning_rate=math.inf))
-    rc = cli_main(["baseline", "--graph", str(gf), "--dim", "8", "--walks", "1",
-                   "--walk-length", "5", "--epochs", "1", "--out", str(tmp_path / "b.tsv")])
-    assert rc == 1
-    err = capsys.readouterr().err
-    assert "training diverged" in err and "epoch 0" in err
-
-
 # case: (command, extra arguments, file to overwrite or None, its text)
 BAD_CLI_INPUTS = {
     "finetune-epochs-0": ("finetune", ["--epochs", "0"], None, ""),
@@ -296,6 +281,9 @@ BAD_CLI_INPUTS = {
     "pairs-unknown-provenance": ("finetune", [], "pairs.tsv", "0\t1\t0.5\tsame-tail\n"),
     "pairs-short-row": ("finetune", [], "pairs.tsv", "0\t1\t0.5\n"),
     "embeddings-id-gap": ("eval", [], "emb.tsv", "0\t1.0\n2\t1.0\n"),
+    "baseline-dim-0": ("baseline", ["--dim", "0"], None, ""),
+    "baseline-walks-0": ("baseline", ["--walks", "0"], None, ""),
+    "baseline-walk-length-0": ("baseline", ["--walk-length", "0"], None, ""),
 }
 
 
@@ -312,15 +300,20 @@ def test_cli_bad_input_exits_one_with_message(tmp_path, capsys, case):
     if bad_file:
         (tmp_path / bad_file).write_text(text, encoding="utf-8")
     capsys.readouterr()
+    out = tmp_path / "out.tsv"
     if command == "finetune":
         argv = ["finetune", "--graph", str(gf), "--entities", str(ents), "--predicates",
-                str(preds), "--pairs", str(pairsf), "--out", str(tmp_path / "out.tsv")]
+                str(preds), "--pairs", str(pairsf), "--out", str(out)]
+    elif command == "baseline":
+        argv = ["baseline", "--graph", str(gf), "--out", str(out)]
     else:
         argv = ["eval", "--graph", str(gf), "--embeddings", str(embf)]
     rc = cli_main(argv + extra)
     err = capsys.readouterr().err
     assert rc == 1
     assert err.startswith("error: ") and "Traceback" not in err
+    assert err.count("\n") == 1          # one line
+    assert not out.exists()
 
 
 def test_cli_error_exit_codes(tmp_path, capsys):
