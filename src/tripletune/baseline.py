@@ -200,7 +200,11 @@ def random_walks(lg: LineGraph, walks_per_node: int = 10, walk_length: int = 20,
     for step in range(1, walk_length):
         cur = walks[row, step - 1]
         x = np.minimum(cur + rng.random(len(row)), top[cur])
-        nxt = indices[np.searchsorted(key, x, side="right")]
+        # searching the draws in ascending order walks `key` once, cache-friendly
+        by_x = np.argsort(x)
+        edge = np.empty(len(x), dtype=np.intp)
+        edge[by_x] = np.searchsorted(key, x[by_x], side="right")
+        nxt = indices[edge]
         walks[row, step] = nxt
         row = row[live[nxt]]
     return walks

@@ -11,7 +11,7 @@ import numpy as np
 from scipy import stats as sp_stats
 
 from .graph import KnowledgeGraph, multi_predicate_triple_ids
-from .optim import Adam, scatter_rows
+from .optim import Adam, dense_row_sums
 
 CH_DEGENERATE = float("inf")
 
@@ -181,9 +181,10 @@ class LogisticOvR:
         w = np.zeros((c, d))
         b = np.zeros(c)
         opt = Adam({"w": w, "b": b}, lr=self.learning_rate)
+        err, gw, l2w = np.empty((n, c)), np.empty((c, d)), np.empty((c, d))
         for _ in range(self.iters):
             # err = (sigmoid(clip(x w^T + b)) - onehot) / n, in place
-            err = x @ w.T
+            np.matmul(x, w.T, out=err)
             err += b
             np.clip(err, -500, 500, out=err)
             np.negative(err, out=err)
@@ -192,7 +193,9 @@ class LogisticOvR:
             np.divide(1.0, err, out=err)
             err -= onehot
             err /= n
-            gw = err.T @ x + (self.l2 / n) * w
+            np.matmul(err.T, x, out=gw)
+            np.multiply(w, self.l2 / n, out=l2w)
+            gw += l2w
             gb = err.sum(axis=0)
             opt.begin_step()
             opt.step("w", gw)
@@ -208,7 +211,11 @@ class LogisticOvR:
 
 
 class MlpClassifier:
-    """Single hidden layer (relu) with softmax output, trained by mini-batch Adam."""
+    """Single hidden layer (relu) with softmax output, trained by mini-batch Adam.
+
+    A fit allocates its activations and gradients once and runs every batch
+    in them (the last, partial batch in their leading rows).
+    """
 
     def __init__(self, hidden: int = 512, batch_size: int = 256, epochs: int = 10,
                  learning_rate: float = 1e-3, rng_seed: int = 0):
@@ -236,28 +243,39 @@ class MlpClassifier:
             "b2": np.zeros(c),
         }
         opt = Adam(p, lr=self.learning_rate)
+        bs = min(self.batch_size, n)
+        z, a, dz = (np.empty((bs, self.hidden)) for _ in range(3))
+        mask = np.empty((bs, self.hidden), dtype=bool)
+        logits = np.empty((bs, c))
+        grads = {name: np.empty_like(v) for name, v in p.items()}
         for _ in range(self.epochs):
             order = rng.permutation(n)
             for start in range(0, n, self.batch_size):
                 idx = order[start:start + self.batch_size]
+                m = len(idx)
                 xb, yb = x[idx], yi[idx]
-                z1 = xb @ p["w1"].T + p["b1"]
-                a1 = np.maximum(z1, 0.0)
-                logits = a1 @ p["w2"].T + p["b2"]
-                logits -= logits.max(axis=1, keepdims=True)
-                e = np.exp(logits)
-                prob = e / e.sum(axis=1, keepdims=True)
-                prob[np.arange(len(idx)), yb] -= 1.0
-                prob /= len(idx)
-                gw2 = prob.T @ a1
-                gb2 = prob.sum(axis=0)
-                da1 = prob @ p["w2"]
-                dz1 = da1 * (z1 > 0)
-                gw1 = dz1.T @ xb
-                gb1 = dz1.sum(axis=0)
+                zb, ab, dzb, mb, prob = z[:m], a[:m], dz[:m], mask[:m], logits[:m]
+                np.matmul(xb, p["w1"].T, out=zb)
+                zb += p["b1"]
+                np.maximum(zb, 0.0, out=ab)
+                np.matmul(ab, p["w2"].T, out=prob)
+                prob += p["b2"]
+                # softmax in place, then its gradient w.r.t. the logits
+                prob -= prob.max(axis=1, keepdims=True)
+                np.exp(prob, out=prob)
+                prob /= prob.sum(axis=1, keepdims=True)
+                prob[np.arange(m), yb] -= 1.0
+                prob /= m
+                np.matmul(prob.T, ab, out=grads["w2"])
+                np.sum(prob, axis=0, out=grads["b2"])
+                np.matmul(prob, p["w2"], out=dzb)
+                np.greater(zb, 0, out=mb)
+                dzb *= mb
+                np.matmul(dzb.T, xb, out=grads["w1"])
+                np.sum(dzb, axis=0, out=grads["b1"])
                 opt.begin_step()
-                for name, grad in (("w1", gw1), ("b1", gb1), ("w2", gw2), ("b2", gb2)):
-                    opt.step(name, grad)
+                for name in ("w1", "b1", "w2", "b2"):
+                    opt.step(name, grads[name])
         self.params = p
         return self
 
@@ -341,24 +359,26 @@ def _kmeans_pp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
 KMEANS_BLOCK = 1 << 17
 
 
-def _nearest_centers(x: np.ndarray, xx: np.ndarray,
-                     centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _nearest_centers(x: np.ndarray, xx: np.ndarray, centers: np.ndarray,
+                     xn: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """First argmin over c of ||x[i] - centers[c]||^2, and that distance.
 
     Distances are summed as ((x[i] - centers[c]) ** 2).sum(), so they equal
     the dense difference form bit for bit. Only a shortlist is summed that
     way: every centre whose ||x||^2 - 2 x.c + ||c||^2 (one BLAS product per
-    block; `xx` holds ||x||^2) lies within 2E of the row's least, where
-    E = 4 (d + 4) eps (||x|| + max ||c||)^2. Both forms are within
-    (d + 2) eps/2 (||x|| + ||c||)^2 of the true distance in any summation
-    order, and E is over 8x that, so a centre left out is farther than the
-    argmin in the difference form too. The `tiny` term covers underflow.
+    block; `xx` holds ||x||^2 and `xn`, if given, its root) lies within 2E
+    of the row's least, where E = 4 (d + 4) eps (||x|| + max ||c||)^2. Both
+    forms are within (d + 2) eps/2 (||x|| + ||c||)^2 of the true distance in
+    any summation order, and E is over 8x that, so a centre left out is
+    farther than the argmin in the difference form too. The `tiny` term
+    covers underflow.
     """
     k, d = centers.shape
     neg2c = -2.0 * centers
     cc = (centers ** 2).sum(axis=1)
     eps, tiny = np.finfo(np.float64).eps, np.finfo(np.float64).tiny
     cmax = np.sqrt(cc.max())
+    xn = np.sqrt(xx) if xn is None else xn
     labels = np.empty(len(x), dtype=np.intp)
     nearest = np.empty(len(x))
     step = max(1, KMEANS_BLOCK // k)
@@ -370,15 +390,16 @@ def _nearest_centers(x: np.ndarray, xx: np.ndarray,
         approx += xx[s:s + step, None]
         approx += cc
         best = np.argmin(approx, axis=1)
-        margin = 8 * (d + 4) * eps * (np.sqrt(xx[s:s + step]) + cmax) ** 2 + (d + 4) * tiny
+        margin = 8 * (d + 4) * eps * (xn[s:s + step] + cmax) ** 2 + (d + 4) * tiny
         # NaN from an overflowed form fails `>`, so it keeps its centre
         near = ~(approx > (approx[rows, best] + margin)[:, None])
         single = np.count_nonzero(near) == len(xb)   # the common case
         ii, jj = (rows, best) if single else np.nonzero(near)
         dist = np.empty(len(ii))
         for p in range(0, len(ii), pstep):
-            dist[p:p + pstep] = ((xb[ii[p:p + pstep]] - centers[jj[p:p + pstep]]) ** 2
-                                 ).sum(axis=1)
+            # when single, row i pairs with best[i]: slice the rows, do not gather them
+            xp = xb[p:p + pstep] if single else xb[ii[p:p + pstep]]
+            dist[p:p + pstep] = ((xp - centers[jj[p:p + pstep]]) ** 2).sum(axis=1)
         if not single:
             approx.fill(np.inf)
             approx[ii, jj] = dist
@@ -403,24 +424,26 @@ def kmeans(features: np.ndarray, k: int, rng_seed: int = 0, restarts: int = 10,
     degenerate = len(np.unique(x, axis=0)) < k
     best: KMeansResult | None = None
     xx = (x ** 2).sum(axis=1)
+    xn = np.sqrt(xx)
     for r in range(restarts):
         rng = np.random.default_rng([rng_seed, r])
         centers = _kmeans_pp_init(x, k, rng)
         history: list[float] = []
         for _ in range(max_iter):
-            labels, nearest = _nearest_centers(x, xx, centers)
+            labels, nearest = _nearest_centers(x, xx, centers, xn)
             history.append(float(nearest.sum()))
             new_centers = centers.copy()
-            used, sums, members = scatter_rows(labels, x)
-            new_centers[used] = sums / members[:, None]
-            if len(used) < k:
+            sums, members = dense_row_sums(labels, x, k)
+            used = members > 0
+            new_centers[used] = sums[used] / members[used, None]
+            if not used.all():
                 # re-seed empty clusters at the farthest point
-                new_centers[np.setdiff1d(np.arange(k), used)] = x[int(np.argmax(nearest))]
+                new_centers[~used] = x[int(np.argmax(nearest))]
             shift = float(np.sqrt(((new_centers - centers) ** 2).sum(axis=1)).max())
             centers = new_centers
             if shift < tol:
                 break
-        labels, nearest = _nearest_centers(x, xx, centers)
+        labels, nearest = _nearest_centers(x, xx, centers, xn)
         inertia = float(nearest.sum())
         history.append(inertia)
         if best is None or inertia < best.inertia:

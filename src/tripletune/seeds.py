@@ -327,12 +327,17 @@ def train_seed(g: KnowledgeGraph, model_tag: str, cfg: SeedTrainConfig,
                 example_loss = example_loss + terms[:, j]
             epoch_loss += float(np.add.accumulate(example_loss)[-1])
 
-            tri = tri[keep]
-            ent_rows, g_ent, _ = scatter_rows(
-                tri[:, [0, 2]], np.stack([d_head[keep], d_tail[keep]], axis=1).reshape(-1, d))
-            pred_rows, g_pred, _ = scatter_rows(tri[:, 1], d_pred[keep])
-            params["ent"][ent_rows] -= lr * g_ent / len(batch)
-            params[pred_key][pred_rows] -= lr * g_pred / len(batch)
+            # one scatter for all rows: predicate ids follow the entity ids, and
+            # RotatE's d/2 phase gradients are zero-padded to d and cut back after
+            ids = tri[keep][:, [0, 2, 1]] + [0, 0, n_ent]
+            grad_rows = np.zeros((len(ids), 3, d))
+            grad_rows[:, 0], grad_rows[:, 1] = d_head[keep], d_tail[keep]
+            grad_rows[:, 2, :d_pred.shape[1]] = d_pred[keep]
+            rows, sums, _ = scatter_rows(ids, grad_rows.reshape(-1, d))
+            n_ent_rows = np.searchsorted(rows, n_ent)
+            params["ent"][rows[:n_ent_rows]] -= lr * sums[:n_ent_rows] / len(batch)
+            params[pred_key][rows[n_ent_rows:] - n_ent] -= (
+                lr * sums[n_ent_rows:, :d_pred.shape[1]] / len(batch))
         if loss_history is not None:
             loss_history.append(epoch_loss / n)
 

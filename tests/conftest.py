@@ -38,6 +38,47 @@ def rng():
     return np.random.default_rng(12345)
 
 
+class _AllocatingAdam:
+    """Adam with every step written out as whole-array expressions, each making
+    fresh arrays: the oracle that the in-place `optim.Adam` must equal bit for bit."""
+
+    def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.params = params
+        self.lr = lr
+        self.beta1 = beta1
+        self.beta2 = beta2
+        self.eps = eps
+        self.t = 0
+        self.m = {k: np.zeros_like(v) for k, v in params.items()}
+        self.v = {k: np.zeros_like(v) for k, v in params.items()}
+
+    def begin_step(self):
+        self.t += 1
+
+    def _corrections(self):
+        return 1.0 - self.beta1 ** self.t, 1.0 - self.beta2 ** self.t
+
+    def step(self, name, grad, lr=None):
+        lr = self.lr if lr is None else lr
+        m, v = self.m[name], self.v[name]
+        m *= self.beta1
+        m += (1 - self.beta1) * grad
+        v *= self.beta2
+        v += (1 - self.beta2) * grad * grad
+        c1, c2 = self._corrections()
+        self.params[name] -= lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+
+    def step_rows(self, name, rows, grad_rows, lr=None):
+        lr = self.lr if lr is None else lr
+        m, v = self.m[name], self.v[name]
+        m_r = self.beta1 * m[rows] + (1 - self.beta1) * grad_rows
+        v_r = self.beta2 * v[rows] + (1 - self.beta2) * grad_rows * grad_rows
+        m[rows] = m_r
+        v[rows] = v_r
+        c1, c2 = self._corrections()
+        self.params[name][rows] -= lr * (m_r / c1) / (np.sqrt(v_r / c2) + self.eps)
+
+
 # one line per acceptance criterion, echoed after the test summary so the
 # verdicts survive pytest's output capture
 _ACCEPTANCE_LINES: list[str] = []

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import _AllocatingAdam
 from tripletune import evaluation
 from tripletune.evaluation import (CH_DEGENERATE, ClassifierSpec, EvalReport, LogisticOvR,
-                                   _kmeans_pp_init, _nearest_centers, calinski_harabasz,
-                                   evaluate, kfold_split, kmeans, micro_f1, pearson,
-                                   spearman, train_classify)
-from tripletune.optim import Adam
+                                   MlpClassifier, _kmeans_pp_init, _nearest_centers,
+                                   calinski_harabasz, evaluate, kfold_split, kmeans, micro_f1,
+                                   pearson, spearman, train_classify)
 from tripletune.graph import KnowledgeGraph, multi_predicate_triple_ids
 
 
@@ -224,7 +224,7 @@ class _AllocatingLogisticOvR(LogisticOvR):
         onehot = (y[:, None] == self.classes_[None, :]).astype(np.float64)
         w = np.zeros((c, d))
         b = np.zeros(c)
-        opt = Adam({"w": w, "b": b}, lr=self.learning_rate)
+        opt = _AllocatingAdam({"w": w, "b": b}, lr=self.learning_rate)
         for _ in range(self.iters):
             scores = x @ w.T + b
             prob = 1.0 / (1.0 + np.exp(-np.clip(scores, -500, 500)))
@@ -256,6 +256,103 @@ def test_logreg_in_place_step_equals_allocating_step(rng, monkeypatch):
     assert all(0.0 < s < 1.0 for s in scores)
     monkeypatch.setattr(evaluation, "LogisticOvR", _AllocatingLogisticOvR)
     assert scores == train_classify(x, y_noisy, spec, folds)
+
+
+@pytest.mark.parametrize("k, l2", [(2, 1.0), (12, 5.0)])
+def test_logreg_buffers_equal_allocating_fit_on_overlapping_classes(rng, k, l2):
+    # overlapping classes keep the residual small, so the L2 term shows in
+    # the last bits of every gradient
+    x, y = blobs(rng, k=k, per=15, spread=2.0, sep=1.0)
+    new = LogisticOvR(l2=l2, iters=40).fit(x, y)
+    old = _AllocatingLogisticOvR(l2=l2, iters=40).fit(x, y)
+    assert np.array_equal(new.weights, old.weights)
+    assert np.array_equal(new.bias, old.bias)
+
+
+class _AllocatingMlp(MlpClassifier):
+    """MlpClassifier with each batch written out as whole-array expressions."""
+
+    def fit(self, x, y, classes=None):
+        x = np.asarray(x, dtype=np.float64)
+        y = np.asarray(y)
+        self.classes_ = np.unique(y) if classes is None else np.asarray(classes)
+        n, d = x.shape
+        c = len(self.classes_)
+        class_pos = {cls: i for i, cls in enumerate(self.classes_)}
+        yi = np.array([class_pos[v] for v in y])
+        rng = np.random.default_rng(self.rng_seed)
+        p = {
+            "w1": rng.normal(0.0, np.sqrt(2.0 / d), size=(self.hidden, d)),
+            "b1": np.zeros(self.hidden),
+            "w2": rng.normal(0.0, np.sqrt(2.0 / self.hidden), size=(c, self.hidden)),
+            "b2": np.zeros(c),
+        }
+        opt = _AllocatingAdam(p, lr=self.learning_rate)
+        for _ in range(self.epochs):
+            order = rng.permutation(n)
+            for start in range(0, n, self.batch_size):
+                idx = order[start:start + self.batch_size]
+                xb, yb = x[idx], yi[idx]
+                z1 = xb @ p["w1"].T + p["b1"]
+                a1 = np.maximum(z1, 0.0)
+                logits = a1 @ p["w2"].T + p["b2"]
+                logits -= logits.max(axis=1, keepdims=True)
+                e = np.exp(logits)
+                prob = e / e.sum(axis=1, keepdims=True)
+                prob[np.arange(len(idx)), yb] -= 1.0
+                prob /= len(idx)
+                gw2 = prob.T @ a1
+                gb2 = prob.sum(axis=0)
+                da1 = prob @ p["w2"]
+                dz1 = da1 * (z1 > 0)
+                gw1 = dz1.T @ xb
+                gb1 = dz1.sum(axis=0)
+                opt.begin_step()
+                for name, grad in (("w1", gw1), ("b1", gb1), ("w2", gw2), ("b2", gb2)):
+                    opt.step(name, grad)
+        self.params = p
+        return self
+
+
+def _assert_same_mlp(new, old):
+    assert new.params.keys() == old.params.keys()
+    for name in new.params:
+        assert np.array_equal(new.params[name], old.params[name]), name
+
+
+@pytest.mark.parametrize("k, per, batch, hidden", [
+    (3, 30, 16, 12),    # 90 rows: 5 full batches and a final batch of 10
+    (40, 3, 16, 8),     # c > batch
+    (2, 25, 64, 20),    # c = 2, one batch smaller than the batch size
+    (5, 20, 100, 7),    # n a multiple of the batch size
+])
+def test_mlp_buffered_fit_equals_allocating_fit(rng, k, per, batch, hidden):
+    x, y = blobs(rng, k=k, per=per, spread=2.0, sep=3.0)
+    kwargs = dict(hidden=hidden, batch_size=batch, epochs=4, learning_rate=0.05, rng_seed=7)
+    _assert_same_mlp(MlpClassifier(**kwargs).fit(x, y), _AllocatingMlp(**kwargs).fit(x, y))
+
+
+def test_mlp_refit_equals_fresh_fit(rng):
+    # the same object fitted again on other data (other n, d and classes)
+    x1, y1 = blobs(rng, k=3, per=30)
+    x2, y2 = blobs(rng, k=5, per=13, dim=6)
+    kwargs = dict(hidden=9, batch_size=16, epochs=3, learning_rate=0.05, rng_seed=1)
+    clf = MlpClassifier(**kwargs)
+    clf.fit(x1, y1)
+    clf.fit(x2, y2)
+    _assert_same_mlp(clf, MlpClassifier(**kwargs).fit(x2, y2))
+    _assert_same_mlp(clf, _AllocatingMlp(**kwargs).fit(x2, y2))
+
+
+def test_mlp_fold_scores_equal_allocating_fit(rng, monkeypatch):
+    x, y = blobs(rng, k=4, per=30, spread=3.0, sep=4.0)
+    y[::2] = rng.permutation(y[::2])
+    spec = ClassifierSpec(kind="mlp", hidden=16, mlp_batch=32, mlp_epochs=3)
+    folds = kfold_split(len(y), rng_seed=0)
+    scores = train_classify(x, y, spec, folds)
+    assert all(0.0 < s < 1.0 for s in scores)
+    monkeypatch.setattr(evaluation, "MlpClassifier", _AllocatingMlp)
+    assert scores == train_classify(x, y, spec, folds)
 
 
 def test_standardize_option(rng):

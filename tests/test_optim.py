@@ -1,6 +1,8 @@
 import numpy as np
+import pytest
 
-from tripletune.optim import scatter_rows
+from conftest import _AllocatingAdam
+from tripletune.optim import Adam, dense_row_sums, scatter_rows
 
 
 def test_scatter_rows_equals_add_at():
@@ -30,3 +32,40 @@ def test_scatter_rows_weighted_entries_in_index_order():
     uniq, sums, hits = scatter_rows(ids, rows, weights)
     assert np.array_equal(sums, ref[uniq])
     assert hits.tolist() == np.bincount(ids.ravel(), minlength=4)[uniq].tolist()
+
+
+def test_dense_row_sums_equals_scatter_rows():
+    rng = np.random.default_rng(2)
+    ids = rng.integers(0, 6, size=40)
+    ids[ids == 3] = 0   # id 3 gets no entry
+    rows = rng.normal(size=(40, 3)) * 10.0 ** rng.integers(-8, 8, size=(40, 1))
+    uniq, sums, hits = scatter_rows(ids, rows)
+    dense, dense_hits = dense_row_sums(ids, rows, 7)
+    assert np.array_equal(dense[uniq], sums)
+    assert np.array_equal(dense_hits[uniq], hits)
+    assert not dense[[3, 6]].any() and not dense_hits[[3, 6]].any()
+
+
+@pytest.mark.parametrize("lr", [None, 0.3])
+def test_adam_equals_allocating_adam(lr):
+    # a matrix and a vector stepped densely and a matrix stepped by rows, as
+    # fine-tuning does, with gradients spanning 16 orders of magnitude
+    rng = np.random.default_rng(3)
+    init = {"w": rng.normal(size=(5, 4)), "b": rng.normal(size=7),
+            "emb": rng.normal(size=(30, 6))}
+    new = Adam({k: v.copy() for k, v in init.items()}, lr=0.05)
+    old = _AllocatingAdam({k: v.copy() for k, v in init.items()}, lr=0.05)
+    for t in range(60):
+        grads = {k: rng.normal(size=v.shape) * 10.0 ** rng.integers(-8, 8, size=v.shape)
+                 for k, v in init.items()}
+        grads["b"][t % 7] = -0.0
+        rows = np.sort(rng.choice(30, size=int(rng.integers(1, 12)), replace=False))
+        for opt in (new, old):
+            opt.begin_step()
+            opt.step("w", grads["w"], lr=lr)
+            opt.step("b", grads["b"], lr=lr)
+            opt.step_rows("emb", rows, grads["emb"][rows], lr=lr)
+        for k in init:
+            assert np.array_equal(new.params[k], old.params[k]), (t, k)
+            assert np.array_equal(new.m[k], old.m[k]) and np.array_equal(new.v[k], old.v[k])
+    assert not np.array_equal(new.params["emb"], init["emb"])
