@@ -72,19 +72,15 @@ def itf_weight(j: int, n_edges: int, c: np.ndarray) -> float:
     return math.log(n_edges / cooc)
 
 
-def build_cm(c: np.ndarray, n_edges: int, symmetrize: bool = True) -> np.ndarray:
-    """Frequency-weighted co-occurrence matrix TF(i,j) * ITF(j).
+def build_cm(c: np.ndarray, n_edges: int) -> np.ndarray:
+    """Frequency-weighted co-occurrence matrix TF(i,j) * ITF(j), symmetrised.
 
-    The raw product is asymmetric because ITF depends only on the column;
-    by default the two ITF values are averaged, keeping the matrix symmetric
-    (the raw form is available with symmetrize=False).
+    The raw product is asymmetric because ITF depends only on the column, so
+    the two ITF values are averaged, which keeps the matrix symmetric.
     """
     p = c.shape[0]
     itf = np.array([itf_weight(j, n_edges, c) for j in range(p)])
-    tf = np.log1p(c.astype(np.float64))
-    if symmetrize:
-        return tf * (itf[None, :] + itf[:, None]) / 2.0
-    return tf * itf[None, :]
+    return np.log1p(c.astype(np.float64)) * (itf[None, :] + itf[:, None]) / 2.0
 
 
 def predicate_similarity(cm: np.ndarray) -> np.ndarray:

@@ -33,9 +33,6 @@ class PtssDataset:
     b: np.ndarray
     score: np.ndarray
     provenance: np.ndarray
-    n_param: int
-    seed_tag: str
-    rng_seed: int
     # anchors for which rejection sampling could not find N negatives
     negative_deficit_anchors: list[int] = field(default_factory=list)
 
@@ -154,8 +151,7 @@ def build_dataset(g: KnowledgeGraph, emb: EmbeddingSet, n: int,
     a_ids = np.array(a, dtype=np.int64)
     b_ids = np.array(b, dtype=np.int64)
     return PtssDataset(a_ids, b_ids, ptss_scores(g, emb, a_ids, b_ids),
-                       np.array(provenance, dtype=np.int8), n_param=n,
-                       seed_tag=emb.model_tag, rng_seed=rng_seed,
+                       np.array(provenance, dtype=np.int8),
                        negative_deficit_anchors=deficits)
 
 
@@ -166,8 +162,7 @@ def save_dataset(ds: PtssDataset, path: str | Path) -> None:
             fh.write(f"{a}\t{b}\t{score:.17g}\t{PROVENANCES[code]}\n")
 
 
-def load_dataset(path: str | Path, n_param: int = 0, seed_tag: str = "unknown",
-                 rng_seed: int = 0) -> PtssDataset:
+def load_dataset(path: str | Path) -> PtssDataset:
     """Read a pairs file; a row that is not a<TAB>b<TAB>score<TAB>provenance,
     or names an unknown provenance, raises ValueError naming its line."""
     code = {name: i for i, name in enumerate(PROVENANCES)}
@@ -183,6 +178,9 @@ def load_dataset(path: str | Path, n_param: int = 0, seed_tag: str = "unknown",
                 raise ValueError(f"{path}:{lineno}: expected triple id, triple id, score "
                                  f"and one of {', '.join(PROVENANCES)}, got {line!r}") from None
     a, b, score, provenance = zip(*rows) if rows else ((), (), (), ())
-    return PtssDataset(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64),
-                       np.array(score, dtype=np.float64), np.array(provenance, dtype=np.int8),
-                       n_param=n_param, seed_tag=seed_tag, rng_seed=rng_seed)
+    try:
+        a, b = np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)
+    except OverflowError:
+        raise ValueError(f"{path}: a triple id is outside the int64 range") from None
+    return PtssDataset(a, b, np.array(score, dtype=np.float64),
+                       np.array(provenance, dtype=np.int8))

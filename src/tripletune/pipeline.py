@@ -3,6 +3,8 @@
 Every stage persists its artifact under the experiment output directory and is
 recorded in a manifest with input/output checksums, so re-running an unchanged
 configuration skips completed stages and a tampered artifact refuses to resume.
+Within one run a stage hands its object to the next in memory; artifacts are
+read back only on resume. The CLI subcommands call the same stage functions.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import json
 import os
 import time
 from dataclasses import dataclass, field, asdict
+from functools import cache, cached_property
 from pathlib import Path
 
 import numpy as np
@@ -61,33 +64,95 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ExperimentConfig":
+        """Read a JSON config, merging each section over DEFAULTS and ignoring
+        unknown keys; a config that is not an object, lacks a required key or has
+        a section that is not an object raises PipelineError."""
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
-        cfg = cls(triple_files=raw["triple_files"], output_dir=raw["output_dir"])
-        cfg.dataset_tag = raw.get("dataset_tag", cfg.dataset_tag)
-        cfg.rng_seed = raw.get("rng_seed", cfg.rng_seed)
-        for section in ("seed", "pairs", "finetune", "eval", "baseline"):
-            merged = dict(DEFAULTS[section])
-            merged.update(raw.get(section, {}))
-            setattr(cfg, section, merged)
+        if not isinstance(raw, dict):
+            raise PipelineError("validate", f"{path}: config must be a JSON object")
+        for section in DEFAULTS:
+            if not isinstance(raw.get(section, {}), dict):
+                raise PipelineError("validate", f"config section {section!r} must be a "
+                                                f"JSON object, got {json.dumps(raw[section])}")
+        try:
+            cfg = cls(raw["triple_files"], raw["output_dir"],
+                      **{k: raw[k] for k in ("dataset_tag", "rng_seed") if k in raw},
+                      **{s: {**DEFAULTS[s], **raw.get(s, {})} for s in DEFAULTS})
+        except KeyError as exc:
+            raise PipelineError("validate", f"config lacks required key {exc}") from None
         cfg.validate()
         return cfg
 
     def validate(self) -> None:
-        for f in self.triple_files:
-            if not Path(f).exists():
-                raise PipelineError("validate", f"triple file not found: {f}")
-        if self.seed["mode"] == "import":
-            for key in ("entity_file", "predicate_file"):
-                if key not in self.seed:
-                    raise PipelineError("validate", f"seed.mode=import requires seed.{key}")
-                if not Path(self.seed[key]).exists():
-                    raise PipelineError("validate",
-                                        f"embedding file not found: {self.seed[key]}")
-        elif self.seed["mode"] != "train":
-            raise PipelineError("validate", f"unknown seed.mode {self.seed['mode']!r}")
+        def check(ok, message: str):
+            if not ok:
+                raise PipelineError("validate", message)
 
-    def snapshot(self) -> dict:
-        return asdict(self)
+        files, sc = self.triple_files, self.seed
+        check(isinstance(files, list) and files and all(isinstance(f, str) for f in files),
+              f"triple_files must be a non-empty list of paths, got {files!r}")
+        for f in files:
+            check(Path(f).is_file(), f"triple file not found: {f}")
+        check(isinstance(self.output_dir, str),
+              f"output_dir must be a path, got {self.output_dir!r}")
+        check(sc["mode"] in ("train", "import"), f"unknown seed.mode {sc['mode']!r}")
+        for key in ("entity_file", "predicate_file") if sc["mode"] == "import" else ():
+            check(key in sc, f"seed.mode=import requires seed.{key}")
+            check(isinstance(sc[key], str) and Path(sc[key]).is_file(),
+                  f"embedding file not found: {sc[key]}")
+
+
+# -- one function per stage, called by the CLI subcommands and by Pipeline; each
+# reads only the keys of its config section that it needs
+
+def seed_stage(g: KnowledgeGraph, sc: dict, rng_seed: int,
+               files: tuple[str | Path, str | Path] | None = None) -> seedmod.EmbeddingSet:
+    """Train seed embeddings, or import them from `files` (entities, predicates),
+    by default the section's `entity_file` and `predicate_file`. An import is
+    complex-interleaved for ComplEx and RotatE, as `train_seed` returns them,
+    real for the other trained models and `value_kind` for other imports."""
+    if sc["mode"] == "train" and files is None:
+        return seedmod.train_seed(g, sc["model"], seedmod.SeedTrainConfig(
+            dim=sc["dim"], epochs=sc["epochs"], learning_rate=sc["learning_rate"],
+            batch_size=sc["batch_size"], negatives_per_positive=sc["negatives"],
+            margin=sc["margin"], rng_seed=rng_seed))
+    kind = (seedmod.COMPLEX_KIND if sc["model"] in seedmod.COMPLEX_MODELS
+            else seedmod.REAL_KIND if sc["mode"] == "train" else sc["value_kind"])
+    return seedmod.import_embeddings(*(files or (sc["entity_file"], sc["predicate_file"])),
+                                     g, value_kind=kind, model_tag=sc["model"])
+
+
+def sample_stage(g: KnowledgeGraph, es: seedmod.EmbeddingSet, pc: dict,
+                 rng_seed: int) -> pairmod.PtssDataset:
+    return pairmod.build_dataset(g, es, pc["n"], rng_seed=rng_seed)
+
+
+def finetune_stage(g: KnowledgeGraph, es: seedmod.EmbeddingSet, ds: pairmod.PtssDataset,
+                   fc: dict, rng_seed: int, checkpoint: str | Path | None = None,
+                   loss_history: list[float] | None = None) -> siamese.SiameseModel:
+    """The fine-tuned model, saved with its training config to `checkpoint` if given."""
+    cfg = siamese.FineTuneConfig(
+        batch_size=fc["batch_size"], learning_rate=fc["learning_rate"],
+        warmup_fraction=fc["warmup_fraction"], epochs=fc["epochs"], rng_seed=rng_seed)
+    model = siamese.SiameseModel.initialize(g, es, fc["aggregation"], rng_seed=rng_seed)
+    siamese.train(model, ds, cfg, loss_history=loss_history)
+    if checkpoint:
+        siamese.save_checkpoint(model, checkpoint, config=cfg)
+    return model
+
+
+def eval_stage(g: KnowledgeGraph, matrix: np.ndarray, ec: dict, rng_seed: int,
+               metadata: dict, tasks: tuple[str, ...] = ("classify", "cluster")
+               ) -> EvalReport:
+    return evaluate(matrix, g, specs=classifier_specs(ec["classifier"], rng_seed),
+                    restrict_multi_predicate=ec["restrict_multi_predicate"],
+                    folds=ec["folds"], rng_seed=rng_seed, tasks=tasks, metadata=metadata)
+
+
+def baseline_stage(g: KnowledgeGraph, bc: dict, dim: int, rng_seed: int) -> np.ndarray:
+    return t2v.train_baseline(g, dim, walks_per_node=bc["walks_per_node"],
+                              walk_length=bc["walk_length"], rng_seed=rng_seed,
+                              window=bc["window"], negatives=bc["negatives"]).vectors
 
 
 def _sha256_file(path: Path) -> str:
@@ -125,6 +190,11 @@ class RunManifest:
 
 
 class Pipeline:
+    """Runs the stages in order. Each stage method returns a function that gives
+    the stage's object (seed embeddings, pair dataset, fine-tuned matrix) to the
+    stages that consume it: the object itself when the stage ran in this process,
+    or its artifacts read back, once and only if asked for, when it was skipped."""
+
     def __init__(self, cfg: ExperimentConfig):
         cfg.validate()
         self.cfg = cfg
@@ -134,12 +204,13 @@ class Pipeline:
         if self.manifest_path.exists():
             self.manifest = RunManifest.load(self.manifest_path)
         else:
-            self.manifest = RunManifest(config=cfg.snapshot())
-        self._graph: KnowledgeGraph | None = None
+            self.manifest = RunManifest(config=asdict(cfg))
 
     # -- stage bookkeeping ---------------------------------------------------
 
-    def _run_stage(self, name: str, input_key: str, artifacts: list[str], fn):
+    def _run_stage(self, name: str, input_key: str, artifacts: list[str], fn, load=None):
+        """Run `fn` unless the manifest shows the stage complete for `input_key`, and
+        return the function that gives its object: `fn`'s result, or else `load`."""
         rec = self.manifest.stages.get(name)
         paths = [self.out / a for a in artifacts]
         if rec is not None and rec["input_key"] == input_key:
@@ -149,10 +220,10 @@ class Pipeline:
                     raise StaleArtifactError(
                         name, "artifact checksum mismatch; refusing stale resume "
                               f"(delete {self.out} to rebuild)")
-                return  # stage complete, skip
+                return cache(load) if load else None  # stage complete, skip
         t0 = time.monotonic()
         try:
-            fn()
+            result = fn()
         except PipelineError:
             raise
         except Exception as exc:
@@ -164,16 +235,19 @@ class Pipeline:
             "artifact_sha256": {a: _sha256_file(p) for a, p in zip(artifacts, paths)},
             "wall_seconds": round(elapsed, 4),
         }
-        self.manifest.config = self.cfg.snapshot()
+        self.manifest.config = asdict(self.cfg)
         self.manifest.save(self.manifest_path)
+        return lambda: result
+
+    def _key(self, name: str, upstream: str, section: dict) -> str:
+        return _sha256_obj([name, self.manifest.stages[upstream]["artifact_sha256"],
+                            section, self.cfg.rng_seed])
 
     # -- inputs --------------------------------------------------------------
 
-    @property
+    @cached_property
     def graph(self) -> KnowledgeGraph:
-        if self._graph is None:
-            self._graph = load_triples(self.cfg.triple_files)
-        return self._graph
+        return load_triples(self.cfg.triple_files)
 
     def _input_hash(self) -> str:
         return _sha256_obj([_sha256_file(Path(f)) for f in self.cfg.triple_files])
@@ -190,113 +264,74 @@ class Pipeline:
         self._run_stage("stats", key, ["stats.json"], run)
 
     def stage_seed(self):
-        sc = self.cfg.seed
-        key = _sha256_obj(["seed", self._input_hash(), sc, self.cfg.rng_seed])
+        key = _sha256_obj(["seed", self._input_hash(), self.cfg.seed, self.cfg.rng_seed])
+        files = (self.out / "seed_entities.tsv", self.out / "seed_predicates.tsv")
 
         def run():
-            g = self.graph
-            if sc["mode"] == "train":
-                cfg = seedmod.SeedTrainConfig(
-                    dim=sc["dim"], epochs=sc["epochs"], learning_rate=sc["learning_rate"],
-                    batch_size=sc["batch_size"], negatives_per_positive=sc["negatives"],
-                    margin=sc["margin"], rng_seed=self.cfg.rng_seed)
-                es = seedmod.train_seed(g, sc["model"], cfg)
-            else:
-                es = seedmod.import_embeddings(sc["entity_file"], sc["predicate_file"], g,
-                                               value_kind=sc["value_kind"],
-                                               model_tag=sc.get("model", "imported"))
-            seedmod.export_embeddings(es, g, self.out / "seed_entities.tsv",
-                                      self.out / "seed_predicates.tsv")
+            es = seed_stage(self.graph, self.cfg.seed, self.cfg.rng_seed)
+            seedmod.export_embeddings(es, self.graph, *files)
+            return es
 
-        self._run_stage("seed", key, ["seed_entities.tsv", "seed_predicates.tsv"], run)
+        return self._run_stage("seed", key, [f.name for f in files], run, load=lambda:
+                               seed_stage(self.graph, self.cfg.seed, self.cfg.rng_seed, files))
 
-    def _load_seed(self) -> seedmod.EmbeddingSet:
-        sc = self.cfg.seed
-        kind = seedmod.COMPLEX_KIND if sc.get("model") in seedmod.COMPLEX_MODELS \
-            else sc.get("value_kind", "real")
-        return seedmod.import_embeddings(self.out / "seed_entities.tsv",
-                                         self.out / "seed_predicates.tsv", self.graph,
-                                         value_kind=kind, model_tag=sc.get("model", "imported"))
-
-    def stage_sample(self):
-        key = _sha256_obj(["sample", self.manifest.stages["seed"]["artifact_sha256"],
-                           self.cfg.pairs, self.cfg.rng_seed])
-
+    def stage_sample(self, seed):
         def run():
-            ds = pairmod.build_dataset(self.graph, self._load_seed(), self.cfg.pairs["n"],
-                                       rng_seed=self.cfg.rng_seed)
+            ds = sample_stage(self.graph, seed(), self.cfg.pairs, self.cfg.rng_seed)
             pairmod.save_dataset(ds, self.out / "pairs.tsv")
+            return ds
 
-        self._run_stage("sample", key, ["pairs.tsv"], run)
+        return self._run_stage("sample", self._key("sample", "seed", self.cfg.pairs),
+                               ["pairs.tsv"], run,
+                               load=lambda: pairmod.load_dataset(self.out / "pairs.tsv"))
 
-    def stage_finetune(self):
-        fc = self.cfg.finetune
-        key = _sha256_obj(["finetune", self.manifest.stages["sample"]["artifact_sha256"],
-                           fc, self.cfg.rng_seed])
-
+    def stage_finetune(self, seed, pairs):
         def run():
-            ds = pairmod.load_dataset(self.out / "pairs.tsv", n_param=self.cfg.pairs["n"],
-                                      seed_tag=self.cfg.seed.get("model", "imported"),
-                                      rng_seed=self.cfg.rng_seed)
-            model = siamese.SiameseModel.initialize(self.graph, self._load_seed(),
-                                                    fc["aggregation"],
-                                                    rng_seed=self.cfg.rng_seed)
-            cfg = siamese.FineTuneConfig(
-                batch_size=fc["batch_size"], learning_rate=fc["learning_rate"],
-                warmup_fraction=fc["warmup_fraction"], epochs=fc["epochs"],
-                rng_seed=self.cfg.rng_seed)
-            siamese.train(model, ds, cfg)
-            siamese.save_checkpoint(model, self.out / "siamese.npz", config=cfg)
-            siamese.write_triple_embedding_tsv(siamese.export_triple_embeddings(model),
+            model = finetune_stage(self.graph, seed(), pairs(), self.cfg.finetune,
+                                   self.cfg.rng_seed, checkpoint=self.out / "siamese.npz")
+            siamese.write_triple_embedding_tsv(model.triple_embeddings,
                                                self.out / "triple_embeddings.tsv")
+            return model.triple_embeddings
 
-        self._run_stage("finetune", key, ["siamese.npz", "triple_embeddings.tsv"], run)
+        return self._run_stage(
+            "finetune", self._key("finetune", "sample", self.cfg.finetune),
+            ["siamese.npz", "triple_embeddings.tsv"], run,
+            load=lambda: siamese.read_triple_embedding_tsv(self.out / "triple_embeddings.tsv"))
 
     def _evaluate_matrix(self, matrix: np.ndarray, method: str, out_name: str):
-        report = evaluate(
-            matrix, self.graph,
-            specs=classifier_specs(self.cfg.eval["classifier"], self.cfg.rng_seed),
-            restrict_multi_predicate=self.cfg.eval["restrict_multi_predicate"],
-            folds=self.cfg.eval["folds"], rng_seed=self.cfg.rng_seed,
-            metadata={"method": method, "dataset": self.cfg.dataset_tag,
-                      "seed_model": self.cfg.seed.get("model", "imported"),
-                      "aggregation": self.cfg.finetune["aggregation"]})
-        report.save(self.out / out_name)
+        eval_stage(self.graph, matrix, self.cfg.eval, self.cfg.rng_seed, metadata={
+            "method": method, "dataset": self.cfg.dataset_tag,
+            "seed_model": self.cfg.seed["model"],
+            "aggregation": self.cfg.finetune["aggregation"]}).save(self.out / out_name)
 
-    def stage_eval(self):
-        key = _sha256_obj(["eval", self.manifest.stages["finetune"]["artifact_sha256"],
+    def stage_eval(self, matrix):
+        def run():
+            self._evaluate_matrix(matrix(), "finetuned", "report_finetuned.json")
+
+        self._run_stage("eval", self._key("eval", "finetune", self.cfg.eval),
+                        ["report_finetuned.json"], run)
+
+    def stage_baseline(self):
+        dim = siamese.aggregated_dim(self.cfg.seed["dim"], self.cfg.finetune["aggregation"])
+        key = _sha256_obj(["baseline", self._input_hash(), self.cfg.baseline, dim,
                            self.cfg.eval, self.cfg.rng_seed])
 
         def run():
-            matrix = siamese.read_triple_embedding_tsv(self.out / "triple_embeddings.tsv")
-            self._evaluate_matrix(matrix, "finetuned", "report_finetuned.json")
-
-        self._run_stage("eval", key, ["report_finetuned.json"], run)
-
-    def stage_baseline(self):
-        bc = self.cfg.baseline
-        dim = siamese.aggregated_dim(self.cfg.seed["dim"], self.cfg.finetune["aggregation"])
-        key = _sha256_obj(["baseline", self._input_hash(), bc, dim, self.cfg.eval,
-                           self.cfg.rng_seed])
-
-        def run():
-            result = t2v.train_baseline(
-                self.graph, dim, walks_per_node=bc["walks_per_node"],
-                walk_length=bc["walk_length"], rng_seed=self.cfg.rng_seed,
-                window=bc["window"], negatives=bc["negatives"])
-            siamese.write_triple_embedding_tsv(result.vectors,
-                                               self.out / "baseline_embeddings.tsv")
-            self._evaluate_matrix(result.vectors, "triple2vec", "report_baseline.json")
+            vectors = baseline_stage(self.graph, self.cfg.baseline, dim, self.cfg.rng_seed)
+            siamese.write_triple_embedding_tsv(vectors, self.out / "baseline_embeddings.tsv")
+            self._evaluate_matrix(vectors, "triple2vec", "report_baseline.json")
 
         self._run_stage("baseline", key,
                         ["baseline_embeddings.tsv", "report_baseline.json"], run)
 
     def run(self) -> RunManifest:
         self.stage_stats()
-        self.stage_seed()
-        self.stage_sample()
-        self.stage_finetune()
-        self.stage_eval()
+        seed = self.stage_seed()
+        pairs = self.stage_sample(seed)
+        matrix = self.stage_finetune(seed, pairs)
+        del seed, pairs   # release the seed embeddings and pairs before evaluation
+        self.stage_eval(matrix)
+        del matrix
         if self.cfg.baseline.get("enabled", True):
             self.stage_baseline()
         return self.manifest

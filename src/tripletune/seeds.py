@@ -8,6 +8,7 @@ treat every embedding as a plain real vector.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -355,7 +356,8 @@ def train_seed(g: KnowledgeGraph, model_tag: str, cfg: SeedTrainConfig,
 # import / export
 # ---------------------------------------------------------------------------
 
-def _write_matrix(path: str | Path, names: list[str], mat: np.ndarray) -> None:
+def write_rows(path: str | Path, names: Iterable[str], mat: np.ndarray) -> None:
+    """One `name<TAB>value...` line per row, every value as %.17g so it reads back exactly."""
     with Path(path).open("w", encoding="utf-8") as fh:
         for name, row in zip(names, mat):
             fh.write(name + "\t" + "\t".join(f"{x:.17g}" for x in row) + "\n")
@@ -363,35 +365,42 @@ def _write_matrix(path: str | Path, names: list[str], mat: np.ndarray) -> None:
 
 def export_embeddings(es: EmbeddingSet, g: KnowledgeGraph,
                       entity_path: str | Path, predicate_path: str | Path) -> None:
-    _write_matrix(entity_path, g.entities.names, es.entity_vectors)
-    _write_matrix(predicate_path, g.predicates.names, es.predicate_vectors)
+    write_rows(entity_path, g.entities.names, es.entity_vectors)
+    write_rows(predicate_path, g.predicates.names, es.predicate_vectors)
+
+
+def read_rows(path: str | Path, key: Callable[[str], object] = str,
+              what: str = "name") -> dict:
+    """The rows of a `key<TAB>value...` file by `key(first field)`. A row with a key
+    that `key` rejects, a non-numeric value, no values, another length than the
+    first row or a repeated key raises EmbeddingError naming its file and line."""
+    rows: dict = {}
+    with Path(path).open("r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            fields = line.rstrip("\n").split("\t")
+            try:
+                k, vec = key(fields[0]), [float(x) for x in fields[1:]]
+            except ValueError as exc:
+                raise EmbeddingError(f"{path}:{lineno}: non-numeric field ({exc})") from None
+            dim = len(next(iter(rows.values()), vec))
+            if not vec or len(vec) != dim:
+                raise EmbeddingError(f"{path}:{lineno}: ragged row ({len(vec)} values, "
+                                     f"expected {dim or 'at least 1'})")
+            if k in rows:
+                raise EmbeddingError(f"{path}:{lineno}: duplicate {what} {k}")
+            rows[k] = vec
+    return rows
 
 
 def _read_matrix(path: str | Path, names: list[str], what: str) -> np.ndarray:
-    vectors: dict[str, np.ndarray] = {}
-    dim = None
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            fields = line.split("\t")
-            try:
-                vec = np.array([float(x) for x in fields[1:]], dtype=np.float64)
-            except ValueError as exc:
-                raise EmbeddingError(f"{path}:{lineno}: non-numeric field ({exc})") from None
-            if dim is None:
-                dim = len(vec)
-                if dim == 0:
-                    raise EmbeddingError(f"{path}:{lineno}: row has no values")
-            elif len(vec) != dim:
-                raise EmbeddingError(f"{path}:{lineno}: ragged row (expected {dim} values)")
-            vectors[fields[0]] = vec
-    missing = [n for n in names if n not in vectors]
+    rows = read_rows(path, what=what)
+    missing = [n for n in names if n not in rows]
     if missing:
         raise EmbeddingError(f"{what} file {path} missing vocabulary items: "
                              + ", ".join(repr(m) for m in missing[:5]))
-    return np.stack([vectors[n] for n in names])
+    return np.array([rows[n] for n in names])
 
 
 def import_embeddings(entity_path: str | Path, predicate_path: str | Path,

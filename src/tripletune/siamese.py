@@ -18,7 +18,7 @@ import numpy as np
 from .graph import KnowledgeGraph
 from .optim import Adam, TrainingDiverged, scatter_rows
 from .pairs import PtssDataset
-from .seeds import EmbeddingSet
+from .seeds import EmbeddingSet, read_rows, write_rows
 
 AGG_OPS = ("avg", "had", "l1", "l2", "ht")
 
@@ -224,23 +224,15 @@ def load_checkpoint(path: str | Path) -> SiameseModel:
 
 
 def write_triple_embedding_tsv(matrix: np.ndarray, path: str | Path) -> None:
-    with Path(path).open("w", encoding="utf-8") as fh:
-        for i, row in enumerate(matrix):
-            fh.write(str(i) + "\t" + "\t".join(f"{x:.17g}" for x in row) + "\n")
+    write_rows(path, map(str, range(len(matrix))), matrix)
 
 
 def read_triple_embedding_tsv(path: str | Path) -> np.ndarray:
-    """Rows keyed by triple id; ids must be 0..n-1, each once, in any order."""
-    rows: dict[int, list[float]] = {}
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            fields = line.rstrip("\n").split("\t")
-            triple_id = int(fields[0])
-            if triple_id in rows:
-                raise ValueError(f"{path}:{lineno}: duplicate triple id {triple_id}")
-            rows[triple_id] = [float(x) for x in fields[1:]]
+    """Rows keyed by triple id; ids must be 0..n-1, each once, in any order. A
+    malformed row raises ValueError naming its file and line (`seeds.read_rows`)."""
+    rows = read_rows(path, key=int, what="triple id")
+    if not rows:
+        raise ValueError(f"{path}: no rows")
     missing = next((i for i in range(len(rows)) if i not in rows), None)
     if missing is not None:
         raise ValueError(f"{path}: no row for triple id {missing} "

@@ -3,6 +3,7 @@ import os
 import numpy as np
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 
 from tripletune.graph import KnowledgeGraph
 
@@ -31,6 +32,22 @@ def random_named_triples(rng, n_entities, n_predicates, n_triples):
         p = int(rng.integers(n_predicates))
         rows.add((f"e{h}", f"p{p}", f"e{t}"))
     return sorted(rows)
+
+
+INT_TEXT = st.integers().map(str)
+FLOAT_TEXT = st.floats().map(repr)
+
+
+def tsv_text(*columns):
+    """Strategy: the text of up to 6 tab-separated rows. A row holds either one
+    field from each strategy in `columns`, or up to 5 fields that are each
+    from one of them, an integer of any size, a float (inf and nan too) or up
+    to 3 characters of any text, line breaks included."""
+    field = st.one_of(INT_TEXT, FLOAT_TEXT, *columns,
+                      st.text(st.characters(exclude_categories=("Cs",)), max_size=3))
+    row = st.tuples(*columns) | st.lists(field, max_size=5)
+    return st.lists(row.map("\t".join), max_size=6).map(
+        lambda rows: "".join(row + "\n" for row in rows))
 
 
 @pytest.fixture

@@ -88,16 +88,6 @@ def test_cm_matches_scalar_oracle(rng):
     assert np.allclose(cm, cm.T, atol=1e-12)
 
 
-def test_cm_raw_form_is_columnwise():
-    g = two_predicate_graph()
-    c = cooccurrence_counts(g)
-    raw = build_cm(c, g.num_triples, symmetrize=False)
-    for i in range(2):
-        for j in range(2):
-            assert raw[i, j] == pytest.approx(
-                tf_weight(i, j, c) * itf_weight(j, g.num_triples, c))
-
-
 def test_predicate_similarity_properties(rng):
     rows = random_named_triples(rng, 8, 4, 30)
     g = KnowledgeGraph.from_named_triples(rows)

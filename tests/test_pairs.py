@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from tripletune.graph import KnowledgeGraph, Triple
@@ -8,7 +8,7 @@ from tripletune.pairs import (PROVENANCES, anchor_rng, build_dataset, compute_pt
                               cosine_sim, load_dataset, sample_candidates, save_dataset,
                               shares_slot)
 from tripletune.seeds import EmbeddingSet
-from conftest import random_named_triples
+from conftest import FLOAT_TEXT, INT_TEXT, random_named_triples, tsv_text
 
 
 def make_embeddings(g, dim, seed=0):
@@ -196,7 +196,6 @@ def test_build_dataset_counts(rng):
     emb = make_embeddings(g, 6)
     ds = build_dataset(g, emb, n=2, rng_seed=11)
     assert 0 < len(ds) <= 4 * 2 * g.num_triples
-    assert ds.n_param == 2
     for a, b, score, provenance in zip(ds.a, ds.b, ds.score, ds.provenance):
         assert 0 <= provenance < len(PROVENANCES)
         assert -1.0 <= score <= 1.0
@@ -232,7 +231,7 @@ def test_dataset_round_trip(tmp_path, rng):
     ds = build_dataset(g, emb, n=2, rng_seed=1)
     f = tmp_path / "pairs.tsv"
     save_dataset(ds, f)
-    back = load_dataset(f, n_param=2, seed_tag=ds.seed_tag, rng_seed=1)
+    back = load_dataset(f)
     for field in ("a", "b", "score", "provenance"):
         assert np.array_equal(getattr(back, field), getattr(ds, field))
 
@@ -244,6 +243,19 @@ def test_load_dataset_rejects_bad_row_naming_its_line(tmp_path, row):
     f.write_text("0\t1\t0.5\tshared-head\n" + row, encoding="utf-8")
     with pytest.raises(ValueError, match="pairs.tsv:2:"):
         load_dataset(f)
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=tsv_text(INT_TEXT, INT_TEXT, FLOAT_TEXT, st.sampled_from(PROVENANCES)))
+def test_load_dataset_parses_or_raises_value_error(tmp_path, text):
+    f = tmp_path / "pairs.tsv"
+    f.write_text(text, encoding="utf-8")
+    try:
+        ds = load_dataset(f)
+    except ValueError:
+        return
+    assert len(ds.a) == len(ds.b) == len(ds.score) == len(ds.provenance)
+    assert ds.a.dtype == ds.b.dtype == np.int64
 
 
 @settings(max_examples=25, deadline=None)

@@ -3,8 +3,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
-from tripletune.cli import main as cli_main
+from tripletune import pairs as pairmod
+from tripletune import seeds as seedmod
+from tripletune import siamese
+from tripletune.cli import build_parser, main as cli_main
 from tripletune.evaluation import EvalReport
 from tripletune.graph import save_triples
 from tripletune.pipeline import (DEFAULTS, ExperimentConfig, PipelineError, RunManifest,
@@ -148,6 +153,161 @@ def test_config_with_baseline_epochs_still_runs(tmp_path):
     run_pipeline(ExperimentConfig.from_file(cfgf))
     rows = np.loadtxt(tmp_path / "out" / "baseline_embeddings.tsv", ndmin=2)
     assert rows.shape[0] == g.num_triples
+
+
+# case: (raw config, with GRAPH for the graph file's path; text the message holds)
+BAD_CONFIGS = {
+    "missing-triple-files": ({"output_dir": "x"}, "required key 'triple_files'"),
+    "missing-output-dir": ({"triple_files": ["GRAPH"]}, "required key 'output_dir'"),
+    "string-triple-files": ({"triple_files": "GRAPH", "output_dir": "x"}, "triple_files"),
+    "list-section": ({"triple_files": ["GRAPH"], "output_dir": "x", "seed": [1]},
+                     "section 'seed' must be a JSON object"),
+    "string-section": ({"triple_files": ["GRAPH"], "output_dir": "x", "eval": "both"},
+                       "section 'eval' must be a JSON object"),
+    "not-an-object": (["GRAPH"], "must be a JSON object"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_CONFIGS))
+def test_malformed_config_is_a_validate_error(tmp_path, capsys, case):
+    gf, _ = write_graph(tmp_path)
+    raw, message = BAD_CONFIGS[case]
+    cfgf = tmp_path / "cfg.json"
+    cfgf.write_text(json.dumps(raw).replace("GRAPH", str(gf)), encoding="utf-8")
+    with pytest.raises(PipelineError, match=message) as exc:
+        ExperimentConfig.from_file(cfgf)
+    assert exc.value.stage == "validate"
+    assert cli_main(["run-all", "--config", str(cfgf)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: stage 'validate' failed: ") and err.count("\n") == 1
+    assert not (tmp_path / "x").exists()
+
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=4)
+    | st.sampled_from(["GRAPH", "train", "import", "rotate"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                 max_size=3),
+    max_leaves=6)
+SECTION = st.dictionaries(st.sampled_from(["model", "dim", "n", "epochs", "enabled"]), JSON,
+                          max_size=3)
+SEED_SECTION = JSON | st.fixed_dictionaries(
+    {"mode": st.sampled_from(["train", "import"]) | JSON},
+    optional=dict.fromkeys(["entity_file", "predicate_file", "model", "value_kind"], JSON))
+RAW_CONFIG = st.fixed_dictionaries(
+    {"triple_files": st.just(["GRAPH"]) | JSON, "output_dir": st.just("OUT") | JSON},
+    optional={"rng_seed": JSON, "dataset_tag": JSON, **dict.fromkeys(DEFAULTS, SECTION),
+              "seed": SEED_SECTION})
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(raw=RAW_CONFIG | JSON)
+@example(raw={"triple_files": ["GRAPH"], "output_dir": "OUT",
+              "seed": {"mode": "import", "entity_file": 5, "predicate_file": None}})
+def test_config_parses_or_raises_pipeline_error(tmp_path, raw):
+    gf = tmp_path / "graph.tsv"
+    if not gf.exists():
+        write_graph(tmp_path)
+    text = json.dumps(raw).replace('"GRAPH"', json.dumps(str(gf)))
+    cfgf = tmp_path / "cfg.json"
+    cfgf.write_text(text.replace('"OUT"', json.dumps(str(tmp_path / "out"))), encoding="utf-8")
+    try:
+        cfg = ExperimentConfig.from_file(cfgf)
+    except PipelineError as exc:
+        assert exc.stage == "validate"
+        return
+    for section in DEFAULTS:
+        assert set(DEFAULTS[section]) <= set(getattr(cfg, section))
+    assert cfg.seed["mode"] in ("train", "import")
+
+
+def test_cli_defaults_are_the_run_all_defaults():
+    graph, files = ["--graph", "g.tsv"], ["--entities", "e", "--predicates", "p"]
+    # section: (argv, the section keys that the subcommand sets)
+    cases = {
+        "seed": (["seed-train", *graph, "--out-entities", "e", "--out-predicates", "p"],
+                 ["mode", "model", "dim", "epochs", "learning_rate", "batch_size",
+                  "negatives", "margin"]),
+        "pairs": (["sample", *graph, *files, "--out", "o"], ["n"]),
+        "finetune": (["finetune", *graph, *files, "--pairs", "x", "--out", "o"],
+                     list(DEFAULTS["finetune"])),
+        "eval": (["eval", *graph, "--embeddings", "x"], list(DEFAULTS["eval"])),
+        "baseline": (["baseline", *graph, "--out", "o"],
+                     ["walks_per_node", "walk_length", "window", "negatives"]),
+    }
+    parser = build_parser()
+    for section, (argv, keys) in cases.items():
+        args = vars(parser.parse_args(argv))
+        assert {k: args[k] for k in keys} == {k: DEFAULTS[section][k] for k in keys}
+    assert vars(parser.parse_args(cases["baseline"][0]))["dim"] == DEFAULTS["seed"]["dim"]
+    args = vars(parser.parse_args(cases["pairs"][0]))
+    assert args["value_kind"] == DEFAULTS["seed"]["value_kind"]
+
+
+def count_artifact_reads(monkeypatch) -> dict[str, int]:
+    """Count calls of the three readers of pipeline artifacts."""
+    counts: dict[str, int] = {}
+    for module, name in ((seedmod, "import_embeddings"), (pairmod, "load_dataset"),
+                         (siamese, "read_triple_embedding_tsv")):
+        def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+            counts[_name] = counts.get(_name, 0) + 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+def import_seed_section(tmp_path, g) -> dict:
+    es = seedmod.train_seed(g, "rotate", seedmod.SeedTrainConfig(dim=8, epochs=3, rng_seed=5))
+    ef, pf = tmp_path / "ext_entities.tsv", tmp_path / "ext_predicates.tsv"
+    seedmod.export_embeddings(es, g, ef, pf)
+    return {"mode": "import", "model": "rotate", "dim": 8, "entity_file": str(ef),
+            "predicate_file": str(pf)}
+
+
+@pytest.mark.parametrize("seed", ["transe", "rotate", "import"])
+def test_resume_from_disk_equals_in_memory_handoff(tmp_path, monkeypatch, seed):
+    gf, g = write_graph(tmp_path)
+    section = (import_seed_section(tmp_path, g) if seed == "import"
+               else {"dim": 8, "epochs": 10, "model": seed})
+    cfgf = small_config(tmp_path, gf, seed=section)
+    reads = count_artifact_reads(monkeypatch)
+    run_pipeline(ExperimentConfig.from_file(cfgf))
+    # a fresh run reads no artifact it wrote; an import reads the config's files once
+    assert reads == ({"import_embeddings": 1} if seed == "import" else {})
+    out = tmp_path / "out"
+
+    def artifacts():
+        return {p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"}
+
+    fresh = artifacts()
+    stages = list(RunManifest.load(out / "manifest.json").stages)
+    # deleting a stage and every later one makes that stage read its inputs back
+    expected_reads = {"sample": {"import_embeddings": 1},
+                      "finetune": {"import_embeddings": 1, "load_dataset": 1},
+                      "eval": {"read_triple_embedding_tsv": 1}}
+    for first in expected_reads:
+        manifest = RunManifest.load(out / "manifest.json")
+        for name in stages[stages.index(first):]:
+            for artifact in manifest.stages.pop(name)["artifacts"]:
+                (out / artifact).unlink()
+        manifest.save(out / "manifest.json")
+        reads.clear()
+        run_pipeline(ExperimentConfig.from_file(cfgf))
+        assert reads == expected_reads[first], first
+        assert artifacts() == fresh, first
+
+
+def test_import_with_complex_model_rejects_odd_dim_at_seed_stage(tmp_path):
+    gf, g = write_graph(tmp_path)
+    es = seedmod.train_seed(g, "transe", seedmod.SeedTrainConfig(dim=3, epochs=1))
+    ef, pf = tmp_path / "e.tsv", tmp_path / "p.tsv"
+    seedmod.export_embeddings(es, g, ef, pf)
+    cfgf = small_config(tmp_path, gf, seed={"mode": "import", "model": "rotate",
+                                            "entity_file": str(ef), "predicate_file": str(pf)})
+    with pytest.raises(PipelineError, match="even dimension") as exc:
+        run_pipeline(ExperimentConfig.from_file(cfgf))
+    assert exc.value.stage == "seed"
 
 
 # -- comparison ---------------------------------------------------------------

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from tripletune.graph import KnowledgeGraph
 from tripletune.seeds import (COMPLEX_KIND, EmbeddingError, EmbeddingSet,
@@ -11,6 +13,7 @@ from tripletune.seeds import (COMPLEX_KIND, EmbeddingError, EmbeddingSet,
                               score_distmult_grad, score_rescal, score_rescal_grad,
                               score_rotate, score_rotate_grad, score_transe,
                               score_transe_grad, train_seed)
+from conftest import FLOAT_TEXT, tsv_text
 
 A = np.array
 
@@ -422,6 +425,22 @@ def test_import_ragged_and_non_numeric(tmp_path):
     (tmp_path / "e.tsv").write_text("a\t1\t2\nb\tx\t4\n", encoding="utf-8")
     with pytest.raises(EmbeddingError, match="non-numeric"):
         import_embeddings(tmp_path / "e.tsv", tmp_path / "p.tsv", g)
+    (tmp_path / "e.tsv").write_text("a\t1\t2\nb\t3\t4\na\t5\t6\n", encoding="utf-8")
+    with pytest.raises(EmbeddingError, match="e.tsv:3: duplicate entity a"):
+        import_embeddings(tmp_path / "e.tsv", tmp_path / "p.tsv", g)
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=tsv_text(st.sampled_from(["a", "b"]), FLOAT_TEXT, FLOAT_TEXT))
+def test_import_parses_or_raises_embedding_error(tmp_path, text):
+    g = KnowledgeGraph.from_named_triples([("a", "r", "b")])
+    (tmp_path / "p.tsv").write_text("r\t0\t1\n", encoding="utf-8")
+    (tmp_path / "e.tsv").write_text(text, encoding="utf-8")
+    try:
+        es = import_embeddings(tmp_path / "e.tsv", tmp_path / "p.tsv", g)
+    except EmbeddingError:
+        return
+    assert es.entity_vectors.shape == (2, 2) and np.all(np.isfinite(es.entity_vectors))
 
 
 def test_checkpoint_round_trip_exact(tmp_path):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from tripletune.graph import KnowledgeGraph
 from tripletune.pairs import PtssDataset, build_dataset
@@ -9,7 +11,7 @@ from tripletune.siamese import (AGG_OPS, FineTuneConfig, SiameseModel, TrainingD
                                 export_triple_embeddings, init_embedding_layer,
                                 load_checkpoint, pair_loss, read_triple_embedding_tsv,
                                 save_checkpoint, train, write_triple_embedding_tsv)
-from conftest import random_named_triples
+from conftest import FLOAT_TEXT, random_named_triples, tsv_text
 
 
 def make_embeddings(g, dim, seed=0):
@@ -302,7 +304,7 @@ def test_training_leaves_untouched_rows_alone():
 def test_training_empty_dataset_rejected():
     model = small_model()
     ds = PtssDataset(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0),
-                     np.zeros(0, dtype=np.int8), n_param=1, seed_tag="x", rng_seed=0)
+                     np.zeros(0, dtype=np.int8))
     with pytest.raises(ValueError):
         train(model, ds, FineTuneConfig(epochs=1))
 
@@ -310,8 +312,7 @@ def test_training_empty_dataset_rejected():
 def test_training_divergence_detected():
     model = small_model()
     model.w1[0, 0] = np.inf
-    ds = PtssDataset(np.array([0]), np.array([1]), np.array([0.5]), np.array([0]),
-                     n_param=1, seed_tag="x", rng_seed=0)
+    ds = PtssDataset(np.array([0]), np.array([1]), np.array([0.5]), np.array([0]))
     with pytest.raises(TrainingDiverged, match="epoch"):
         train(model, ds, FineTuneConfig(epochs=1, warmup_fraction=0.0))
 
@@ -320,7 +321,7 @@ def test_training_divergence_detected():
 def test_training_rejects_pair_ids_outside_the_layer(bad_id):
     model = small_model(n=40)
     ds = PtssDataset(np.array([0, bad_id]), np.array([1, 2]), np.array([0.5, 0.5]),
-                     np.array([0, 0]), n_param=1, seed_tag="x", rng_seed=0)
+                     np.array([0, 0]))
     with pytest.raises(ValueError, match=f"id {bad_id} outside \\[0, 40\\)"):
         train(model, ds, FineTuneConfig(epochs=1))
 
@@ -384,3 +385,24 @@ def test_tsv_rejects_missing_or_duplicate_ids(tmp_path, text, message):
     f.write_text(text, encoding="utf-8")
     with pytest.raises(ValueError, match=message):
         read_triple_embedding_tsv(f)
+
+
+@pytest.mark.parametrize("row", ["0\tx\n", "\t1.0\n", "0\t2.0\n", "1\t1.0\t2.0\n", "1\n"])
+def test_tsv_error_names_file_and_line(tmp_path, row):
+    # non-numeric value, empty id, duplicate id, ragged row, row without values
+    f = tmp_path / "emb.tsv"
+    f.write_text("0\t1.0\n" + row, encoding="utf-8")
+    with pytest.raises(ValueError, match="emb.tsv:2: "):
+        read_triple_embedding_tsv(f)
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=tsv_text(st.integers(-1, 3).map(str), FLOAT_TEXT))
+def test_tsv_parses_or_raises_value_error(tmp_path, text):
+    f = tmp_path / "emb.tsv"
+    f.write_text(text, encoding="utf-8")
+    try:
+        m = read_triple_embedding_tsv(f)
+    except ValueError:
+        return
+    assert m.ndim == 2 and m.shape[0] >= 1 and m.shape[1] >= 1
