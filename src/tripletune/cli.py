@@ -22,9 +22,8 @@ from .pipeline import (DEFAULTS, ExperimentConfig, PipelineError, baseline_stage
                        compare_report, comparison_to_csv, eval_stage, finetune_stage,
                        run_pipeline, sample_stage, seed_stage)
 
-CHOICES = {"model": seedmod.TRAINABLE_MODELS,
-           "value_kind": (seedmod.REAL_KIND, seedmod.COMPLEX_KIND),
-           "aggregation": siamese.AGG_OPS, "classifier": ("logreg", "mlp", "both")}
+CHOICES = {"model": seedmod.TRAINABLE_MODELS, "aggregation": siamese.AGG_OPS,
+           "classifier": ("logreg", "mlp", "both")}
 
 
 def _options(p: argparse.ArgumentParser, section: str, **flags: str):
@@ -43,7 +42,6 @@ def _add_seed_files(p: argparse.ArgumentParser):
     """Seed embeddings imported from TSV files, as `seed.mode: import` reads them."""
     p.add_argument("--entities", dest="entity_file", required=True)
     p.add_argument("--predicates", dest="predicate_file", required=True)
-    _options(p, "seed", value_kind="--value-kind")
     p.set_defaults(mode="import", model="imported")
 
 

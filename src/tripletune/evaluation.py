@@ -171,10 +171,10 @@ class LogisticOvR:
         self.weights: np.ndarray | None = None   # (C, d)
         self.bias: np.ndarray | None = None      # (C,)
 
-    def fit(self, x: np.ndarray, y: np.ndarray, classes: np.ndarray | None = None):
+    def fit(self, x: np.ndarray, y: np.ndarray):
         x = np.asarray(x, dtype=np.float64)
         y = np.asarray(y)
-        self.classes_ = np.unique(y) if classes is None else np.asarray(classes)
+        self.classes_ = np.unique(y)
         n, d = x.shape
         c = len(self.classes_)
         onehot = (y[:, None] == self.classes_[None, :]).astype(np.float64)
@@ -227,14 +227,11 @@ class MlpClassifier:
         self.classes_: np.ndarray | None = None
         self.params: dict[str, np.ndarray] | None = None
 
-    def fit(self, x: np.ndarray, y: np.ndarray, classes: np.ndarray | None = None):
+    def fit(self, x: np.ndarray, y: np.ndarray):
         x = np.asarray(x, dtype=np.float64)
-        y = np.asarray(y)
-        self.classes_ = np.unique(y) if classes is None else np.asarray(classes)
+        self.classes_, yi = np.unique(np.asarray(y), return_inverse=True)
         n, d = x.shape
         c = len(self.classes_)
-        class_pos = {cls: i for i, cls in enumerate(self.classes_)}
-        yi = np.array([class_pos[v] for v in y])
         rng = np.random.default_rng(self.rng_seed)
         p = {
             "w1": rng.normal(0.0, np.sqrt(2.0 / d), size=(self.hidden, d)),

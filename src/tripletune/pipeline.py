@@ -9,11 +9,13 @@ read back only on resume. The CLI subcommands call the same stage functions.
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import json
 import os
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 from functools import cache, cached_property
 from pathlib import Path
 
@@ -37,16 +39,23 @@ class StaleArtifactError(PipelineError):
     pass
 
 
+def _field_defaults(cls) -> dict:
+    """The defaults of a training config's fields, all but the run's `rng_seed`."""
+    return {f.name: f.default for f in fields(cls) if f.name != "rng_seed"}
+
+
+def _config(cls, section: dict, rng_seed: int):
+    """A training config from the section's values for its fields."""
+    return cls(**{k: section[k] for k in _field_defaults(cls)}, rng_seed=rng_seed)
+
+
 DEFAULTS = {
     "pairs": {"n": 5},
-    "finetune": {"aggregation": "avg", "batch_size": 128, "learning_rate": 2e-3,
-                 "warmup_fraction": 0.10, "epochs": 30},
+    "finetune": {"aggregation": "avg", **_field_defaults(siamese.FineTuneConfig)},
     "baseline": {"enabled": True, "walks_per_node": 10, "walk_length": 20, "window": 5,
                  "negatives": 5},
     "eval": {"classifier": "both", "restrict_multi_predicate": False, "folds": 5},
-    "seed": {"mode": "train", "model": "transe", "dim": 32, "epochs": 100,
-             "learning_rate": 0.05, "batch_size": 64, "negatives": 1, "margin": 1.0,
-             "value_kind": "real"},
+    "seed": {"mode": "train", "model": "transe", **_field_defaults(seedmod.SeedTrainConfig)},
 }
 
 
@@ -65,8 +74,9 @@ class ExperimentConfig:
     @classmethod
     def from_file(cls, path: str | Path) -> "ExperimentConfig":
         """Read a JSON config, merging each section over DEFAULTS and ignoring
-        unknown keys; a config that is not an object, lacks a required key or has
-        a section that is not an object raises PipelineError."""
+        unknown keys; an import without `seed.model` is tagged "imported". A config
+        that is not an object, lacks a required key or has a section that is not
+        an object raises PipelineError."""
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
         if not isinstance(raw, dict):
             raise PipelineError("validate", f"{path}: config must be a JSON object")
@@ -74,10 +84,13 @@ class ExperimentConfig:
             if not isinstance(raw.get(section, {}), dict):
                 raise PipelineError("validate", f"config section {section!r} must be a "
                                                 f"JSON object, got {json.dumps(raw[section])}")
+        sections = {s: {**DEFAULTS[s], **raw.get(s, {})} for s in DEFAULTS}
+        if sections["seed"]["mode"] == "import" and "model" not in raw.get("seed", {}):
+            sections["seed"]["model"] = "imported"
         try:
             cfg = cls(raw["triple_files"], raw["output_dir"],
                       **{k: raw[k] for k in ("dataset_tag", "rng_seed") if k in raw},
-                      **{s: {**DEFAULTS[s], **raw.get(s, {})} for s in DEFAULTS})
+                      **sections)
         except KeyError as exc:
             raise PipelineError("validate", f"config lacks required key {exc}") from None
         cfg.validate()
@@ -108,18 +121,22 @@ class ExperimentConfig:
 def seed_stage(g: KnowledgeGraph, sc: dict, rng_seed: int,
                files: tuple[str | Path, str | Path] | None = None) -> seedmod.EmbeddingSet:
     """Train seed embeddings, or import them from `files` (entities, predicates),
-    by default the section's `entity_file` and `predicate_file`. An import is
-    complex-interleaved for ComplEx and RotatE, as `train_seed` returns them,
-    real for the other trained models and `value_kind` for other imports."""
+    by default the section's `entity_file` and `predicate_file`. An import for
+    ComplEx or RotatE must have an even width, as `train_seed` requires."""
     if sc["mode"] == "train" and files is None:
-        return seedmod.train_seed(g, sc["model"], seedmod.SeedTrainConfig(
-            dim=sc["dim"], epochs=sc["epochs"], learning_rate=sc["learning_rate"],
-            batch_size=sc["batch_size"], negatives_per_positive=sc["negatives"],
-            margin=sc["margin"], rng_seed=rng_seed))
-    kind = (seedmod.COMPLEX_KIND if sc["model"] in seedmod.COMPLEX_MODELS
-            else seedmod.REAL_KIND if sc["mode"] == "train" else sc["value_kind"])
-    return seedmod.import_embeddings(*(files or (sc["entity_file"], sc["predicate_file"])),
-                                     g, value_kind=kind, model_tag=sc["model"])
+        return seedmod.train_seed(g, sc["model"],
+                                  _config(seedmod.SeedTrainConfig, sc, rng_seed))
+    es = seedmod.import_embeddings(*(files or (sc["entity_file"], sc["predicate_file"])), g)
+    seedmod.check_width(sc["model"], es.dim)
+    return es
+
+
+def seed_width(sc: dict) -> int:
+    """`dim` when training, else the number of values on the entity file's first row."""
+    if sc["mode"] == "train":
+        return sc["dim"]
+    with Path(sc["entity_file"]).open(encoding="utf-8", errors="replace") as fh:
+        return next((line for line in fh if line.strip()), "").count("\t")
 
 
 def sample_stage(g: KnowledgeGraph, es: seedmod.EmbeddingSet, pc: dict,
@@ -131,9 +148,7 @@ def finetune_stage(g: KnowledgeGraph, es: seedmod.EmbeddingSet, ds: pairmod.Ptss
                    fc: dict, rng_seed: int, checkpoint: str | Path | None = None,
                    loss_history: list[float] | None = None) -> siamese.SiameseModel:
     """The fine-tuned model, saved with its training config to `checkpoint` if given."""
-    cfg = siamese.FineTuneConfig(
-        batch_size=fc["batch_size"], learning_rate=fc["learning_rate"],
-        warmup_fraction=fc["warmup_fraction"], epochs=fc["epochs"], rng_seed=rng_seed)
+    cfg = _config(siamese.FineTuneConfig, fc, rng_seed)
     model = siamese.SiameseModel.initialize(g, es, fc["aggregation"], rng_seed=rng_seed)
     siamese.train(model, ds, cfg, loss_history=loss_history)
     if checkpoint:
@@ -205,6 +220,7 @@ class Pipeline:
             self.manifest = RunManifest.load(self.manifest_path)
         else:
             self.manifest = RunManifest(config=asdict(cfg))
+        self.seed_dim = seed_width(cfg.seed)
 
     # -- stage bookkeeping ---------------------------------------------------
 
@@ -264,7 +280,10 @@ class Pipeline:
         self._run_stage("stats", key, ["stats.json"], run)
 
     def stage_seed(self):
-        key = _sha256_obj(["seed", self._input_hash(), self.cfg.seed, self.cfg.rng_seed])
+        sc = self.cfg.seed   # an import's key holds its files' contents too
+        imported = [_sha256_file(Path(sc[f])) for f in ("entity_file", "predicate_file")
+                    if sc["mode"] == "import"]
+        key = _sha256_obj(["seed", self._input_hash(), sc, self.cfg.rng_seed, *imported])
         files = (self.out / "seed_entities.tsv", self.out / "seed_predicates.tsv")
 
         def run():
@@ -312,7 +331,7 @@ class Pipeline:
                         ["report_finetuned.json"], run)
 
     def stage_baseline(self):
-        dim = siamese.aggregated_dim(self.cfg.seed["dim"], self.cfg.finetune["aggregation"])
+        dim = siamese.aggregated_dim(self.seed_dim, self.cfg.finetune["aggregation"])
         key = _sha256_obj(["baseline", self._input_hash(), self.cfg.baseline, dim,
                            self.cfg.eval, self.cfg.rng_seed])
 
@@ -367,12 +386,10 @@ def compare_report(reports: list[EvalReport]) -> dict:
         row["best"] = sorted(col for col, idx in best.items() if idx == i)
 
     corr = {}
-    f1 = [r.micro_f1_mean.get("logreg-ovr") for r in reports]
-    ch = [None if r.ch_degenerate else r.ch_index for r in reports]
-    usable = [(a, b) for a, b in zip(f1, ch) if a is not None and b is not None]
+    usable = [(row["micro_f1_logreg"], row["ch_index"]) for row in rows
+              if row["micro_f1_logreg"] is not None and row["ch_index"] is not None]
     if len(usable) >= 2:
-        xs = [a for a, _ in usable]
-        ys = [b for _, b in usable]
+        xs, ys = zip(*usable)
         try:
             corr["pearson_f1_ch"] = pearson(xs, ys)
             corr["spearman_f1_ch"] = spearman(xs, ys)
@@ -382,20 +399,12 @@ def compare_report(reports: list[EvalReport]) -> dict:
 
 
 def comparison_to_csv(table: dict) -> str:
+    """The table's rows as CSV; a field holding a comma, a quote or a newline is quoted."""
     cols = ["method", "seed_model", "aggregation", "micro_f1_logreg", "micro_f1_mlp",
             "ch_index", "best"]
-    lines = [",".join(cols)]
-    for row in table["rows"]:
-        vals = []
-        for c in cols:
-            v = row[c]
-            if isinstance(v, list):
-                vals.append(";".join(v))
-            elif v is None:
-                vals.append("")
-            elif isinstance(v, float):
-                vals.append(f"{v:.6g}")
-            else:
-                vals.append(str(v))
-        lines.append(",".join(vals))
-    return "\n".join(lines) + "\n"
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")   # writes None as an empty field
+    writer.writerow(cols)
+    writer.writerows([";".join(v) if isinstance(v, list) else f"{v:.6g}" if isinstance(v, float)
+                      else v for v in map(row.get, cols)] for row in table["rows"])
+    return out.getvalue()

@@ -1,15 +1,15 @@
 """Seed entity/predicate embeddings: scoring functions, in-repo training, import/export.
 
 Complex-valued models (ComplEx, RotatE) store their vectors interleaved in
-real arrays as [re0, im0, re1, im1, ...] so downstream cosine computations
-treat every embedding as a plain real vector.
+real arrays as [re0, im0, re1, im1, ...]; the layout is the model's, so a seed
+is just its two matrices and downstream cosines treat every row as real.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -17,8 +17,6 @@ import numpy as np
 from .graph import KnowledgeGraph
 from .optim import scatter_rows
 
-REAL_KIND = "real"
-COMPLEX_KIND = "complex-interleaved"
 TRAINABLE_MODELS = ("transe", "distmult", "complex", "rotate")
 COMPLEX_MODELS = ("complex", "rotate")
 
@@ -31,8 +29,6 @@ class EmbeddingError(ValueError):
 class EmbeddingSet:
     entity_vectors: np.ndarray      # |E| x d, float64
     predicate_vectors: np.ndarray   # |P| x d
-    value_kind: str = REAL_KIND
-    model_tag: str = "imported"
 
     @property
     def dim(self) -> int:
@@ -44,10 +40,6 @@ class EmbeddingSet:
                 raise EmbeddingError(f"{name} matrix contains NaN/Inf")
         if self.entity_vectors.shape[1] != self.predicate_vectors.shape[1]:
             raise EmbeddingError("entity and predicate dimensions differ")
-        if self.value_kind == COMPLEX_KIND and self.dim % 2 != 0:
-            raise EmbeddingError("complex-interleaved embeddings require even dimension")
-        if self.value_kind not in (REAL_KIND, COMPLEX_KIND):
-            raise EmbeddingError(f"unknown value_kind {self.value_kind!r}")
         if g is not None:
             if self.entity_vectors.shape[0] != g.num_entities:
                 raise EmbeddingError("entity row count does not match graph vocabulary")
@@ -61,15 +53,21 @@ class SeedTrainConfig:
     epochs: int = 100
     learning_rate: float = 0.05
     batch_size: int = 64
-    negatives_per_positive: int = 1
+    negatives: int = 1           # corruptions per positive
     margin: float = 1.0          # TransE / RotatE only
     rng_seed: int = 0
 
     def __post_init__(self):
         if self.dim < 2:
             raise ValueError("dim must be >= 2")
-        if self.negatives_per_positive < 1:
-            raise ValueError("negatives_per_positive must be >= 1")
+        if self.negatives < 1:
+            raise ValueError("negatives must be >= 1")
+
+
+def check_width(model: str, dim: int) -> None:
+    """ComplEx and RotatE vectors are complex-interleaved, so their width must be even."""
+    if model in COMPLEX_MODELS and dim % 2 != 0:
+        raise EmbeddingError(f"{model} requires an even dimension, got {dim}")
 
 
 # ---------------------------------------------------------------------------
@@ -279,8 +277,7 @@ def train_seed(g: KnowledgeGraph, model_tag: str, cfg: SeedTrainConfig,
     if g.num_triples == 0:
         raise ValueError("empty graph")
     d = cfg.dim
-    if model_tag in COMPLEX_MODELS and d % 2 != 0:
-        raise ValueError(f"{model_tag} requires an even dimension, got {d}")
+    check_width(model_tag, d)
     rng = np.random.default_rng(cfg.rng_seed)
     bound = 6.0 / math.sqrt(d)
     ent = rng.uniform(-bound, bound, size=(g.num_entities, d))
@@ -293,7 +290,7 @@ def train_seed(g: KnowledgeGraph, model_tag: str, cfg: SeedTrainConfig,
     pred_key = "phases" if model_tag == "rotate" else "pred"
 
     known = set(map(tuple, g.ids.tolist()))
-    n, k, n_ent = g.num_triples, cfg.negatives_per_positive, g.num_entities
+    n, k, n_ent = g.num_triples, cfg.negatives, g.num_entities
     for epoch in range(cfg.epochs):
         # linear decay keeps late epochs from oscillating around the optimum
         lr = cfg.learning_rate * max(0.01, 1.0 - epoch / cfg.epochs)
@@ -346,8 +343,7 @@ def train_seed(g: KnowledgeGraph, model_tag: str, cfg: SeedTrainConfig,
         pred_out = _phases_to_interleaved(params["phases"])
     else:
         pred_out = params["pred"]
-    kind = COMPLEX_KIND if model_tag in COMPLEX_MODELS else REAL_KIND
-    es = EmbeddingSet(params["ent"], pred_out, value_kind=kind, model_tag=model_tag)
+    es = EmbeddingSet(params["ent"], pred_out)
     es.validate(g)
     return es
 
@@ -404,21 +400,18 @@ def _read_matrix(path: str | Path, names: list[str], what: str) -> np.ndarray:
 
 
 def import_embeddings(entity_path: str | Path, predicate_path: str | Path,
-                      g: KnowledgeGraph, value_kind: str = REAL_KIND,
-                      model_tag: str = "imported") -> EmbeddingSet:
+                      g: KnowledgeGraph) -> EmbeddingSet:
     ent = _read_matrix(entity_path, g.entities.names, "entity")
     pred = _read_matrix(predicate_path, g.predicates.names, "predicate")
-    es = EmbeddingSet(ent, pred, value_kind=value_kind, model_tag=model_tag)
+    es = EmbeddingSet(ent, pred)
     es.validate(g)
     return es
 
 
 def save_checkpoint(es: EmbeddingSet, path: str | Path) -> None:
-    np.savez(path, entity_vectors=es.entity_vectors, predicate_vectors=es.predicate_vectors,
-             value_kind=np.array(es.value_kind), model_tag=np.array(es.model_tag))
+    np.savez(path, entity_vectors=es.entity_vectors, predicate_vectors=es.predicate_vectors)
 
 
 def load_checkpoint(path: str | Path) -> EmbeddingSet:
     data = np.load(path, allow_pickle=False)
-    return EmbeddingSet(data["entity_vectors"], data["predicate_vectors"],
-                        value_kind=str(data["value_kind"]), model_tag=str(data["model_tag"]))
+    return EmbeddingSet(data["entity_vectors"], data["predicate_vectors"])

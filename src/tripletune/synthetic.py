@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .graph import KnowledgeGraph
-from .seeds import EmbeddingSet, REAL_KIND
+from .seeds import EmbeddingSet
 
 
 def random_graph(n_triples: int, n_entities: int, n_predicates: int,
@@ -108,7 +108,7 @@ def exact_translation_graph(dim: int = 8, n_pairs_per_group: int = 30,
     ent = np.stack([vectors[g.entities.name(i)] for i in range(g.num_entities)])
     pred = np.stack([p0 if g.predicates.name(i) == "q0" else p1
                      for i in range(g.num_predicates)])
-    emb = EmbeddingSet(ent, pred, value_kind=REAL_KIND, model_tag="synthetic-translation")
+    emb = EmbeddingSet(ent, pred)
     emb.validate(g)
     return g, emb
 

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 from pathlib import Path
 
@@ -193,7 +195,7 @@ SECTION = st.dictionaries(st.sampled_from(["model", "dim", "n", "epochs", "enabl
                           max_size=3)
 SEED_SECTION = JSON | st.fixed_dictionaries(
     {"mode": st.sampled_from(["train", "import"]) | JSON},
-    optional=dict.fromkeys(["entity_file", "predicate_file", "model", "value_kind"], JSON))
+    optional=dict.fromkeys(["entity_file", "predicate_file", "model"], JSON))
 RAW_CONFIG = st.fixed_dictionaries(
     {"triple_files": st.just(["GRAPH"]) | JSON, "output_dir": st.just("OUT") | JSON},
     optional={"rng_seed": JSON, "dataset_tag": JSON, **dict.fromkeys(DEFAULTS, SECTION),
@@ -241,8 +243,6 @@ def test_cli_defaults_are_the_run_all_defaults():
         args = vars(parser.parse_args(argv))
         assert {k: args[k] for k in keys} == {k: DEFAULTS[section][k] for k in keys}
     assert vars(parser.parse_args(cases["baseline"][0]))["dim"] == DEFAULTS["seed"]["dim"]
-    args = vars(parser.parse_args(cases["pairs"][0]))
-    assert args["value_kind"] == DEFAULTS["seed"]["value_kind"]
 
 
 def count_artifact_reads(monkeypatch) -> dict[str, int]:
@@ -261,7 +261,7 @@ def import_seed_section(tmp_path, g) -> dict:
     es = seedmod.train_seed(g, "rotate", seedmod.SeedTrainConfig(dim=8, epochs=3, rng_seed=5))
     ef, pf = tmp_path / "ext_entities.tsv", tmp_path / "ext_predicates.tsv"
     seedmod.export_embeddings(es, g, ef, pf)
-    return {"mode": "import", "model": "rotate", "dim": 8, "entity_file": str(ef),
+    return {"mode": "import", "model": "rotate", "entity_file": str(ef),
             "predicate_file": str(pf)}
 
 
@@ -296,18 +296,65 @@ def test_resume_from_disk_equals_in_memory_handoff(tmp_path, monkeypatch, seed):
         run_pipeline(ExperimentConfig.from_file(cfgf))
         assert reads == expected_reads[first], first
         assert artifacts() == fresh, first
+    # the baseline is as wide as the fine-tuned matrix: the files' 8, with no seed.dim
+    assert width(out / "baseline_embeddings.tsv") == width(out / "triple_embeddings.tsv") == 8
 
 
-def test_import_with_complex_model_rejects_odd_dim_at_seed_stage(tmp_path):
-    gf, g = write_graph(tmp_path)
-    es = seedmod.train_seed(g, "transe", seedmod.SeedTrainConfig(dim=3, epochs=1))
+def width(path) -> int:
+    """Values per row of a triple-embedding TSV."""
+    return np.loadtxt(path, ndmin=2).shape[1] - 1
+
+
+def export_seed(tmp_path, g, dim: int) -> dict:
+    """An import-mode seed section for `dim`-wide vectors, written to e.tsv and p.tsv."""
+    es = seedmod.train_seed(g, "transe", seedmod.SeedTrainConfig(dim=dim, epochs=1))
     ef, pf = tmp_path / "e.tsv", tmp_path / "p.tsv"
     seedmod.export_embeddings(es, g, ef, pf)
-    cfgf = small_config(tmp_path, gf, seed={"mode": "import", "model": "rotate",
-                                            "entity_file": str(ef), "predicate_file": str(pf)})
+    return {"mode": "import", "entity_file": str(ef), "predicate_file": str(pf)}
+
+
+@pytest.mark.parametrize("aggregation, model", [("avg", None), ("ht", "rotate")])
+def test_import_width_sets_finetuned_and_baseline_width(tmp_path, aggregation, model):
+    gf, g = write_graph(tmp_path)
+    out = tmp_path / "out"
+    factor = 2 if aggregation == "ht" else 1
+    # the second run re-imports files of another width at the same paths
+    for dim in (8, 6):
+        section = {**export_seed(tmp_path, g, dim), **({"model": model} if model else {})}
+        cfgf = small_config(tmp_path, gf, seed=section, finetune={
+            "epochs": 1, "batch_size": 32, "aggregation": aggregation})
+        assert cli_main(["run-all", "--config", str(cfgf)]) == 0
+        assert width(out / "triple_embeddings.tsv") == factor * dim
+        assert width(out / "baseline_embeddings.tsv") == factor * dim
+    for report in ("report_finetuned.json", "report_baseline.json"):
+        assert EvalReport.load(out / report).metadata["seed_model"] == (model or "imported")
+
+
+def test_import_with_complex_model_rejects_odd_dim_at_seed_stage(tmp_path, capsys):
+    gf, g = write_graph(tmp_path)
+    section = export_seed(tmp_path, g, 3)
+    cfgf = small_config(tmp_path, gf, seed={**section, "model": "rotate"})
     with pytest.raises(PipelineError, match="even dimension") as exc:
         run_pipeline(ExperimentConfig.from_file(cfgf))
     assert exc.value.stage == "seed"
+    capsys.readouterr()
+    assert cli_main(["run-all", "--config", str(cfgf)]) == 2
+    message = "rotate requires an even dimension, got 3\n"
+    assert capsys.readouterr().err == "error: stage 'seed' failed: " + message
+    assert cli_main(["seed-import", "--graph", str(gf), "--entities", section["entity_file"],
+                     "--predicates", section["predicate_file"], "--model", "rotate"]) == 1
+    assert capsys.readouterr().err == "error: " + message
+
+
+def test_config_with_legacy_value_kind_still_runs(tmp_path):
+    # seed.value_kind no longer exists: the layout follows seed.model, and an
+    # import without one takes any width
+    gf, g = write_graph(tmp_path)
+    section = {**export_seed(tmp_path, g, 3), "value_kind": "complex-interleaved"}
+    cfgf = small_config(tmp_path, gf, seed=section, finetune={"epochs": 1},
+                        baseline={"enabled": False})
+    run_pipeline(ExperimentConfig.from_file(cfgf))
+    assert width(tmp_path / "out" / "triple_embeddings.tsv") == 3
 
 
 # -- comparison ---------------------------------------------------------------
@@ -346,6 +393,20 @@ def test_comparison_csv_format():
     assert lines[0].startswith("method,")
     assert len(lines) == 3
     assert "finetuned" in lines[1]
+
+
+def test_comparison_csv_quotes_fields():
+    plain = compare_report([make_report("finetuned", 0.9, 50.0),
+                            make_report("triple2vec", 0.5, None)])
+    assert comparison_to_csv(plain) == (
+        "method,seed_model,aggregation,micro_f1_logreg,micro_f1_mlp,ch_index,best\n"
+        "finetuned,?,?,0.9,,50,ch_index;micro_f1_logreg\n"
+        "triple2vec,?,?,0.5,,,\n")
+    table = compare_report([make_report('ft, "avg"', 0.9, 50.0),
+                            make_report("triple2vec", 0.5, 10.0)])
+    rows = list(csv.reader(io.StringIO(comparison_to_csv(table))))
+    assert [len(row) for row in rows] == [7, 7, 7]
+    assert rows[1][0] == 'ft, "avg"'
 
 
 # -- CLI ----------------------------------------------------------------------

@@ -6,8 +6,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from tripletune.graph import KnowledgeGraph
-from tripletune.seeds import (COMPLEX_KIND, EmbeddingError, EmbeddingSet,
-                              SeedTrainConfig, export_embeddings, import_embeddings,
+from tripletune.seeds import (EmbeddingError, EmbeddingSet, SeedTrainConfig, check_width,
+                              export_embeddings, import_embeddings,
                               load_checkpoint, save_checkpoint,
                               score_complex, score_complex_grad, score_distmult,
                               score_distmult_grad, score_rescal, score_rescal_grad,
@@ -194,8 +194,6 @@ def test_train_seed_valid_output(model):
         ("a", "r", "b"), ("b", "r", "c"), ("c", "s", "a"), ("a", "s", "c")])
     es = train_seed(g, model, SeedTrainConfig(dim=8, epochs=10, rng_seed=1))
     es.validate(g)
-    if model in ("complex", "rotate"):
-        assert es.value_kind == COMPLEX_KIND
     if model == "rotate":
         pc = es.predicate_vectors[:, 0::2] + 1j * es.predicate_vectors[:, 1::2]
         assert np.allclose(np.abs(pc), 1.0)
@@ -348,7 +346,7 @@ def _reference_train_seed(g, model_tag, cfg, hinges):
             batch_loss = 0.0
             for h_i, p_i, t_i in batch:
                 negs = []
-                for _ in range(cfg.negatives_per_positive):
+                for _ in range(cfg.negatives):
                     for _retry in range(10):
                         e_new = int(rng.integers(g.num_entities))
                         if rng.random() < 0.5:
@@ -379,7 +377,7 @@ def test_train_seed_equals_example_loop(model, negatives):
             for _ in range(60)}
     g = KnowledgeGraph.from_named_triples(sorted(rows)[:45])
     assert g.num_triples == 45
-    cfg = SeedTrainConfig(dim=6, epochs=4, batch_size=7, negatives_per_positive=negatives,
+    cfg = SeedTrainConfig(dim=6, epochs=4, batch_size=7, negatives=negatives,
                           margin=12.0, learning_rate=0.5, rng_seed=7)
     history = []
     es = train_seed(g, model, cfg, loss_history=history)
@@ -451,14 +449,14 @@ def test_checkpoint_round_trip_exact(tmp_path):
     es2 = load_checkpoint(path)
     assert np.array_equal(es.entity_vectors, es2.entity_vectors)
     assert np.array_equal(es.predicate_vectors, es2.predicate_vectors)
-    assert es2.value_kind == COMPLEX_KIND
-    assert es2.model_tag == "complex"
 
 
 def test_embedding_set_invariants():
     bad = EmbeddingSet(np.array([[np.nan, 1.0]]), np.array([[0.0, 1.0]]))
     with pytest.raises(EmbeddingError):
         bad.validate()
-    odd = EmbeddingSet(np.ones((2, 3)), np.ones((1, 3)), value_kind=COMPLEX_KIND)
-    with pytest.raises(EmbeddingError):
-        odd.validate()
+    for model in ("complex", "rotate"):
+        with pytest.raises(EmbeddingError, match=f"{model} requires an even dimension"):
+            check_width(model, 3)
+    for model in ("transe", "distmult", "imported"):
+        check_width(model, 3)
