@@ -100,6 +100,8 @@ def pearson(x, y) -> float:
     y = np.asarray(y, dtype=np.float64)
     if len(x) != len(y) or len(x) < 2:
         raise ValueError("need two equal-length sequences of length >= 2")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise ValueError("non-finite input")
     xc = x - x.mean()
     yc = y - y.mean()
     denom = float(np.sqrt(np.sum(xc * xc) * np.sum(yc * yc)))

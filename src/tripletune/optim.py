@@ -1,8 +1,12 @@
 """Minimal Adam optimizer shared by seed training, fine-tuning and the classifiers,
-the ordered row scatter that sums their sparse gradients, and the error that
-fine-tuning and skip-gram raise on non-finite parameters."""
+the ordered row sums of their sparse gradients, the check of the two training
+configs' counts and step size, and the error that fine-tuning and skip-gram
+raise on non-finite parameters."""
 
 from __future__ import annotations
+
+import math
+from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
@@ -10,6 +14,16 @@ from scipy import sparse
 
 class TrainingDiverged(RuntimeError):
     """A training loop produced non-finite parameters."""
+
+
+def check_training_config(cfg) -> None:
+    """Reject a training config whose `epochs` or `batch_size` is below 1, or
+    whose `learning_rate` is not finite and > 0, naming the key."""
+    for name in ("epochs", "batch_size"):
+        if getattr(cfg, name) < 1:
+            raise ValueError(f"{name} must be >= 1, got {getattr(cfg, name)}")
+    if not (math.isfinite(cfg.learning_rate) and cfg.learning_rate > 0):
+        raise ValueError(f"learning_rate must be finite and > 0, got {cfg.learning_rate}")
 
 
 def scatter_rows(ids: np.ndarray, rows: np.ndarray, weights: np.ndarray | None = None
@@ -40,6 +54,50 @@ def dense_row_sums(ids: np.ndarray, rows: np.ndarray, size: int,
                            np.arange(0, ids.size + 1, per_col, dtype=np.int32)),
                           shape=(size, n))
     return a @ rows, np.bincount(ids, minlength=size)
+
+
+# batches whose row sums are planned at once: enough to spread the plan's fixed
+# cost, few enough that its memory does not grow with the epoch
+PLAN_BATCHES = 64
+
+
+class RowSums(NamedTuple):
+    """One batch of a `plan_row_sums` plan. Called with the batch's (N, d) value
+    rows in entry order, it returns the (len(rows), d) sums, in the order of `rows`."""
+
+    rows: np.ndarray    # the sorted distinct ids of the batch
+    index: np.ndarray   # each entry's place in `rows`, in entry order
+
+    def __call__(self, values: np.ndarray) -> np.ndarray:
+        d = values.shape[1]
+        cells = (self.index * d)[:, None] + np.arange(d)
+        return np.bincount(cells.ravel(), weights=values.ravel(),
+                           minlength=len(self.rows) * d).reshape(-1, d)
+
+
+def plan_row_sums(ids: np.ndarray, size: int) -> list[RowSums]:
+    """Plan the ordered row sums of consecutive batches of entries at once.
+
+    `ids` names the row of each entry, `size` entries per batch (the last batch
+    may be shorter), each batch in summation order; any shape is read flat.
+    One `np.unique` over (batch, id) keys gives every batch its sorted distinct
+    ids and each entry's place among them. A batch's sums are then one
+    weighted `np.bincount` over (place, column) cells, which adds the weights
+    into zeros one by one in entry order: the bits of `scatter_rows` over the
+    same batch, at a cost that does not grow with how often an id repeats.
+    """
+    ids = np.ravel(ids)
+    if ids.size == 0:
+        return []
+    width = int(ids.max()) + 1
+    batch = np.arange(ids.size) // size
+    keys, index = np.unique(batch * width + ids, return_inverse=True)
+    bounds = np.searchsorted(keys, np.arange(batch[-1] + 2) * width)
+    index -= bounds[batch]
+    rows = keys % width
+    bounds = bounds.tolist()
+    return [RowSums(rows[g0:g1], index[b * size:(b + 1) * size])
+            for b, (g0, g1) in enumerate(zip(bounds, bounds[1:]))]
 
 
 class Adam:
@@ -100,7 +158,8 @@ class Adam:
         self.params[name] -= upd
 
     def step_rows(self, name: str, rows: np.ndarray, grad_rows: np.ndarray,
-                  lr: float | None = None) -> None:
+                  lr: float | None = None) -> np.ndarray:
+        """Step the given distinct rows; returns their updated values."""
         lr = self.lr if lr is None else lr
         m, v = self.m[name], self.v[name]
         inc = np.multiply(grad_rows, 1 - self.beta1)
@@ -121,4 +180,7 @@ class Adam:
         np.sqrt(v_r, out=v_r)
         v_r += self.eps
         m_r /= v_r
-        self.params[name][rows] -= m_r
+        p_r = self.params[name][rows]
+        p_r -= m_r
+        self.params[name][rows] = p_r
+        return p_r

@@ -13,6 +13,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import time
 from dataclasses import dataclass, field, fields, asdict
@@ -360,6 +361,11 @@ def run_pipeline(cfg: ExperimentConfig) -> RunManifest:
     return Pipeline(cfg).run()
 
 
+def _usable_ch(r: EvalReport) -> bool:
+    """A finite, non-degenerate CH index; a classify-only report holds NaN."""
+    return not r.ch_degenerate and r.ch_index is not None and math.isfinite(r.ch_index)
+
+
 def compare_report(reports: list[EvalReport]) -> dict:
     """Tabulate Micro-F1 and clusterability across runs, marking column bests."""
     if len(reports) < 2:
@@ -375,7 +381,7 @@ def compare_report(reports: list[EvalReport]) -> dict:
             "aggregation": r.metadata.get("aggregation", "?"),
             "micro_f1_logreg": r.micro_f1_mean.get("logreg-ovr"),
             "micro_f1_mlp": r.micro_f1_mean.get("mlp"),
-            "ch_index": None if r.ch_degenerate else r.ch_index,
+            "ch_index": r.ch_index if _usable_ch(r) else None,
         })
     best = {}
     for col in ("micro_f1_logreg", "micro_f1_mlp", "ch_index"):

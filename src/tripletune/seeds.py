@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .graph import KnowledgeGraph
-from .optim import scatter_rows
+from .optim import PLAN_BATCHES, check_training_config, plan_row_sums
 
 TRAINABLE_MODELS = ("transe", "distmult", "complex", "rotate")
 COMPLEX_MODELS = ("complex", "rotate")
@@ -62,6 +62,7 @@ class SeedTrainConfig:
             raise ValueError("dim must be >= 2")
         if self.negatives < 1:
             raise ValueError("negatives must be >= 1")
+        check_training_config(self)
 
 
 def check_width(model: str, dim: int) -> None:
@@ -253,6 +254,30 @@ def _batch_terms(model_tag, params, tri, is_pos, margin):
     return terms, np.ones(len(tri), dtype=bool), coeff * d_head, coeff * d_tail, coeff * d_pred
 
 
+def _corrupt(positives: np.ndarray, k: int, n_ent: int, known: set,
+             rng: np.random.Generator) -> np.ndarray:
+    """Each positive followed by its k corruptions, as an (n * (1 + k), 3) array.
+
+    Corruptions are drawn per example, in order, replacing the head or the tail
+    with a uniform entity; one that reproduces a known fact is re-drawn up to
+    10 times.
+    """
+    tri = []
+    for h_i, p_i, t_i in positives.tolist():
+        tri.append((h_i, p_i, t_i))
+        for _ in range(k):
+            for _retry in range(10):
+                e_new = int(rng.integers(n_ent))
+                if rng.random() < 0.5:
+                    neg = (e_new, p_i, t_i)
+                else:
+                    neg = (h_i, p_i, e_new)
+                if neg not in known:
+                    break
+            tri.append(neg)
+    return np.array(tri, dtype=np.int64).reshape(-1, 3)
+
+
 def train_seed(g: KnowledgeGraph, model_tag: str, cfg: SeedTrainConfig,
                loss_history: list[float] | None = None) -> EmbeddingSet:
     """Train seed embeddings by mini-batch SGD with uniform negative sampling.
@@ -263,14 +288,15 @@ def train_seed(g: KnowledgeGraph, model_tag: str, cfg: SeedTrainConfig,
     decaying step to reduce the loss monotonically at desk scale.
     DistMult/ComplEx use binary cross-entropy on sigmoid scores.
 
-    Each mini-batch is one vectorised step. Corruptions are drawn per example,
-    in order, replacing the head or the tail with a uniform entity; one that
-    reproduces a known fact is re-drawn up to 10 times. The batch's positives
-    and negatives are then scored together against the same parameters, and
-    each parameter row gets the sum of its gradient rows in example order
-    (h, t, then nh, nt of each negative; negatives outside the margin carry
-    none), so the result equals an example-at-a-time accumulation bit for
-    bit. Deterministic under cfg.rng_seed.
+    Each mini-batch is one vectorised step. The corruptions of every
+    PLAN_BATCHES batches are drawn at once (`_corrupt`), the same draws in the
+    same order as drawing them batch by batch, since nothing else in an epoch
+    draws, and their row sums are planned at once (`optim.plan_row_sums`). A
+    batch's positives and negatives are scored together against the same
+    parameters, and each parameter row gets the sum of its gradient rows in
+    example order (h, t, then nh, nt of each negative; negatives outside the
+    margin add zero rows), so the result equals an example-at-a-time
+    accumulation bit for bit. Deterministic under cfg.rng_seed.
     """
     if model_tag not in TRAINABLE_MODELS:
         raise ValueError(f"cannot train model {model_tag!r}; import it instead")
@@ -291,51 +317,45 @@ def train_seed(g: KnowledgeGraph, model_tag: str, cfg: SeedTrainConfig,
 
     known = set(map(tuple, g.ids.tolist()))
     n, k, n_ent = g.num_triples, cfg.negatives, g.num_entities
+    per_batch = (1 + k) * cfg.batch_size   # scored triples in a full batch
+    is_pos = np.zeros(per_batch, dtype=bool)
+    is_pos[::1 + k] = True
     for epoch in range(cfg.epochs):
         # linear decay keeps late epochs from oscillating around the optimum
         lr = cfg.learning_rate * max(0.01, 1.0 - epoch / cfg.epochs)
         order = rng.permutation(n)
         epoch_loss = 0.0
-        for start in range(0, n, cfg.batch_size):
-            batch = g.ids[order[start:start + cfg.batch_size]]
-            tri = []   # per example: the positive, then its k corruptions
-            for h_i, p_i, t_i in batch.tolist():
-                tri.append((h_i, p_i, t_i))
-                for _ in range(k):
-                    for _retry in range(10):
-                        e_new = int(rng.integers(n_ent))
-                        if rng.random() < 0.5:
-                            neg = (e_new, p_i, t_i)
-                        else:
-                            neg = (h_i, p_i, e_new)
-                        if neg not in known:
-                            break
-                    tri.append(neg)
-            tri = np.array(tri, dtype=np.int64)
-            is_pos = np.zeros(len(tri), dtype=bool)
-            is_pos[::1 + k] = True
-            terms, keep, d_head, d_tail, d_pred = _batch_terms(
-                model_tag, params, tri, is_pos, cfg.margin)
+        for first in range(0, n, PLAN_BATCHES * cfg.batch_size):
+            ahead = _corrupt(g.ids[order[first:first + PLAN_BATCHES * cfg.batch_size]],
+                             k, n_ent, known, rng)
+            # one planned sum per batch for all rows: predicate ids follow the entity ids
+            plan = plan_row_sums(ahead[:, [0, 2, 1]] + [0, 0, n_ent], 3 * per_batch)
+            for start, rows in zip(range(0, len(ahead), per_batch), plan):
+                tri = ahead[start:start + per_batch]
+                m = len(tri) // (1 + k)
+                terms, keep, d_head, d_tail, d_pred = _batch_terms(
+                    model_tag, params, tri, is_pos[:len(tri)], cfg.margin)
 
-            # each example's loss summed from 0.0 in order, then the batch in
-            # order, as a running float sum would (0.0 + -0.0 is 0.0)
-            terms = terms.reshape(len(batch), 1 + k)
-            example_loss = 0.0 + terms[:, 0]
-            for j in range(1, 1 + k):
-                example_loss = example_loss + terms[:, j]
-            epoch_loss += float(np.add.accumulate(example_loss)[-1])
+                # each example's loss summed from 0.0 in order, then the batch in
+                # order, as a running float sum would (0.0 + -0.0 is 0.0)
+                terms = terms.reshape(m, 1 + k)
+                example_loss = 0.0 + terms[:, 0]
+                for j in range(1, 1 + k):
+                    example_loss = example_loss + terms[:, j]
+                epoch_loss += float(np.add.accumulate(example_loss)[-1])
 
-            # one scatter for all rows: predicate ids follow the entity ids, and
-            # RotatE's d/2 phase gradients are zero-padded to d and cut back after
-            ids = tri[keep][:, [0, 2, 1]] + [0, 0, n_ent]
-            grad_rows = np.zeros((len(ids), 3, d))
-            grad_rows[:, 0], grad_rows[:, 1] = d_head[keep], d_tail[keep]
-            grad_rows[:, 2, :d_pred.shape[1]] = d_pred[keep]
-            rows, sums, _ = scatter_rows(ids, grad_rows.reshape(-1, d))
-            n_ent_rows = np.searchsorted(rows, n_ent)
-            params["ent"][rows[:n_ent_rows]] -= lr * sums[:n_ent_rows] / len(batch)
-            params[pred_key][rows[n_ent_rows:] - n_ent] -= (
-                lr * sums[n_ent_rows:, :d_pred.shape[1]] / len(batch))
+                # gradient rows (head, tail, predicate) of every scored triple; a
+                # negative outside the margin has zero rows, which change no sum
+                # (s + 0.0 is s for a sum that starts at +0.0) and no parameter.
+                # RotatE's d/2 phase gradients are zero-padded to d and cut back after
+                grad_rows = np.zeros((len(tri), 3, d))
+                grad_rows[keep, 0], grad_rows[keep, 1] = d_head[keep], d_tail[keep]
+                grad_rows[keep, 2, :d_pred.shape[1]] = d_pred[keep]
+                sums = rows(grad_rows.reshape(-1, d))
+                n_ent_rows = np.searchsorted(rows.rows, n_ent)
+                params["ent"][rows.rows[:n_ent_rows]] -= lr * sums[:n_ent_rows] / m
+                params[pred_key][rows.rows[n_ent_rows:] - n_ent] -= (
+                    lr * sums[n_ent_rows:, :d_pred.shape[1]] / m)
         if loss_history is not None:
             loss_history.append(epoch_loss / n)
 

@@ -16,7 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from .graph import KnowledgeGraph
-from .optim import Adam, TrainingDiverged, scatter_rows
+from .optim import (PLAN_BATCHES, Adam, RowSums, TrainingDiverged, check_training_config,
+                    plan_row_sums)
 from .pairs import PtssDataset
 from .seeds import EmbeddingSet, read_rows, write_rows
 
@@ -71,9 +72,7 @@ class FineTuneConfig:
     def __post_init__(self):
         if not 0.0 <= self.warmup_fraction < 1.0:
             raise ValueError("warmup_fraction must be in [0, 1)")
-        for name in ("epochs", "batch_size"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        check_training_config(self)
 
 
 class SiameseModel:
@@ -118,57 +117,73 @@ def pair_loss(s_hat: float, s_target: float) -> float:
 
 
 def batch_loss_and_grads(model: SiameseModel, a_ids: np.ndarray, b_ids: np.ndarray,
-                         targets: np.ndarray):
+                         targets: np.ndarray, rows: RowSums | None = None):
     """Mean squared error over the batch and its analytic gradients.
 
     Returns (loss, grad_w1, grad_b1, touched_rows, grad_rows) where grad_rows
-    aligns with the deduplicated, sorted touched_rows.
+    aligns with the deduplicated, sorted touched_rows. Each touched row sums
+    its gradient rows in the order a0, b0, a1, b1, ...; `rows` is that sum,
+    planned ahead (`train` plans many batches at once), else it is planned here.
+
+    Both branches run as one (2m, d) array, a rows first, except for the
+    products with w1: BLAS may sum a row of a (2m, d) product in another order
+    than the same row of an (m, d) one, so each branch has its own product.
     """
-    batch = len(a_ids)
-    e_a = model.triple_embeddings[a_ids]
-    e_b = model.triple_embeddings[b_ids]
-    o_a = np.tanh(e_a @ model.w1.T + model.b1)
-    o_b = np.tanh(e_b @ model.w1.T + model.b1)
-    na = np.linalg.norm(o_a, axis=1)
-    nb = np.linalg.norm(o_b, axis=1)
-    ok = (na > 0) & (nb > 0)
-    dots = np.einsum("ij,ij->i", o_a, o_b)
-    denom = np.where(ok, na * nb, 1.0)
+    m = len(a_ids)
+    if rows is None:
+        rows = plan_row_sums(np.stack([a_ids, b_ids], axis=1), 2 * m)[0]
+    e = model.triple_embeddings[np.concatenate([a_ids, b_ids])]
+    w1 = model.w1
+    o = np.empty_like(e)
+    np.matmul(e[:m], w1.T, out=o[:m])
+    np.matmul(e[m:], w1.T, out=o[m:])
+    o += model.b1
+    np.tanh(o, out=o)
+    e, o = e.reshape(2, m, -1), o.reshape(2, m, -1)
+    sq = o * o   # o ** 2, and the terms of np.linalg.norm
+    norms = np.sqrt(sq.sum(axis=2))
+    ok = (norms[0] > 0) & (norms[1] > 0)
+    dots = np.einsum("ij,ij->i", o[0], o[1])
+    denom = np.where(ok, norms[0] * norms[1], 1.0)
     s = np.where(ok, dots / denom, 0.0)
 
     residual = s - targets
     loss = float(np.mean(residual ** 2))
-    ds = np.where(ok, 2.0 * residual / batch, 0.0)
+    ds = np.where(ok, 2.0 * residual / m, 0.0)
 
-    # d cos / d o_a = o_b/(na*nb) - s * o_a / na^2 (and symmetrically for o_b)
-    na_safe = np.where(ok, na, 1.0)
-    nb_safe = np.where(ok, nb, 1.0)
-    do_a = (o_b / denom[:, None] - (s / na_safe**2)[:, None] * o_a) * ds[:, None]
-    do_b = (o_a / denom[:, None] - (s / nb_safe**2)[:, None] * o_b) * ds[:, None]
-    dz_a = do_a * (1.0 - o_a ** 2)
-    dz_b = do_b * (1.0 - o_b ** 2)
+    # d cos / d o_a = o_b/(na*nb) - s * o_a / na^2, and symmetrically for o_b:
+    # o[::-1] is each row's partner in the other branch
+    n_safe = np.where(ok, norms, 1.0)
+    dz = (o[::-1] / denom[:, None] - (s / n_safe**2)[..., None] * o) * ds[:, None]
+    dz *= 1.0 - sq
 
-    grad_w1 = dz_a.T @ e_a + dz_b.T @ e_b
-    grad_b1 = dz_a.sum(axis=0) + dz_b.sum(axis=0)
-    de_a = dz_a @ model.w1
-    de_b = dz_b @ model.w1
-
-    # rows interleaved as a0, b0, a1, b1, ... so each row sums in batch order
-    touched, grad_rows, _ = scatter_rows(np.stack([a_ids, b_ids], axis=1),
-                                         np.stack([de_a, de_b], axis=1).reshape(2 * batch, -1))
-    return loss, grad_w1, grad_b1, touched, grad_rows
+    grad_w1 = dz[0].T @ e[0] + dz[1].T @ e[1]
+    branch_sums = dz.sum(axis=1)
+    grad_b1 = branch_sums[0] + branch_sums[1]
+    de = np.empty((m, 2, w1.shape[1]))   # rows a0, b0, a1, b1, ...: the summation order
+    np.matmul(dz[0], w1, out=de[:, 0])
+    np.matmul(dz[1], w1, out=de[:, 1])
+    return loss, grad_w1, grad_b1, rows.rows, rows(de.reshape(2 * m, -1))
 
 
 def train(model: SiameseModel, dataset: PtssDataset, cfg: FineTuneConfig,
           loss_history: list[float] | None = None) -> SiameseModel:
     """Adam fine-tuning of the embedding layer plus the shared dense layer.
 
+    The model's arrays as they are at the call are copied into one
+    (n + d + 1, d) slab: the triple rows, then the rows of w1, then b1, and the
+    model's three arrays become views of it. Each step is one Adam row step
+    over the touched triple rows and the d + 1 dense rows; Adam treats every
+    element alike, so this is the dense step of w1 and b1 plus the row step of
+    the triple layer, bit for bit. The row sums of every PLAN_BATCHES batches
+    of an epoch's permutation are planned at once (`optim.plan_row_sums`).
+
     Raises ValueError for an empty dataset or a pair id outside the layer's rows.
     """
     n = len(dataset)
     if n == 0:
         raise ValueError("empty pair dataset")
-    n_rows = len(model.triple_embeddings)
+    n_rows, d = model.triple_embeddings.shape
     ids = np.concatenate([dataset.a, dataset.b])
     bad = ids[(ids < 0) | (ids >= n_rows)]
     if bad.size:
@@ -178,27 +193,35 @@ def train(model: SiameseModel, dataset: PtssDataset, cfg: FineTuneConfig,
     total_steps = cfg.epochs * steps_per_epoch
     warmup_steps = int(cfg.warmup_fraction * total_steps)
 
-    opt = Adam({"emb": model.triple_embeddings, "w1": model.w1, "b1": model.b1},
-               lr=cfg.learning_rate)
+    slab = np.empty((n_rows + d + 1, d))
+    slab[:n_rows] = model.triple_embeddings
+    slab[n_rows:-1] = model.w1
+    slab[-1] = model.b1
+    model.triple_embeddings, model.w1, model.b1 = slab[:n_rows], slab[n_rows:-1], slab[-1]
+    dense_rows = np.arange(n_rows, n_rows + d + 1)
+    opt = Adam({"slab": slab}, lr=cfg.learning_rate)
     step = 0
     for epoch in range(cfg.epochs):
         order = rng.permutation(n)
         epoch_loss = 0.0
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start:start + cfg.batch_size]
-            loss, gw, gb, rows, grows = batch_loss_and_grads(
-                model, dataset.a[idx], dataset.b[idx], dataset.score[idx])
-            step += 1
-            lr = cfg.learning_rate * min(1.0, step / warmup_steps) if warmup_steps else cfg.learning_rate
-            opt.begin_step()
-            opt.step("w1", gw, lr=lr)
-            opt.step("b1", gb, lr=lr)
-            opt.step_rows("emb", rows, grows, lr=lr)
-            epoch_loss += loss * len(idx)
-            if not (np.all(np.isfinite(model.w1)) and np.all(np.isfinite(model.b1))
-                    and np.all(np.isfinite(model.triple_embeddings[rows]))):
-                raise TrainingDiverged(
-                    f"NaN/Inf parameter at epoch {epoch}, step {step}")
+        for first in range(0, n, PLAN_BATCHES * cfg.batch_size):
+            ahead = order[first:first + PLAN_BATCHES * cfg.batch_size]
+            a, b, score = dataset.a[ahead], dataset.b[ahead], dataset.score[ahead]
+            plan = plan_row_sums(np.stack([a, b], axis=1), 2 * cfg.batch_size)
+            for start, rows in zip(range(0, len(ahead), cfg.batch_size), plan):
+                batch = slice(start, start + cfg.batch_size)
+                loss, gw, gb, touched, grows = batch_loss_and_grads(
+                    model, a[batch], b[batch], score[batch], rows)
+                step += 1
+                lr = (cfg.learning_rate * min(1.0, step / warmup_steps) if warmup_steps
+                      else cfg.learning_rate)
+                opt.begin_step()
+                updated = opt.step_rows("slab", np.concatenate([touched, dense_rows]),
+                                        np.concatenate([grows, gw, gb[None]]), lr=lr)
+                epoch_loss += loss * len(score[batch])
+                if not np.all(np.isfinite(updated)):
+                    raise TrainingDiverged(
+                        f"NaN/Inf parameter at epoch {epoch}, step {step}")
         if loss_history is not None:
             loss_history.append(epoch_loss / n)
     return model

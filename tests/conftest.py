@@ -1,3 +1,4 @@
+import math
 import os
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 
 from tripletune.graph import KnowledgeGraph
+from tripletune.optim import TrainingDiverged, scatter_rows
 
 # HYPOTHESIS_PROFILE=ci replays the same examples on every run, so a property
 # test cannot pass on one CI run and fail on the next
@@ -94,6 +96,72 @@ class _AllocatingAdam:
         v[rows] = v_r
         c1, c2 = self._corrections()
         self.params[name][rows] -= lr * (m_r / c1) / (np.sqrt(v_r / c2) + self.eps)
+
+
+def _reference_batch_loss_and_grads(model, a_ids, b_ids, targets):
+    """`siamese.batch_loss_and_grads` as it was with one product per branch and
+    one `scatter_rows` call per step: the oracle for the planned, fused step."""
+    batch = len(a_ids)
+    e_a = model.triple_embeddings[a_ids]
+    e_b = model.triple_embeddings[b_ids]
+    o_a = np.tanh(e_a @ model.w1.T + model.b1)
+    o_b = np.tanh(e_b @ model.w1.T + model.b1)
+    na = np.linalg.norm(o_a, axis=1)
+    nb = np.linalg.norm(o_b, axis=1)
+    ok = (na > 0) & (nb > 0)
+    dots = np.einsum("ij,ij->i", o_a, o_b)
+    denom = np.where(ok, na * nb, 1.0)
+    s = np.where(ok, dots / denom, 0.0)
+    residual = s - targets
+    loss = float(np.mean(residual ** 2))
+    ds = np.where(ok, 2.0 * residual / batch, 0.0)
+    na_safe = np.where(ok, na, 1.0)
+    nb_safe = np.where(ok, nb, 1.0)
+    do_a = (o_b / denom[:, None] - (s / na_safe**2)[:, None] * o_a) * ds[:, None]
+    do_b = (o_a / denom[:, None] - (s / nb_safe**2)[:, None] * o_b) * ds[:, None]
+    dz_a = do_a * (1.0 - o_a ** 2)
+    dz_b = do_b * (1.0 - o_b ** 2)
+    grad_w1 = dz_a.T @ e_a + dz_b.T @ e_b
+    grad_b1 = dz_a.sum(axis=0) + dz_b.sum(axis=0)
+    de_a = dz_a @ model.w1
+    de_b = dz_b @ model.w1
+    touched, grad_rows, _ = scatter_rows(np.stack([a_ids, b_ids], axis=1),
+                                         np.stack([de_a, de_b], axis=1).reshape(2 * batch, -1))
+    return loss, grad_w1, grad_b1, touched, grad_rows
+
+
+def _reference_train(model, dataset, cfg, loss_history=None):
+    """`siamese.train` as it was: three Adam steps (w1, b1, the touched rows) per
+    batch on the model's own arrays. Returns the optimizer for its moments."""
+    n = len(dataset)
+    rng = np.random.default_rng(cfg.rng_seed)
+    steps_per_epoch = math.ceil(n / cfg.batch_size)
+    total_steps = cfg.epochs * steps_per_epoch
+    warmup_steps = int(cfg.warmup_fraction * total_steps)
+    opt = _AllocatingAdam({"emb": model.triple_embeddings, "w1": model.w1, "b1": model.b1},
+                          lr=cfg.learning_rate)
+    step = 0
+    for epoch in range(cfg.epochs):
+        order = rng.permutation(n)
+        epoch_loss = 0.0
+        for start in range(0, n, cfg.batch_size):
+            idx = order[start:start + cfg.batch_size]
+            loss, gw, gb, rows, grows = _reference_batch_loss_and_grads(
+                model, dataset.a[idx], dataset.b[idx], dataset.score[idx])
+            step += 1
+            lr = (cfg.learning_rate * min(1.0, step / warmup_steps) if warmup_steps
+                  else cfg.learning_rate)
+            opt.begin_step()
+            opt.step("w1", gw, lr=lr)
+            opt.step("b1", gb, lr=lr)
+            opt.step_rows("emb", rows, grows, lr=lr)
+            epoch_loss += loss * len(idx)
+            if not (np.all(np.isfinite(model.w1)) and np.all(np.isfinite(model.b1))
+                    and np.all(np.isfinite(model.triple_embeddings[rows]))):
+                raise TrainingDiverged(f"NaN/Inf parameter at epoch {epoch}, step {step}")
+        if loss_history is not None:
+            loss_history.append(epoch_loss / n)
+    return opt
 
 
 # one line per acceptance criterion, echoed after the test summary so the

@@ -89,6 +89,14 @@ def test_pearson_zero_variance_raises():
         pearson([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
 
 
+@pytest.mark.parametrize("x, y", [([1, 2, float("nan")], [1, 2, 3]),
+                                  ([1, 2, 3], [float("inf"), 2, 3])])
+def test_pearson_non_finite_input_raises(x, y):
+    # a NaN once passed through the clamp max(-1, min(1, nan)) as 1.0
+    with pytest.raises(ValueError, match="non-finite"):
+        pearson(x, y)
+
+
 def test_spearman_is_rank_based():
     # monotone but nonlinear relation still gives rho = 1
     x = np.array([1.0, 2.0, 3.0, 4.0])

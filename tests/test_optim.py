@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import _AllocatingAdam
-from tripletune.optim import Adam, dense_row_sums, scatter_rows
+from tripletune.optim import Adam, dense_row_sums, plan_row_sums, scatter_rows
 
 
 def test_scatter_rows_equals_add_at():
@@ -44,6 +44,42 @@ def test_dense_row_sums_equals_scatter_rows():
     assert np.array_equal(dense[uniq], sums)
     assert np.array_equal(dense_hits[uniq], hits)
     assert not dense[[3, 6]].any() and not dense_hits[[3, 6]].any()
+
+
+@pytest.mark.parametrize("n, size, n_rows", [(1, 1, 1), (37, 8, 5), (40, 8, 40), (300, 64, 3),
+                                            (300, 500, 90)])
+def test_plan_row_sums_equals_scatter_rows_per_batch(n, size, n_rows):
+    # batches of `size` entries, the last one shorter where size does not divide
+    # n; few rows repeat many times in a batch, many rows repeat rarely
+    rng = np.random.default_rng([5, n, size])
+    ids = rng.integers(0, n_rows, size=n)
+    values = rng.normal(size=(n, 4)) * 10.0 ** rng.integers(-8, 8, size=(n, 1))
+    values[rng.random(n) < 0.3] = -0.0
+    plan = plan_row_sums(ids, size)
+    assert len(plan) == -(-n // size)
+    for b, rows in enumerate(plan):
+        batch = slice(b * size, (b + 1) * size)
+        uniq, sums, _ = scatter_rows(ids[batch], values[batch])
+        got = rows(values[batch])
+        assert np.array_equal(rows.rows, uniq)
+        assert np.array_equal(got, sums) and np.array_equal(np.signbit(got), np.signbit(sums))
+
+
+def test_plan_row_sums_reads_ids_flat_in_entry_order():
+    ids = np.array([[3, 1], [3, 3], [0, 1]])
+    (rows,) = plan_row_sums(ids, 6)
+    assert rows.rows.tolist() == [0, 1, 3]
+    assert rows.index.tolist() == [2, 1, 2, 2, 0, 1]
+    assert plan_row_sums(np.zeros((0, 2), dtype=np.int64), 4) == []
+
+
+def test_step_rows_returns_the_updated_rows():
+    rng = np.random.default_rng(4)
+    opt = Adam({"p": rng.normal(size=(9, 3))}, lr=0.1)
+    opt.begin_step()
+    rows = np.array([1, 4, 8])
+    updated = opt.step_rows("p", rows, rng.normal(size=(3, 3)))
+    assert np.array_equal(updated, opt.params["p"][rows])
 
 
 @pytest.mark.parametrize("lr", [None, 0.3])

@@ -374,6 +374,17 @@ def test_compare_report_marks_best():
     assert table["correlations"]["pearson_f1_ch"] == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("ch", [float("nan"), float("inf")])
+def test_compare_report_non_finite_ch_is_missing(ch):
+    # a classify-only report holds a NaN CH index: never best, not correlated
+    table = compare_report([make_report("classify-only", 0.9, ch),
+                            make_report("finetuned", 0.8, 50.0),
+                            make_report("triple2vec", 0.5, 10.0)])
+    assert [row["ch_index"] for row in table["rows"]] == [None, 50.0, 10.0]
+    assert [row["best"] for row in table["rows"]] == [["micro_f1_logreg"], ["ch_index"], []]
+    assert table["correlations"]["pearson_f1_ch"] == pytest.approx(1.0)
+
+
 def test_compare_report_requires_two():
     with pytest.raises(ValueError):
         compare_report([make_report("a", 0.5, 1.0)])
@@ -487,7 +498,7 @@ def test_cli_finetune_divergence_exits_nonzero(tmp_path, capsys):
     capsys.readouterr()
     rc = cli_main(["finetune", "--graph", str(gf), "--entities", str(ents),
                    "--predicates", str(preds), "--pairs", str(pairsf), "--epochs", "1",
-                   "--warmup", "0", "--lr", "inf", "--out", str(tmp_path / "emb.tsv")])
+                   "--warmup", "0", "--lr", "1e308", "--out", str(tmp_path / "emb.tsv")])
     assert rc == 1
     err = capsys.readouterr().err
     assert "training diverged" in err and "epoch 0" in err
@@ -535,6 +546,29 @@ def test_cli_bad_input_exits_one_with_message(tmp_path, capsys, case):
     assert err.startswith("error: ") and "Traceback" not in err
     assert err.count("\n") == 1          # one line
     assert not out.exists()
+
+
+@pytest.mark.parametrize("section, message", [
+    ({"seed": {"batch_size": 0}}, "stage 'seed' failed: batch_size must be >= 1, got 0"),
+    ({"seed": {"epochs": 0}}, "stage 'seed' failed: epochs must be >= 1, got 0"),
+    ({"seed": {"learning_rate": 0.0}},
+     "stage 'seed' failed: learning_rate must be finite and > 0, got 0.0"),
+    ({"finetune": {"learning_rate": float("nan")}},
+     "stage 'finetune' failed: learning_rate must be finite and > 0, got nan"),
+])
+def test_bad_training_config_fails_its_stage(tmp_path, capsys, section, message):
+    gf, _ = write_graph(tmp_path)
+    cfgf = small_config(tmp_path, gf)
+    raw = json.loads(cfgf.read_text())
+    for name, values in section.items():
+        raw[name] = {**raw[name], **values}
+    cfgf.write_text(json.dumps(raw))
+    with pytest.raises(PipelineError) as exc:
+        run_pipeline(ExperimentConfig.from_file(cfgf))
+    assert str(exc.value) == message
+    capsys.readouterr()
+    assert cli_main(["run-all", "--config", str(cfgf)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_cli_error_exit_codes(tmp_path, capsys):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from tripletune import seeds as seedmod
 from tripletune.graph import KnowledgeGraph
 from tripletune.seeds import (EmbeddingError, EmbeddingSet, SeedTrainConfig, check_width,
                               export_embeddings, import_embeddings,
@@ -272,7 +273,7 @@ def _reference_example(model_tag, params, margin, pos, negs, g_ent, g_pred, hing
         g_pred[pos[1]] += gp[2]
         for neg in negs:
             d_neg, gn = dist_grad(*neg)
-            hinges[margin - d_neg > 0] += 1
+            hinges[int(margin - d_neg > 0)] += 1
             if margin - d_neg > 0:
                 loss += margin - d_neg
                 g_ent[neg[0]] -= gn[0]
@@ -294,7 +295,7 @@ def _reference_example(model_tag, params, margin, pos, negs, g_ent, g_pred, hing
         g_ent[pos[2]] -= gr
         for neg in negs:
             d_neg, gr = dist_grad(*neg)
-            hinges[margin - d_neg > 0] += 1
+            hinges[int(margin - d_neg > 0)] += 1
             if margin - d_neg > 0:
                 loss += margin - d_neg
                 g_ent[neg[0]] -= gr
@@ -392,6 +393,44 @@ def test_train_seed_equals_example_loop(model, negatives):
     assert history == ref_history
     if model in ("transe", "rotate"):
         assert hinges.min() > 0, hinges
+
+
+@pytest.mark.parametrize("model", ["transe", "rotate"])
+def test_train_seed_negatives_outside_the_margin_equal_example_loop(monkeypatch, model):
+    # with a zero margin no negative carries a gradient, so the corrupted
+    # entities of a batch of one are touched only by zero rows: they must
+    # change nothing, as in the example loop. Plans of 4 batches make each
+    # epoch draw its corruptions in 8 rounds
+    monkeypatch.setattr(seedmod, "PLAN_BATCHES", 4)
+    rng = np.random.default_rng(11)
+    rows = {(f"e{rng.integers(12)}", f"r{rng.integers(2)}", f"e{rng.integers(12)}")
+            for _ in range(40)}
+    g = KnowledgeGraph.from_named_triples(sorted(rows)[:30])
+    cfg = SeedTrainConfig(dim=6, epochs=3, batch_size=1, negatives=2, margin=0.0,
+                          learning_rate=0.5, rng_seed=9)
+    history = []
+    es = train_seed(g, model, cfg, loss_history=history)
+    hinges = np.zeros(2, dtype=np.int64)   # [inactive, active] negatives
+    params, ref_history = _reference_train_seed(g, model, cfg, hinges)
+    assert hinges[0] > 0 and hinges[1] == 0, hinges
+    assert np.array_equal(es.entity_vectors, params["ent"])
+    if model == "rotate":
+        assert np.array_equal(es.predicate_vectors[:, 0::2], np.cos(params["phases"]))
+    else:
+        assert np.array_equal(es.predicate_vectors, params["pred"])
+    assert history == ref_history
+
+
+@pytest.mark.parametrize("field", ["epochs", "batch_size"])
+def test_seed_config_rejects_counts_below_one(field):
+    with pytest.raises(ValueError, match=f"{field} must be >= 1, got 0"):
+        SeedTrainConfig(**{field: 0})
+
+
+@pytest.mark.parametrize("lr", [0.0, -0.05, float("nan"), float("inf")])
+def test_seed_config_rejects_learning_rate_not_finite_and_positive(lr):
+    with pytest.raises(ValueError, match="learning_rate must be finite and > 0"):
+        SeedTrainConfig(learning_rate=lr)
 
 
 # -- import / export ---------------------------------------------------------

@@ -11,7 +11,10 @@ from tripletune.siamese import (AGG_OPS, FineTuneConfig, SiameseModel, TrainingD
                                 export_triple_embeddings, init_embedding_layer,
                                 load_checkpoint, pair_loss, read_triple_embedding_tsv,
                                 save_checkpoint, train, write_triple_embedding_tsv)
-from conftest import FLOAT_TEXT, random_named_triples, tsv_text
+from tripletune import siamese
+from tripletune.optim import Adam
+from conftest import (FLOAT_TEXT, _reference_batch_loss_and_grads, _reference_train,
+                      random_named_triples, tsv_text)
 
 
 def make_embeddings(g, dim, seed=0):
@@ -141,6 +144,12 @@ def test_config_rejects_counts_below_one(field):
         FineTuneConfig(**{field: 0})
 
 
+@pytest.mark.parametrize("lr", [0.0, -1e-3, float("nan"), float("inf")])
+def test_config_rejects_learning_rate_not_finite_and_positive(lr):
+    with pytest.raises(ValueError, match="learning_rate must be finite and > 0"):
+        FineTuneConfig(learning_rate=lr)
+
+
 # -- loss and gradients ------------------------------------------------------
 
 def test_pair_loss_examples():
@@ -247,6 +256,23 @@ def test_batch_row_gradients_equal_per_row_loop(seed):
         assert g.shape == w.shape and np.all(g == w)
 
 
+@pytest.mark.parametrize("m, d", [(1, 1), (1, 4), (2, 5), (19, 32), (40, 64), (128, 33)])
+def test_batch_loss_and_grads_equal_frozen_reference(m, d):
+    # the one-array branches and the planned row sum give the bits of one
+    # product and one scatter per branch, with ids repeated within a batch
+    rng = np.random.default_rng([29, m, d])
+    model = SiameseModel(rng.normal(size=(7, d)), rng.normal(size=(d, d)) * 0.4,
+                         rng.normal(size=d) * 0.1)
+    a_ids, b_ids = rng.integers(0, 7, size=m), rng.integers(0, 7, size=m)
+    targets = rng.uniform(-1, 1, size=m)
+    got = batch_loss_and_grads(model, a_ids, b_ids, targets)
+    want = _reference_batch_loss_and_grads(model, a_ids, b_ids, targets)
+    assert got[0] == want[0]
+    for g, w in zip(got[1:], want[1:]):
+        assert g.shape == w.shape and np.array_equal(g, w)
+        assert np.array_equal(np.signbit(g), np.signbit(w))
+
+
 def test_batch_gradient_zero_at_perfect_fit():
     m = small_model(seed=17)
     a_ids = np.array([0, 1])
@@ -289,6 +315,76 @@ def test_training_deterministic():
     assert np.array_equal(m1.triple_embeddings, m2.triple_embeddings)
     assert np.array_equal(m1.w1, m2.w1)
     assert np.array_equal(m1.b1, m2.b1)
+
+
+def frozen_case(op, n_pairs, seed=8):
+    """A model and pairs whose ids repeat within batches, on `op` aggregation."""
+    rng = np.random.default_rng(seed)
+    g = KnowledgeGraph.from_named_triples(random_named_triples(rng, 12, 3, 30))
+    model = SiameseModel.initialize(g, make_embeddings(g, 6, seed=seed), op, rng_seed=seed)
+    a = rng.integers(0, g.num_triples, size=n_pairs)
+    b = rng.integers(0, g.num_triples, size=n_pairs)
+    b[::5] = a[::5]   # a pair of one triple with itself
+    ds = PtssDataset(a, b, rng.uniform(-1, 1, size=n_pairs), np.zeros(n_pairs, dtype=np.int8))
+    return model, ds
+
+
+def copy_model(model):
+    return SiameseModel(model.triple_embeddings.copy(), model.w1.copy(), model.b1.copy())
+
+
+@pytest.mark.parametrize("op, n_pairs, cfg", [
+    ("avg", 70, FineTuneConfig(batch_size=16, epochs=4, rng_seed=3)),      # last batch of 6
+    ("ht", 70, FineTuneConfig(batch_size=16, epochs=4, rng_seed=3)),
+    ("avg", 23, FineTuneConfig(batch_size=1, epochs=2, rng_seed=1)),
+    ("ht", 23, FineTuneConfig(batch_size=64, epochs=5, rng_seed=2)),       # one batch >= n
+    ("avg", 40, FineTuneConfig(batch_size=40, epochs=3, warmup_fraction=0.0, rng_seed=4)),
+    ("avg", 200, FineTuneConfig(batch_size=128, epochs=3, rng_seed=0)),    # many repeats
+])
+def test_train_equals_frozen_train(monkeypatch, op, n_pairs, cfg):
+    # one Adam row step over the slab and the planned row sums give the bits
+    # of the three Adam steps and the per-step scatter they replace; plans of
+    # 3 batches make most epochs span several plans
+    made = []
+
+    class RecordingAdam(Adam):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(siamese, "Adam", RecordingAdam)
+    monkeypatch.setattr(siamese, "PLAN_BATCHES", 3)
+    model, ds = frozen_case(op, n_pairs)
+    ref = copy_model(model)
+    history, ref_history = [], []
+    train(model, ds, cfg, loss_history=history)
+    ref_opt = _reference_train(ref, ds, cfg, loss_history=ref_history)
+    assert history == ref_history
+    n = len(model.triple_embeddings)
+    (opt,) = made
+    for got, want in ((model.triple_embeddings, ref.triple_embeddings), (model.w1, ref.w1),
+                      (model.b1, ref.b1)):
+        assert np.array_equal(got, want)
+    for moments, ref_moments in ((opt.m["slab"], ref_opt.m), (opt.v["slab"], ref_opt.v)):
+        assert np.array_equal(moments[:n], ref_moments["emb"])
+        assert np.array_equal(moments[n:-1], ref_moments["w1"])
+        assert np.array_equal(moments[-1], ref_moments["b1"])
+    assert opt.t == ref_opt.t
+
+
+def test_training_divergence_at_the_frozen_step():
+    # a NaN row diverges at the step that first touches it, as before
+    model, ds = frozen_case("avg", 60)
+    late = int(ds.a[-1])
+    model.triple_embeddings[late] = np.nan
+    ref = copy_model(model)
+    cfg = FineTuneConfig(batch_size=4, epochs=2, rng_seed=5)
+    with pytest.raises(TrainingDiverged) as got:
+        train(model, ds, cfg)
+    with pytest.raises(TrainingDiverged) as want:
+        _reference_train(ref, ds, cfg)
+    assert str(got.value) == str(want.value) != "NaN/Inf parameter at epoch 0, step 1"
+    assert np.array_equal(model.triple_embeddings, ref.triple_embeddings, equal_nan=True)
 
 
 def test_training_leaves_untouched_rows_alone():
