@@ -7,7 +7,7 @@ compares predicate classification (micro-F1 over 5 folds) and clusterability
 (Calinski-Harabasz at k = number of predicates) before and after fine-tuning.
 """
 
-from tripletune.evaluation import ClassifierSpec, evaluate
+from tripletune.evaluation import evaluate
 from tripletune.pairs import build_dataset
 from tripletune.seeds import SeedTrainConfig, train_seed
 from tripletune.siamese import FineTuneConfig, SiameseModel, train
@@ -26,15 +26,14 @@ def main():
                      SeedTrainConfig(dim=16, epochs=1000, learning_rate=0.1, rng_seed=0))
     ds = build_dataset(g, emb, n=5, rng_seed=0)
 
-    specs = [ClassifierSpec(kind="logreg-ovr")]
     model = SiameseModel.initialize(g, emb, "avg", rng_seed=0)
-    show("initialized", evaluate(model.triple_embeddings, g, specs=specs, rng_seed=0))
+    show("initialized", evaluate(model.triple_embeddings, g, classifier="logreg", rng_seed=0))
 
     history = []
     train(model, ds, FineTuneConfig(epochs=100, rng_seed=0), loss_history=history)
     print(f"  fine-tuning loss {history[0]:.4f} -> {history[-1]:.4f} "
           f"over {len(history)} epochs")
-    show("fine-tuned", evaluate(model.triple_embeddings, g, specs=specs, rng_seed=0))
+    show("fine-tuned", evaluate(model.triple_embeddings, g, classifier="logreg", rng_seed=0))
 
 
 if __name__ == "__main__":

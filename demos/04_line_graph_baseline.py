@@ -15,7 +15,7 @@ import numpy as np
 from tripletune.baseline import (build_cm, build_line_graph, cooccurrence_counts,
                                  predicate_similarity, random_walks, sppmi_matrix,
                                  train_skipgram, train_sppmi)
-from tripletune.evaluation import ClassifierSpec, evaluate
+from tripletune.evaluation import evaluate
 from tripletune.synthetic import cross_linked_clustered_graph
 
 
@@ -43,14 +43,13 @@ def main():
     m = sppmi_matrix(walks, g.num_triples, window=5, negatives=5)
     print(f"shifted positive PMI: {m.nnz} non-zeros of {g.num_triples ** 2}")
 
-    specs = [ClassifierSpec(kind="logreg-ovr")]
     sppmi = train_sppmi(walks, g.num_triples, dim=16, rng_seed=0)
     corpus = [row[row >= 0].tolist() for row in walks]
     sgns = train_skipgram(corpus, g.num_triples, dim=16, epochs=10, rng_seed=0)
     print(f"skip-gram reference loss {sgns.loss_per_epoch[0]:.3f} -> "
           f"{sgns.loss_per_epoch[-1]:.3f}")
     for name, result in (("closed-form SPPMI", sppmi), ("skip-gram (SGNS)", sgns)):
-        report = evaluate(result.vectors, g, specs=specs, rng_seed=0)
+        report = evaluate(result.vectors, g, classifier="logreg", rng_seed=0)
         print(f"{name}: micro-F1 {report.micro_f1_mean['logreg-ovr']:.3f}, "
               f"CH {report.ch_index:.1f}")
 

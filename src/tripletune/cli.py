@@ -15,7 +15,7 @@ from pathlib import Path
 from . import pairs as pairmod
 from . import seeds as seedmod
 from . import siamese
-from .evaluation import EvalReport
+from .evaluation import CLASSIFIERS, EvalReport
 from .graph import compute_stats, load_triples
 from .optim import TrainingDiverged
 from .pipeline import (DEFAULTS, ExperimentConfig, PipelineError, baseline_stage,
@@ -23,7 +23,7 @@ from .pipeline import (DEFAULTS, ExperimentConfig, PipelineError, baseline_stage
                        run_pipeline, sample_stage, seed_stage)
 
 CHOICES = {"model": seedmod.TRAINABLE_MODELS, "aggregation": siamese.AGG_OPS,
-           "classifier": ("logreg", "mlp", "both")}
+           "classifier": tuple(CLASSIFIERS)}
 
 
 def _options(p: argparse.ArgumentParser, section: str, **flags: str):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
@@ -13,59 +14,29 @@ from scipy import stats as sp_stats
 from .graph import KnowledgeGraph, multi_predicate_triple_ids
 from .optim import Adam, dense_row_sums
 
-CH_DEGENERATE = float("inf")
-
-
-@dataclass
-class ClassifierSpec:
-    kind: str = "logreg-ovr"          # logreg-ovr | mlp
-    hidden: int = 512                 # mlp only
-    mlp_batch: int = 256
-    mlp_epochs: int = 10
-    mlp_learning_rate: float = 1e-3
-    logreg_l2: float = 1.0
-    logreg_iters: int = 200
-    logreg_learning_rate: float = 0.1
-    standardize: bool = False
-    rng_seed: int = 0
-
-
-def classifier_specs(choice: str, rng_seed: int = 0) -> list[ClassifierSpec]:
-    """The classifiers that "logreg", "mlp" or "both" names."""
-    kinds = {"logreg": ["logreg-ovr"], "mlp": ["mlp"], "both": ["logreg-ovr", "mlp"]}
-    if choice not in kinds:
-        raise ValueError(f"unknown classifier choice {choice!r}")
-    return [ClassifierSpec(kind=kind, rng_seed=rng_seed) for kind in kinds[choice]]
-
-
 @dataclass
 class EvalReport:
     micro_f1_per_fold: dict[str, list[float]]
     micro_f1_mean: dict[str, float]
-    ch_index: float
+    ch_index: float | None   # None: not computed, or not finite (`ch_degenerate`)
     ch_degenerate: bool
     restricted_to_multi_predicate: bool
     correlations: dict[str, float] = field(default_factory=dict)
     metadata: dict = field(default_factory=dict)
 
-    def to_json(self) -> str:
-        payload = asdict(self)
-        payload["ch_index"] = None if self.ch_degenerate else self.ch_index
-        return json.dumps(payload, indent=2)
+    def __post_init__(self):
+        if self.ch_index is not None and not math.isfinite(self.ch_index):
+            self.ch_index = None
 
-    @classmethod
-    def from_json(cls, text: str) -> "EvalReport":
-        payload = json.loads(text)
-        if payload["ch_index"] is None:
-            payload["ch_index"] = CH_DEGENERATE
-        return cls(**payload)
+    def to_json(self) -> str:
+        return json.dumps(asdict(self), indent=2, allow_nan=False)
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(self.to_json(), encoding="utf-8")
 
     @classmethod
     def load(cls, path: str | Path) -> "EvalReport":
-        return cls.from_json(Path(path).read_text(encoding="utf-8"))
+        return cls(**json.loads(Path(path).read_text(encoding="utf-8")))
 
 
 def _reject_non_finite(x: np.ndarray, what: str) -> None:
@@ -139,7 +110,7 @@ def calinski_harabasz(features: np.ndarray, assignment: np.ndarray, k: int) -> f
         tr_b += len(pts) * float(np.sum((mean_c - global_mean) ** 2))
         tr_w += float(np.sum((pts - mean_c) ** 2))
     if tr_w == 0.0:
-        return CH_DEGENERATE
+        return math.inf
     return (tr_b / tr_w) * ((n - k) / (k - 1))
 
 
@@ -149,6 +120,8 @@ def calinski_harabasz(features: np.ndarray, assignment: np.ndarray, k: int) -> f
 
 def kfold_split(n: int, folds: int = 5, rng_seed: int = 0):
     """Disjoint test folds partitioning range(n); train = complement."""
+    if folds < 2:
+        raise ValueError(f"folds must be >= 2, got {folds}")
     if n < folds:
         raise ValueError(f"need at least {folds} items, got {n}")
     rng = np.random.default_rng(rng_seed)
@@ -165,7 +138,10 @@ def kfold_split(n: int, folds: int = 5, rng_seed: int = 0):
 class LogisticOvR:
     """One-vs-rest binary logistic regression trained by Adam with L2 penalty."""
 
-    def __init__(self, l2: float = 1.0, iters: int = 200, learning_rate: float = 0.1):
+    kind = "logreg-ovr"
+
+    def __init__(self, l2: float = 1.0, iters: int = 200, learning_rate: float = 0.1,
+                 rng_seed: int = 0):   # unused: the fit is deterministic
         self.l2 = l2
         self.iters = iters
         self.learning_rate = learning_rate
@@ -205,11 +181,8 @@ class LogisticOvR:
         self.weights, self.bias = w, b
         return self
 
-    def decision(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(x) @ self.weights.T + self.bias
-
     def predict(self, x: np.ndarray) -> np.ndarray:
-        return self.classes_[np.argmax(self.decision(x), axis=1)]
+        return self.classes_[np.argmax(np.asarray(x) @ self.weights.T + self.bias, axis=1)]
 
 
 class MlpClassifier:
@@ -218,6 +191,8 @@ class MlpClassifier:
     A fit allocates its activations and gradients once and runs every batch
     in them (the last, partial batch in their leading rows).
     """
+
+    kind = "mlp"
 
     def __init__(self, hidden: int = 512, batch_size: int = 256, epochs: int = 10,
                  learning_rate: float = 1e-3, rng_seed: int = 0):
@@ -285,28 +260,19 @@ class MlpClassifier:
         return self.classes_[np.argmax(logits, axis=1)]
 
 
-def _make_classifier(spec: ClassifierSpec, fold_seed: int):
-    if spec.kind == "logreg-ovr":
-        return LogisticOvR(l2=spec.logreg_l2, iters=spec.logreg_iters,
-                           learning_rate=spec.logreg_learning_rate)
-    if spec.kind == "mlp":
-        return MlpClassifier(hidden=spec.hidden, batch_size=spec.mlp_batch,
-                             epochs=spec.mlp_epochs, learning_rate=spec.mlp_learning_rate,
-                             rng_seed=fold_seed)
-    raise ValueError(f"unknown classifier kind {spec.kind!r}")
+# the config and CLI classifier choices; each class's `kind` is its report key
+CLASSIFIERS = {"logreg": (LogisticOvR,), "mlp": (MlpClassifier,),
+               "both": (LogisticOvR, MlpClassifier)}
 
 
-def train_classify(features: np.ndarray, labels: np.ndarray, spec: ClassifierSpec,
-                   folds) -> list[float]:
+def train_classify(features: np.ndarray, labels: np.ndarray, spec, folds,
+                   rng_seed: int = 0) -> list[float]:
+    """Micro-F1 on each (train, test) fold of a classifier that `spec(rng_seed=s)`
+    builds, with s = rng_seed * 1000 + the fold's index."""
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels)
     if features.shape[0] != len(labels):
         raise ValueError("features/labels length mismatch")
-    if spec.standardize:
-        mu = features.mean(axis=0)
-        sd = features.std(axis=0)
-        sd[sd == 0] = 1.0
-        features = (features - mu) / sd
     all_classes = np.unique(labels)
     scores = []
     for fold_idx, (train_idx, test_idx) in enumerate(folds):
@@ -317,7 +283,7 @@ def train_classify(features: np.ndarray, labels: np.ndarray, spec: ClassifierSpe
             warnings.warn(
                 f"fold {fold_idx}: {len(all_classes) - len(train_classes)} classes absent "
                 "from the training split and cannot be predicted", stacklevel=2)
-        clf = _make_classifier(spec, fold_seed=spec.rng_seed * 1000 + fold_idx)
+        clf = spec(rng_seed=rng_seed * 1000 + fold_idx)
         clf.fit(features[train_idx], labels[train_idx])
         pred = clf.predict(features[test_idx])
         scores.append(micro_f1(labels[test_idx], pred))
@@ -455,23 +421,24 @@ def kmeans(features: np.ndarray, k: int, rng_seed: int = 0, restarts: int = 10,
 # ---------------------------------------------------------------------------
 
 def evaluate(triple_emb: np.ndarray, g: KnowledgeGraph,
-             specs: list[ClassifierSpec] | None = None,
+             classifier: str = "both",
              restrict_multi_predicate: bool = False,
              folds: int = 5, rng_seed: int = 0,
              tasks: tuple[str, ...] = ("classify", "cluster"),
              metadata: dict | None = None) -> EvalReport:
     """Predicate classification (micro-F1 per classifier) and clusterability (CH index).
 
-    k-means uses one cluster per predicate label among the triples evaluated:
-    all predicates of the graph, or with `restrict_multi_predicate` only those
-    that label a kept triple.
+    `classifier` names a `CLASSIFIERS` entry; the folds, the classifiers and
+    k-means take their seeds from `rng_seed`. k-means uses one cluster per
+    predicate label among the triples evaluated: all predicates of the graph,
+    or with `restrict_multi_predicate` only those that label a kept triple.
     """
     triple_emb = np.asarray(triple_emb, dtype=np.float64)
     if triple_emb.shape[0] != g.num_triples:
         raise ValueError("embedding rows must align with graph triples")
     _reject_non_finite(triple_emb, "embedding")
-    if specs is None:
-        specs = [ClassifierSpec(kind="logreg-ovr"), ClassifierSpec(kind="mlp")]
+    if classifier not in CLASSIFIERS:
+        raise ValueError(f"unknown classifier choice {classifier!r}")
 
     labels = g.ids[:, 1]
     if restrict_multi_predicate:
@@ -485,22 +452,18 @@ def evaluate(triple_emb: np.ndarray, g: KnowledgeGraph,
     means: dict[str, float] = {}
     if "classify" in tasks:
         split = kfold_split(len(labels), folds=folds, rng_seed=rng_seed)
-        for spec in specs:
-            scores = train_classify(triple_emb, labels, spec, split)
-            per_fold[spec.kind] = scores
-            means[spec.kind] = float(np.mean(scores))
+        for cls in CLASSIFIERS[classifier]:
+            scores = train_classify(triple_emb, labels, cls, split, rng_seed)
+            per_fold[cls.kind] = scores
+            means[cls.kind] = float(np.mean(scores))
 
-    ch = float("nan")
-    ch_degenerate = False
+    ch, ch_degenerate = None, False
     if "cluster" in tasks:
         k = len(np.unique(labels))
         if k >= 2 and len(labels) > k:
             km = kmeans(triple_emb, k, rng_seed=rng_seed)
             ch = calinski_harabasz(triple_emb, km.assignment, k)
-            ch_degenerate = not np.isfinite(ch)
-        else:
-            ch_degenerate = True
-            ch = CH_DEGENERATE
+        ch_degenerate = ch is None or not math.isfinite(ch)
 
     meta = dict(metadata or {})
     meta.setdefault("dim", int(triple_emb.shape[1]))

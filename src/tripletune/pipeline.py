@@ -13,7 +13,6 @@ import csv
 import hashlib
 import io
 import json
-import math
 import os
 import time
 from dataclasses import dataclass, field, fields, asdict
@@ -26,7 +25,7 @@ from . import baseline as t2v
 from . import pairs as pairmod
 from . import seeds as seedmod
 from . import siamese
-from .evaluation import EvalReport, classifier_specs, evaluate, pearson, spearman
+from .evaluation import CLASSIFIERS, EvalReport, evaluate, pearson, spearman
 from .graph import KnowledgeGraph, compute_stats, load_triples
 
 
@@ -98,11 +97,13 @@ class ExperimentConfig:
         return cfg
 
     def validate(self) -> None:
+        """Run every stage's checks of its section, so that a bad value fails
+        before any stage runs, as a PipelineError naming the section."""
         def check(ok, message: str):
             if not ok:
-                raise PipelineError("validate", message)
+                raise PipelineError("validate", section + message)
 
-        files, sc = self.triple_files, self.seed
+        files, sc, section = self.triple_files, self.seed, ""
         check(isinstance(files, list) and files and all(isinstance(f, str) for f in files),
               f"triple_files must be a non-empty list of paths, got {files!r}")
         for f in files:
@@ -114,6 +115,27 @@ class ExperimentConfig:
             check(key in sc, f"seed.mode=import requires seed.{key}")
             check(isinstance(sc[key], str) and Path(sc[key]).is_file(),
                   f"embedding file not found: {sc[key]}")
+        pc, fc, ec, bc = self.pairs, self.finetune, self.eval, self.baseline
+        try:   # a value of the wrong type fails a comparison or a config's own check
+            section = "seed: "
+            if sc["mode"] == "train":
+                check(sc["model"] in seedmod.TRAINABLE_MODELS, f"cannot train {sc['model']}")
+                _config(seedmod.SeedTrainConfig, sc, self.rng_seed)
+            seedmod.check_width(sc["model"], seed_width(sc))
+            section = "finetune: "
+            _config(siamese.FineTuneConfig, fc, self.rng_seed)
+            check(fc["aggregation"] in siamese.AGG_OPS,
+                  f"unknown aggregation {fc['aggregation']!r}")
+            section = "pairs: "
+            check(pc["n"] >= 1, f"n must be >= 1, got {pc['n']!r}")
+            section = "eval: "
+            check(ec["classifier"] in CLASSIFIERS, f"unknown classifier {ec['classifier']!r}")
+            check(ec["folds"] >= 2, f"folds must be >= 2, got {ec['folds']!r}")
+            section = "baseline: "
+            for key in ("walks_per_node", "walk_length", "window", "negatives"):
+                check(not bc["enabled"] or bc[key] >= 1, f"{key} must be >= 1, got {bc[key]}")
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise PipelineError("validate", f"{section}{exc}") from None
 
 
 # -- one function per stage, called by the CLI subcommands and by Pipeline; each
@@ -160,7 +182,7 @@ def finetune_stage(g: KnowledgeGraph, es: seedmod.EmbeddingSet, ds: pairmod.Ptss
 def eval_stage(g: KnowledgeGraph, matrix: np.ndarray, ec: dict, rng_seed: int,
                metadata: dict, tasks: tuple[str, ...] = ("classify", "cluster")
                ) -> EvalReport:
-    return evaluate(matrix, g, specs=classifier_specs(ec["classifier"], rng_seed),
+    return evaluate(matrix, g, classifier=ec["classifier"],
                     restrict_multi_predicate=ec["restrict_multi_predicate"],
                     folds=ec["folds"], rng_seed=rng_seed, tasks=tasks, metadata=metadata)
 
@@ -361,11 +383,6 @@ def run_pipeline(cfg: ExperimentConfig) -> RunManifest:
     return Pipeline(cfg).run()
 
 
-def _usable_ch(r: EvalReport) -> bool:
-    """A finite, non-degenerate CH index; a classify-only report holds NaN."""
-    return not r.ch_degenerate and r.ch_index is not None and math.isfinite(r.ch_index)
-
-
 def compare_report(reports: list[EvalReport]) -> dict:
     """Tabulate Micro-F1 and clusterability across runs, marking column bests."""
     if len(reports) < 2:
@@ -381,7 +398,7 @@ def compare_report(reports: list[EvalReport]) -> dict:
             "aggregation": r.metadata.get("aggregation", "?"),
             "micro_f1_logreg": r.micro_f1_mean.get("logreg-ovr"),
             "micro_f1_mlp": r.micro_f1_mean.get("mlp"),
-            "ch_index": r.ch_index if _usable_ch(r) else None,
+            "ch_index": r.ch_index,
         })
     best = {}
     for col in ("micro_f1_logreg", "micro_f1_mlp", "ch_index"):

@@ -173,17 +173,6 @@ def score_rotate_grad(h, p, t):
     return s, dh, dp, dt
 
 
-def score_rescal(h: np.ndarray, p_matrix: np.ndarray, t: np.ndarray) -> float:
-    if p_matrix.shape != (len(h), len(t)):
-        raise EmbeddingError("predicate matrix shape incompatible with h, t")
-    return float(h @ p_matrix @ t)
-
-
-def score_rescal_grad(h, p_matrix, t):
-    s = score_rescal(h, p_matrix, t)
-    return s, p_matrix @ t, np.outer(h, t), p_matrix.T @ h
-
-
 # ---------------------------------------------------------------------------
 # in-repo seed training (desk-scale; full-scale seeds come from imports)
 # ---------------------------------------------------------------------------

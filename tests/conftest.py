@@ -1,3 +1,4 @@
+import json
 import math
 import os
 
@@ -55,6 +56,24 @@ def tsv_text(*columns):
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+def _not_json(constant: str):
+    raise ValueError(f"{constant} is not JSON")
+
+
+def strict_json(text: str):
+    """`json.loads` that rejects NaN, Infinity and -Infinity."""
+    return json.loads(text, parse_constant=_not_json)
+
+
+def standardized(x: np.ndarray) -> np.ndarray:
+    """Each column scaled to zero mean and unit variance (a constant column is
+    only centred), from statistics over all rows."""
+    mu = x.mean(axis=0)
+    sd = x.std(axis=0)
+    sd[sd == 0] = 1.0
+    return (x - mu) / sd
 
 
 class _AllocatingAdam:

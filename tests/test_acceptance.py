@@ -16,21 +16,21 @@ import pytest
 
 from tripletune.baseline import (build_cm, build_line_graph, cooccurrence_counts,
                                  itf_weight, tf_weight, train_baseline)
-from tripletune.evaluation import (ClassifierSpec, calinski_harabasz, evaluate,
-                                   kfold_split, micro_f1, pearson, train_classify)
+from tripletune.evaluation import (LogisticOvR, calinski_harabasz, evaluate, kfold_split,
+                                   micro_f1, pearson, train_classify)
 from tripletune.graph import (KnowledgeGraph, compute_stats, load_triples,
                               multi_predicate_triple_ids)
 from tripletune.pairs import (PROVENANCES, anchor_rng, build_dataset, compute_ptss,
                               sample_candidates, shares_slot)
 from tripletune.seeds import (EmbeddingSet, SeedTrainConfig, score_complex_grad,
-                              score_distmult_grad, score_rescal_grad, score_rotate,
+                              score_distmult_grad, score_rotate,
                               score_rotate_grad, score_transe, score_transe_grad,
                               train_seed)
 from tripletune.siamese import (FineTuneConfig, SiameseModel, batch_loss_and_grads,
                                 init_embedding_layer, train)
 from tripletune.synthetic import (cross_linked_clustered_graph, exact_translation_graph,
                                   random_graph)
-from conftest import random_named_triples
+from conftest import random_named_triples, standardized
 
 
 from conftest import record_acceptance_line
@@ -228,14 +228,6 @@ def test_criterion_3_gradient_checks():
         check(dtheta, central_diff(rotate_of_theta, theta))
         instances += 1
 
-        # RESCAL (import/score only)
-        from tripletune.seeds import score_rescal
-        pm = rng.normal(size=(d, d))
-        s, gh, gpm, gt = score_rescal_grad(h, pm, t)
-        for vec, grad in ((h, gh), (pm, gpm), (t, gt)):
-            check(grad, central_diff(lambda: score_rescal(h, pm, t), vec))
-        instances += 1
-
     # Siamese batch loss gradients
     for seed in range(20):
         rng = np.random.default_rng([31, seed])
@@ -354,16 +346,16 @@ def test_criterion_5_sum_degeneracy():
     keep = np.array(sorted(mp))
     labels = np.array([t.predicate for t in g.triples])[keep]
     k = g.num_predicates
-    spec = ClassifierSpec(kind="logreg-ovr", standardize=True)
     folds = kfold_split(len(keep), rng_seed=0)
-    f1_sum = float(np.mean(train_classify(layer_sum[keep], labels, spec, folds)))
+    f1_sum = float(np.mean(train_classify(standardized(layer_sum[keep]), labels,
+                                          LogisticOvR, folds)))
     chance_bound = 1.0 / k + 0.05
 
     ds = build_dataset(g, emb, n=5, rng_seed=0)
     model = SiameseModel.initialize(g, emb, "avg", rng_seed=0)
     train(model, ds, FineTuneConfig(epochs=100, rng_seed=0))
-    f1_ft = float(np.mean(train_classify(model.triple_embeddings[keep], labels,
-                                         spec, folds)))
+    f1_ft = float(np.mean(train_classify(standardized(model.triple_embeddings[keep]), labels,
+                                         LogisticOvR, folds)))
 
     announce(5, collapse_ok and f1_sum <= chance_bound and f1_ft > f1_sum,
              f"sum-vs-2t err {worst:.1e}; multi-predicate micro-F1: "
@@ -377,16 +369,15 @@ def test_criterion_5_sum_degeneracy():
 
 def run_desk_scale(g: KnowledgeGraph, tag: str):
     t0 = time.perf_counter()
-    specs = [ClassifierSpec(kind="logreg-ovr")]
     emb = train_seed(g, "transe",
                      SeedTrainConfig(dim=16, epochs=1000, learning_rate=0.1, rng_seed=0))
     ds = build_dataset(g, emb, n=5, rng_seed=0)
     model = SiameseModel.initialize(g, emb, "avg", rng_seed=0)
-    rep_init = evaluate(model.triple_embeddings, g, specs=specs, rng_seed=0)
+    rep_init = evaluate(model.triple_embeddings, g, classifier="logreg", rng_seed=0)
     train(model, ds, FineTuneConfig(epochs=100, rng_seed=0))
-    rep_ft = evaluate(model.triple_embeddings, g, specs=specs, rng_seed=0)
+    rep_ft = evaluate(model.triple_embeddings, g, classifier="logreg", rng_seed=0)
     bl = train_baseline(g, dim=16, rng_seed=0)
-    rep_bl = evaluate(bl.vectors, g, specs=specs, rng_seed=0)
+    rep_bl = evaluate(bl.vectors, g, classifier="logreg", rng_seed=0)
     elapsed = time.perf_counter() - t0
 
     f1_init = rep_init.micro_f1_mean["logreg-ovr"]
@@ -466,10 +457,9 @@ def test_criterion_8_full_scale_optional():
     ds = build_dataset(g, emb, n=5, rng_seed=0)
     model = SiameseModel.initialize(g, emb, "avg", rng_seed=0)
     train(model, ds, FineTuneConfig(rng_seed=0))
-    rep = evaluate(model.triple_embeddings, g, specs=[ClassifierSpec(kind="mlp")],
-                   rng_seed=0)
+    rep = evaluate(model.triple_embeddings, g, classifier="mlp", rng_seed=0)
     bl = train_baseline(g, dim=model.dim, rng_seed=0)
-    rep_bl = evaluate(bl.vectors, g, specs=[ClassifierSpec(kind="mlp")], rng_seed=0)
+    rep_bl = evaluate(bl.vectors, g, classifier="mlp", rng_seed=0)
     f1 = rep.micro_f1_mean["mlp"]
     announce(8, abs(f1 - 0.672) <= 0.08 and f1 > rep_bl.micro_f1_mean["mlp"],
              f"high-capacity micro-F1 {f1:.4f} (target 0.672 +- 0.08), "

@@ -1,3 +1,5 @@
+import math
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -5,13 +7,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import _AllocatingAdam
+from conftest import _AllocatingAdam, standardized, strict_json
 from tripletune import evaluation
-from tripletune.evaluation import (CH_DEGENERATE, ClassifierSpec, EvalReport, LogisticOvR,
-                                   MlpClassifier, _kmeans_pp_init, _nearest_centers,
-                                   calinski_harabasz, evaluate, kfold_split, kmeans, micro_f1,
-                                   pearson, spearman, train_classify)
+from tripletune.evaluation import (CLASSIFIERS, EvalReport, LogisticOvR, MlpClassifier,
+                                   _kmeans_pp_init, _nearest_centers, calinski_harabasz,
+                                   evaluate, kfold_split, kmeans, micro_f1, pearson, spearman,
+                                   train_classify)
 from tripletune.graph import KnowledgeGraph, multi_predicate_triple_ids
+from tripletune.pipeline import DEFAULTS, compare_report, eval_stage
 
 
 def blobs(rng, k=3, per=40, dim=4, spread=0.3, sep=8.0):
@@ -142,7 +145,7 @@ def test_ch_invariances(rng):
 def test_ch_degenerate_sentinel():
     x = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0], [1.0, 1.0]])
     y = np.array([0, 0, 1, 1])
-    assert calinski_harabasz(x, y, 2) == CH_DEGENERATE
+    assert calinski_harabasz(x, y, 2) == math.inf
 
 
 def test_ch_validation():
@@ -187,29 +190,40 @@ def test_kfold_too_few_items():
         kfold_split(3, folds=5)
 
 
+@pytest.mark.parametrize("folds", [1, 0, -3])
+def test_kfold_rejects_fewer_than_two_folds(folds):
+    with pytest.raises(ValueError, match=f"folds must be >= 2, got {folds}"):
+        kfold_split(10, folds=folds)
+
+
 # -- classifiers -------------------------------------------------------------
 
 @pytest.mark.parametrize("kind", ["logreg-ovr", "mlp"])
 def test_separable_blobs_classified_perfectly(kind, rng):
     x, y = blobs(rng, k=3, per=30)
-    spec = ClassifierSpec(kind=kind, hidden=32, mlp_epochs=50,
-                          mlp_learning_rate=1e-2, standardize=True)
-    scores = train_classify(x, y, spec, kfold_split(len(y), rng_seed=0))
+    spec = {"logreg-ovr": LogisticOvR,
+            "mlp": partial(MlpClassifier, hidden=32, epochs=50, learning_rate=1e-2)}[kind]
+    scores = train_classify(standardized(x), y, spec, kfold_split(len(y), rng_seed=0))
     assert np.mean(scores) == pytest.approx(1.0)
 
 
 def test_shuffled_labels_near_chance(rng):
     x, _ = blobs(rng, k=4, per=50)
     y = rng.integers(0, 4, size=len(x))
-    spec = ClassifierSpec(kind="logreg-ovr")
-    scores = train_classify(x, y, spec, kfold_split(len(y), rng_seed=0))
+    scores = train_classify(x, y, LogisticOvR, kfold_split(len(y), rng_seed=0))
     assert np.mean(scores) <= 0.25 + 0.1
 
 
 def test_unknown_classifier_rejected(rng):
-    x, y = blobs(rng, k=2, per=10)
-    with pytest.raises(ValueError):
-        train_classify(x, y, ClassifierSpec(kind="svm"), kfold_split(len(y)))
+    g, x, _ = labeled_graph_and_features(rng)
+    with pytest.raises(ValueError, match="unknown classifier choice 'svm'"):
+        evaluate(x, g, classifier="svm")
+
+
+def test_classifier_table_names_report_keys():
+    assert set(CLASSIFIERS) == {"logreg", "mlp", "both"}
+    assert [cls.kind for cls in CLASSIFIERS["both"]] == ["logreg-ovr", "mlp"]
+    assert CLASSIFIERS["logreg"] + CLASSIFIERS["mlp"] == CLASSIFIERS["both"]
 
 
 def test_absent_class_warns():
@@ -217,7 +231,7 @@ def test_absent_class_warns():
     y = np.array([0] * 10 + [1] * 10 + [2])
     folds = kfold_split(21, folds=5, rng_seed=0)
     with pytest.warns(UserWarning, match="absent"):
-        train_classify(x, y, ClassifierSpec(kind="logreg-ovr", logreg_iters=5), folds)
+        train_classify(x, y, partial(LogisticOvR, iters=5), folds)
 
 
 class _AllocatingLogisticOvR(LogisticOvR):
@@ -246,7 +260,7 @@ class _AllocatingLogisticOvR(LogisticOvR):
         return self
 
 
-def test_logreg_in_place_step_equals_allocating_step(rng, monkeypatch):
+def test_logreg_in_place_step_equals_allocating_step(rng):
     # at learning rate 2 some scores pass the +-500 clip
     x, y = blobs(rng, k=4, per=30, spread=3.0, sep=40.0)
     for lr in (0.1, 2.0):
@@ -258,12 +272,10 @@ def test_logreg_in_place_step_equals_allocating_step(rng, monkeypatch):
     # half the labels shuffled, so fold scores sit strictly between 0 and 1
     y_noisy = y.copy()
     y_noisy[::2] = rng.permutation(y_noisy[::2])
-    spec = ClassifierSpec(kind="logreg-ovr", logreg_iters=40)
     folds = kfold_split(len(y), rng_seed=0)
-    scores = train_classify(x, y_noisy, spec, folds)
+    scores = train_classify(x, y_noisy, partial(LogisticOvR, iters=40), folds)
     assert all(0.0 < s < 1.0 for s in scores)
-    monkeypatch.setattr(evaluation, "LogisticOvR", _AllocatingLogisticOvR)
-    assert scores == train_classify(x, y_noisy, spec, folds)
+    assert scores == train_classify(x, y_noisy, partial(_AllocatingLogisticOvR, iters=40), folds)
 
 
 @pytest.mark.parametrize("k, l2", [(2, 1.0), (12, 5.0)])
@@ -352,22 +364,36 @@ def test_mlp_refit_equals_fresh_fit(rng):
     _assert_same_mlp(clf, _AllocatingMlp(**kwargs).fit(x2, y2))
 
 
-def test_mlp_fold_scores_equal_allocating_fit(rng, monkeypatch):
+def test_mlp_fold_scores_equal_allocating_fit(rng):
     x, y = blobs(rng, k=4, per=30, spread=3.0, sep=4.0)
     y[::2] = rng.permutation(y[::2])
-    spec = ClassifierSpec(kind="mlp", hidden=16, mlp_batch=32, mlp_epochs=3)
+    kwargs = dict(hidden=16, batch_size=32, epochs=3)
     folds = kfold_split(len(y), rng_seed=0)
-    scores = train_classify(x, y, spec, folds)
-    assert all(0.0 < s < 1.0 for s in scores)
-    monkeypatch.setattr(evaluation, "MlpClassifier", _AllocatingMlp)
-    assert scores == train_classify(x, y, spec, folds)
+    for rng_seed in (0, 3):   # fold f's MLP is seeded rng_seed * 1000 + f
+        scores = train_classify(x, y, partial(MlpClassifier, **kwargs), folds, rng_seed)
+        assert all(0.0 < s < 1.0 for s in scores)
+        assert scores == train_classify(x, y, partial(_AllocatingMlp, **kwargs), folds,
+                                        rng_seed)
+
+
+def test_train_classify_seeds_each_fold(rng):
+    x, y = blobs(rng, k=3, per=10)
+    seeds = []
+
+    class Recording(LogisticOvR):
+        def __init__(self, rng_seed):
+            super().__init__(iters=2)
+            seeds.append(rng_seed)
+
+    train_classify(x, y, Recording, kfold_split(len(y), folds=3), rng_seed=4)
+    assert seeds == [4000, 4001, 4002]
 
 
 def test_standardize_option(rng):
+    # the caller scales its features; train_classify uses them as given
     x, y = blobs(rng, k=2, per=20)
     x[:, 0] *= 1e6   # wildly different feature scales
-    spec = ClassifierSpec(kind="logreg-ovr", standardize=True)
-    scores = train_classify(x, y, spec, kfold_split(len(y), rng_seed=0))
+    scores = train_classify(standardized(x), y, LogisticOvR, kfold_split(len(y), rng_seed=0))
     assert np.mean(scores) > 0.9
 
 
@@ -575,11 +601,12 @@ def test_report_json_round_trip(tmp_path):
 
 
 def test_report_degenerate_ch_serializes_as_null(tmp_path):
-    rep = EvalReport({}, {}, CH_DEGENERATE, True, False)
+    rep = EvalReport({}, {}, math.inf, True, False)
+    assert rep.ch_index is None
     f = tmp_path / "report.json"
     rep.save(f)
     assert '"ch_index": null' in f.read_text()
-    assert EvalReport.load(f).ch_index == CH_DEGENERATE
+    assert EvalReport.load(f).ch_index is None
 
 
 def labeled_graph_and_features(rng, k=3, per=30, dim=4):
@@ -601,7 +628,7 @@ def test_evaluate_predicate_aligned_features(rng):
     inv = np.empty_like(ordered)
     inv[ordered] = np.arange(len(ordered))
     feat = feat[inv]
-    rep = evaluate(feat, g, specs=[ClassifierSpec(kind="logreg-ovr")], rng_seed=0)
+    rep = evaluate(feat, g, classifier="logreg", rng_seed=0)
     assert rep.micro_f1_mean["logreg-ovr"] > 0.95
     assert rep.ch_index > 100 or rep.ch_degenerate is False
     assert rep.metadata["dim"] == feat.shape[1]
@@ -649,4 +676,49 @@ def test_evaluate_cluster_only(rng):
     g, x, labels = labeled_graph_and_features(rng)
     rep = evaluate(x, g, tasks=("cluster",), rng_seed=0)
     assert rep.micro_f1_mean == {}
-    assert np.isfinite(rep.ch_index) or rep.ch_degenerate
+    assert (rep.ch_index is None) == rep.ch_degenerate
+
+
+def reports_without_ch(rng):
+    """Reports of `evaluate` whose CH index is missing or whose F1 is: classify
+    only, cluster only, and degenerate (each label's rows identical, so the
+    within-cluster dispersion is 0)."""
+    g, x, labels = labeled_graph_and_features(rng)
+    return {"classify-only": evaluate(x, g, classifier="logreg", tasks=("classify",)),
+            "cluster-only": evaluate(x, g, tasks=("cluster",)),
+            "degenerate": evaluate(np.eye(3)[labels], g, classifier="logreg")}
+
+
+def test_reports_without_ch_are_strict_json(rng, tmp_path):
+    reports = reports_without_ch(rng)
+    assert [r.ch_degenerate for r in reports.values()] == [False, False, True]
+    for name, rep in reports.items():
+        rep.save(tmp_path / "report.json")
+        payload = strict_json((tmp_path / "report.json").read_text())
+        assert (payload["ch_index"] is None) == (name != "cluster-only"), name
+        assert EvalReport.load(tmp_path / "report.json") == rep
+
+
+def test_evaluate_seeds_classifiers_as_eval_stage(rng):
+    # features unrelated to the labels, so every MLP fold score depends on its seed
+    g, _, _ = labeled_graph_and_features(rng)
+    x = rng.normal(size=(g.num_triples, 4))
+    rep = evaluate(x, g, rng_seed=3)
+    stage = eval_stage(g, x, DEFAULTS["eval"], 3, metadata={})
+    assert rep.micro_f1_per_fold == stage.micro_f1_per_fold
+    assert rep == stage
+
+
+def test_compare_report_of_reports_without_ch(rng):
+    # classify-only, cluster-only and degenerate reports beside two full ones
+    reports = list(reports_without_ch(rng).values())
+    g, x, labels = labeled_graph_and_features(rng)
+    noisy = x + rng.normal(scale=10.0, size=x.shape)
+    reports += [evaluate(f, g, classifier="logreg", rng_seed=0) for f in (x, noisy)]
+    table = compare_report(reports)
+    rows = table["rows"]
+    assert [row["ch_index"] is None for row in rows] == [True, False, True, False, False]
+    assert not any("ch_index" in row["best"] for row in rows if row["ch_index"] is None)
+    full = [(row["micro_f1_logreg"], row["ch_index"]) for row in rows[3:]]
+    assert table["correlations"] == {"pearson_f1_ch": pearson(*zip(*full)),
+                                     "spearman_f1_ch": spearman(*zip(*full))}

@@ -18,6 +18,7 @@ from tripletune.pipeline import (DEFAULTS, ExperimentConfig, PipelineError, RunM
                                  StaleArtifactError, compare_report, comparison_to_csv,
                                  run_pipeline)
 from tripletune.synthetic import clustered_graph
+from conftest import strict_json
 
 
 def write_graph(tmp_path, n_triples=60):
@@ -330,17 +331,18 @@ def test_import_width_sets_finetuned_and_baseline_width(tmp_path, aggregation, m
         assert EvalReport.load(out / report).metadata["seed_model"] == (model or "imported")
 
 
-def test_import_with_complex_model_rejects_odd_dim_at_seed_stage(tmp_path, capsys):
+def test_import_with_complex_model_rejects_odd_dim_at_validate(tmp_path, capsys):
     gf, g = write_graph(tmp_path)
     section = export_seed(tmp_path, g, 3)
     cfgf = small_config(tmp_path, gf, seed={**section, "model": "rotate"})
     with pytest.raises(PipelineError, match="even dimension") as exc:
-        run_pipeline(ExperimentConfig.from_file(cfgf))
-    assert exc.value.stage == "seed"
+        ExperimentConfig.from_file(cfgf)
+    assert exc.value.stage == "validate"
     capsys.readouterr()
     assert cli_main(["run-all", "--config", str(cfgf)]) == 2
     message = "rotate requires an even dimension, got 3\n"
-    assert capsys.readouterr().err == "error: stage 'seed' failed: " + message
+    assert capsys.readouterr().err == "error: stage 'validate' failed: seed: " + message
+    assert not (tmp_path / "out").exists()
     assert cli_main(["seed-import", "--graph", str(gf), "--entities", section["entity_file"],
                      "--predicates", section["predicate_file"], "--model", "rotate"]) == 1
     assert capsys.readouterr().err == "error: " + message
@@ -376,7 +378,7 @@ def test_compare_report_marks_best():
 
 @pytest.mark.parametrize("ch", [float("nan"), float("inf")])
 def test_compare_report_non_finite_ch_is_missing(ch):
-    # a classify-only report holds a NaN CH index: never best, not correlated
+    # a report holds a non-finite CH index as None: never best, not correlated
     table = compare_report([make_report("classify-only", 0.9, ch),
                             make_report("finetuned", 0.8, 50.0),
                             make_report("triple2vec", 0.5, 10.0)])
@@ -461,6 +463,12 @@ def test_cli_seed_sample_finetune_eval(tmp_path, capsys):
     assert rc == 0
     rep = EvalReport.load(repf)
     assert "logreg-ovr" in rep.micro_f1_mean
+    for task in ("classify", "cluster"):   # a report of one task is strict JSON too
+        rc = cli_main(["eval", "--graph", str(gf), "--embeddings", str(embf),
+                       "--task", task, "--json-out", str(repf)])
+        assert rc == 0
+        payload = strict_json(repf.read_text())
+        assert (payload["ch_index"] is None) == (task == "classify")
 
 
 def test_cli_baseline_and_compare(tmp_path, capsys):
@@ -548,15 +556,34 @@ def test_cli_bad_input_exits_one_with_message(tmp_path, capsys, case):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("section, message", [
-    ({"seed": {"batch_size": 0}}, "stage 'seed' failed: batch_size must be >= 1, got 0"),
-    ({"seed": {"epochs": 0}}, "stage 'seed' failed: epochs must be >= 1, got 0"),
-    ({"seed": {"learning_rate": 0.0}},
-     "stage 'seed' failed: learning_rate must be finite and > 0, got 0.0"),
-    ({"finetune": {"learning_rate": float("nan")}},
-     "stage 'finetune' failed: learning_rate must be finite and > 0, got nan"),
-])
-def test_bad_training_config_fails_its_stage(tmp_path, capsys, section, message):
+# case: (section values, the message of the validate error)
+BAD_VALUES = {
+    "seed-batch-size-0": ({"seed": {"batch_size": 0}}, "seed: batch_size must be >= 1, got 0"),
+    "seed-epochs-0": ({"seed": {"epochs": 0}}, "seed: epochs must be >= 1, got 0"),
+    "seed-lr-0": ({"seed": {"learning_rate": 0.0}},
+                  "seed: learning_rate must be finite and > 0, got 0.0"),
+    "seed-model": ({"seed": {"model": "rescal"}}, "seed: cannot train rescal"),
+    "seed-odd-rotate": ({"seed": {"model": "rotate", "dim": 9}},
+                        "seed: rotate requires an even dimension, got 9"),
+    "finetune-lr-nan": ({"finetune": {"learning_rate": float("nan")}},
+                        "finetune: learning_rate must be finite and > 0, got nan"),
+    "finetune-batch-size-0": ({"finetune": {"batch_size": 0}},
+                              "finetune: batch_size must be >= 1, got 0"),
+    "finetune-aggregation": ({"finetune": {"aggregation": "bogus"}},
+                             "finetune: unknown aggregation 'bogus'"),
+    "pairs-n-0": ({"pairs": {"n": 0}}, "pairs: n must be >= 1, got 0"),
+    "pairs-n-string": ({"pairs": {"n": "2"}}, "pairs: '>=' not supported"),
+    "eval-classifier": ({"eval": {"classifier": "svm"}}, "eval: unknown classifier 'svm'"),
+    "eval-folds-1": ({"eval": {"folds": 1}}, "eval: folds must be >= 2, got 1"),
+    "baseline-walk-length-0": ({"baseline": {"walk_length": 0}},
+                               "baseline: walk_length must be >= 1, got 0"),
+    "baseline-window-0": ({"baseline": {"window": 0}}, "baseline: window must be >= 1, got 0"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_VALUES))
+def test_bad_section_value_fails_validate(tmp_path, capsys, case):
+    section, message = BAD_VALUES[case]
     gf, _ = write_graph(tmp_path)
     cfgf = small_config(tmp_path, gf)
     raw = json.loads(cfgf.read_text())
@@ -564,11 +591,20 @@ def test_bad_training_config_fails_its_stage(tmp_path, capsys, section, message)
         raw[name] = {**raw[name], **values}
     cfgf.write_text(json.dumps(raw))
     with pytest.raises(PipelineError) as exc:
-        run_pipeline(ExperimentConfig.from_file(cfgf))
-    assert str(exc.value) == message
+        ExperimentConfig.from_file(cfgf)
+    assert exc.value.stage == "validate"
+    assert str(exc.value).startswith(f"stage 'validate' failed: {message}")
     capsys.readouterr()
     assert cli_main(["run-all", "--config", str(cfgf)]) == 2
-    assert capsys.readouterr().err == f"error: {message}\n"
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: stage 'validate' failed: {message}") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_disabled_baseline_counts_are_not_checked(tmp_path):
+    gf, _ = write_graph(tmp_path)
+    cfgf = small_config(tmp_path, gf, baseline={"enabled": False, "walk_length": 0})
+    assert ExperimentConfig.from_file(cfgf).baseline["walk_length"] == 0
 
 
 def test_cli_error_exit_codes(tmp_path, capsys):

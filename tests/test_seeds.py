@@ -11,9 +11,8 @@ from tripletune.seeds import (EmbeddingError, EmbeddingSet, SeedTrainConfig, che
                               export_embeddings, import_embeddings,
                               load_checkpoint, save_checkpoint,
                               score_complex, score_complex_grad, score_distmult,
-                              score_distmult_grad, score_rescal, score_rescal_grad,
-                              score_rotate, score_rotate_grad, score_transe,
-                              score_transe_grad, train_seed)
+                              score_distmult_grad, score_rotate, score_rotate_grad,
+                              score_transe, score_transe_grad, train_seed)
 from conftest import FLOAT_TEXT, tsv_text
 
 A = np.array
@@ -60,15 +59,6 @@ def test_rotate_examples():
 def test_rotate_requires_unit_modulus():
     with pytest.raises(EmbeddingError):
         score_rotate(A([1., 0]), A([2., 0]), A([1., 0]))
-
-
-def test_rescal_examples():
-    h, t = A([1., 2]), A([3., 4])
-    assert score_rescal(h, np.eye(2), t) == pytest.approx(h @ t)
-    assert score_rescal(A([1., 0]), A([[0., 1], [0, 0]]), A([0., 1])) == 1.0
-    assert score_rescal(h, np.eye(2), A([0., 0])) == 0.0
-    with pytest.raises(EmbeddingError):
-        score_rescal(h, np.eye(3), t)
 
 
 # -- properties --------------------------------------------------------------
@@ -147,16 +137,58 @@ def test_rotate_gradients_match_finite_differences(seed):
     assert rel_err(dp, central_diff(free_score, p)) < 1e-4
 
 
-@pytest.mark.parametrize("seed", range(5))
-def test_rescal_gradients_match_finite_differences(seed):
-    rng = np.random.default_rng(seed)
-    h, t = rng.normal(size=(2, 4))
-    pm = rng.normal(size=(4, 4))
-    s, dh, dpm, dt = score_rescal_grad(h, pm, t)
-    assert rel_err(dh, central_diff(lambda x: score_rescal(x, pm, t), h)) < 1e-4
-    assert rel_err(dt, central_diff(lambda x: score_rescal(h, pm, x), t)) < 1e-4
-    fd = central_diff(lambda x: score_rescal(h, x.reshape(4, 4), t), pm.ravel())
-    assert rel_err(dpm.ravel(), fd) < 1e-4
+def batch_terms_case(model, seed):
+    """Parameters and a batch of 12 scored triples (every third a positive,
+    head and tail distinct); for the margin models, a margin that leaves some
+    negatives' hinges active and some inactive, none near the kink."""
+    rng = np.random.default_rng([seedmod.TRAINABLE_MODELS.index(model), seed])
+    d, n_ent, n_pred, n = 6, 7, 3, 12
+    params = {"ent": rng.normal(size=(n_ent, d))}
+    if model == "rotate":
+        params["phases"] = rng.uniform(0.0, 2.0 * np.pi, size=(n_pred, d // 2))
+    else:
+        params["pred"] = rng.normal(size=(n_pred, d))
+    heads = rng.integers(n_ent, size=n)
+    tails = (heads + rng.integers(1, n_ent, size=n)) % n_ent
+    tri = np.stack([heads, rng.integers(n_pred, size=n), tails], axis=1)
+    is_pos = np.arange(n) % 3 == 0
+    margin = 1.0
+    if model in ("transe", "rotate"):
+        # every row as a positive: its term is its squared distance
+        d2 = np.sort(seedmod._batch_terms(model, params, tri, np.ones(n, bool), 0.0)[0][~is_pos])
+        gap = np.argmax(np.diff(d2))
+        margin = (d2[gap] + d2[gap + 1]) / 2
+    return params, tri, is_pos, margin
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("model", seedmod.TRAINABLE_MODELS)
+def test_batch_terms_match_finite_differences(model, seed):
+    params, tri, is_pos, margin = batch_terms_case(model, seed)
+    terms, keep, d_head, d_tail, d_pred = seedmod._batch_terms(model, params, tri, is_pos,
+                                                               margin)
+    assert (terms >= 0).all()
+    if model in ("transe", "rotate"):
+        assert keep[is_pos].all() and keep[~is_pos].any() and not keep[~is_pos].all()
+        assert (keep == is_pos | (terms > 0)).all()
+    else:
+        assert keep.all()
+    pred_key = "phases" if model == "rotate" else "pred"
+    for i, (h, p, t) in enumerate(tri):
+        for key, row, grad in (("ent", h, d_head), ("ent", t, d_tail), (pred_key, p, d_pred)):
+            def term_i(x):
+                saved = params[key][row].copy()
+                params[key][row] = x
+                try:
+                    return seedmod._batch_terms(model, params, tri, is_pos, margin)[0][i]
+                finally:
+                    params[key][row] = saved
+
+            fd = central_diff(term_i, params[key][row].copy())
+            if keep[i]:
+                assert rel_err(grad[i], fd) < 1e-6, (i, key)
+            else:   # an inactive hinge: no loss and no slope
+                assert terms[i] == 0.0 and not fd.any(), (i, key)
 
 
 # -- training ----------------------------------------------------------------
