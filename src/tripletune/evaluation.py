@@ -12,7 +12,7 @@ import numpy as np
 from scipy import stats as sp_stats
 
 from .graph import KnowledgeGraph, multi_predicate_triple_ids
-from .optim import Adam, dense_row_sums
+from .optim import Adam, dense_row_sums, packed
 
 @dataclass
 class EvalReport:
@@ -21,7 +21,6 @@ class EvalReport:
     ch_index: float | None   # None: not computed, or not finite (`ch_degenerate`)
     ch_degenerate: bool
     restricted_to_multi_predicate: bool
-    correlations: dict[str, float] = field(default_factory=dict)
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -36,7 +35,9 @@ class EvalReport:
 
     @classmethod
     def load(cls, path: str | Path) -> "EvalReport":
-        return cls(**json.loads(Path(path).read_text(encoding="utf-8")))
+        fields = json.loads(Path(path).read_text(encoding="utf-8"))
+        fields.pop("correlations", None)   # older reports carry this unused field, always {}
+        return cls(**fields)
 
 
 def _reject_non_finite(x: np.ndarray, what: str) -> None:
@@ -136,7 +137,8 @@ def kfold_split(n: int, folds: int = 5, rng_seed: int = 0):
 
 
 class LogisticOvR:
-    """One-vs-rest binary logistic regression trained by Adam with L2 penalty."""
+    """One-vs-rest binary logistic regression trained by Adam with L2 penalty,
+    one step per iteration over its weights and bias packed in one array."""
 
     kind = "logreg-ovr"
 
@@ -151,17 +153,16 @@ class LogisticOvR:
 
     def fit(self, x: np.ndarray, y: np.ndarray):
         x = np.asarray(x, dtype=np.float64)
-        y = np.asarray(y)
-        self.classes_ = np.unique(y)
+        self.classes_, yi = np.unique(np.asarray(y), return_inverse=True)
         n, d = x.shape
         c = len(self.classes_)
-        onehot = (y[:, None] == self.classes_[None, :]).astype(np.float64)
-        w = np.zeros((c, d))
-        b = np.zeros(c)
-        opt = Adam({"w": w, "b": b}, lr=self.learning_rate)
-        err, gw, l2w = np.empty((n, c)), np.empty((c, d)), np.empty((c, d))
+        params, (w, b) = packed((c, d), (c,))
+        grads, (gw, gb) = packed((c, d), (c,))
+        opt = Adam(params, lr=self.learning_rate)
+        label_at = np.arange(n) * c + yi   # each row's label cell in err, flat
+        err, l2w = np.empty((n, c)), np.empty((c, d))
         for _ in range(self.iters):
-            # err = (sigmoid(clip(x w^T + b)) - onehot) / n, in place
+            # err = (sigmoid(clip(x w^T + b)) - onehot(y)) / n, in place
             np.matmul(x, w.T, out=err)
             err += b
             np.clip(err, -500, 500, out=err)
@@ -169,15 +170,13 @@ class LogisticOvR:
             np.exp(err, out=err)
             err += 1.0
             np.divide(1.0, err, out=err)
-            err -= onehot
+            err.reshape(-1)[label_at] -= 1.0
             err /= n
             np.matmul(err.T, x, out=gw)
             np.multiply(w, self.l2 / n, out=l2w)
             gw += l2w
-            gb = err.sum(axis=0)
-            opt.begin_step()
-            opt.step("w", gw)
-            opt.step("b", gb)
+            np.sum(err, axis=0, out=gb)
+            opt.step(grads)
         self.weights, self.bias = w, b
         return self
 
@@ -188,8 +187,9 @@ class LogisticOvR:
 class MlpClassifier:
     """Single hidden layer (relu) with softmax output, trained by mini-batch Adam.
 
-    A fit allocates its activations and gradients once and runs every batch
-    in them (the last, partial batch in their leading rows).
+    Its weights are packed in one array, so a batch is one Adam step. A fit
+    allocates its activations and gradients once and runs every batch in them
+    (the last, partial batch in their leading rows).
     """
 
     kind = "mlp"
@@ -210,18 +210,17 @@ class MlpClassifier:
         n, d = x.shape
         c = len(self.classes_)
         rng = np.random.default_rng(self.rng_seed)
-        p = {
-            "w1": rng.normal(0.0, np.sqrt(2.0 / d), size=(self.hidden, d)),
-            "b1": np.zeros(self.hidden),
-            "w2": rng.normal(0.0, np.sqrt(2.0 / self.hidden), size=(c, self.hidden)),
-            "b2": np.zeros(c),
-        }
-        opt = Adam(p, lr=self.learning_rate)
+        shapes = ((self.hidden, d), (self.hidden,), (c, self.hidden), (c,))
+        params, views = packed(*shapes)
+        p = dict(zip(("w1", "b1", "w2", "b2"), views))
+        p["w1"][...] = rng.normal(0.0, np.sqrt(2.0 / d), size=(self.hidden, d))
+        p["w2"][...] = rng.normal(0.0, np.sqrt(2.0 / self.hidden), size=(c, self.hidden))
+        opt = Adam(params, lr=self.learning_rate)
+        grads, (gw1, gb1, gw2, gb2) = packed(*shapes)
         bs = min(self.batch_size, n)
         z, a, dz = (np.empty((bs, self.hidden)) for _ in range(3))
         mask = np.empty((bs, self.hidden), dtype=bool)
         logits = np.empty((bs, c))
-        grads = {name: np.empty_like(v) for name, v in p.items()}
         for _ in range(self.epochs):
             order = rng.permutation(n)
             for start in range(0, n, self.batch_size):
@@ -240,16 +239,14 @@ class MlpClassifier:
                 prob /= prob.sum(axis=1, keepdims=True)
                 prob[np.arange(m), yb] -= 1.0
                 prob /= m
-                np.matmul(prob.T, ab, out=grads["w2"])
-                np.sum(prob, axis=0, out=grads["b2"])
+                np.matmul(prob.T, ab, out=gw2)
+                np.sum(prob, axis=0, out=gb2)
                 np.matmul(prob, p["w2"], out=dzb)
                 np.greater(zb, 0, out=mb)
                 dzb *= mb
-                np.matmul(dzb.T, xb, out=grads["w1"])
-                np.sum(dzb, axis=0, out=grads["b1"])
-                opt.begin_step()
-                for name in ("w1", "b1", "w2", "b2"):
-                    opt.step(name, grads[name])
+                np.matmul(dzb.T, xb, out=gw1)
+                np.sum(dzb, axis=0, out=gb1)
+                opt.step(grads)
         self.params = p
         return self
 

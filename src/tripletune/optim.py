@@ -1,7 +1,8 @@
-"""Minimal Adam optimizer shared by seed training, fine-tuning and the classifiers,
-the ordered row sums of their sparse gradients, the check of the two training
-configs' counts and step size, and the error that fine-tuning and skip-gram
-raise on non-finite parameters."""
+"""Adam over one parameter array, which fine-tuning and the classifiers step;
+`packed`, which lays several arrays out as views of one; the ordered row sums
+of the sparse gradients of seed training and fine-tuning; the check of the two
+training configs' counts and step size; and the error that fine-tuning and
+skip-gram raise on non-finite parameters."""
 
 from __future__ import annotations
 
@@ -100,24 +101,26 @@ def plan_row_sums(ids: np.ndarray, size: int) -> list[RowSums]:
             for b, (g0, g1) in enumerate(zip(bounds, bounds[1:]))]
 
 
+def packed(*shapes: tuple[int, ...]) -> tuple[np.ndarray, list[np.ndarray]]:
+    """One zeroed flat array holding arrays of the given shapes in turn, and a
+    view of it per shape: parameters or gradients for one `Adam` to step."""
+    ends = np.cumsum([0, *map(math.prod, shapes)]).tolist()
+    flat = np.zeros(ends[-1])
+    return flat, [flat[a:b].reshape(shape) for a, b, shape in zip(ends, ends[1:], shapes)]
+
+
 class Adam:
-    """Adam over a dict of named parameter arrays.
+    """Adam over one parameter array, in place.
 
-    `step` applies a dense update; `step_rows` applies a lazy (row-sparse)
-    update touching only the given rows of a matrix parameter, leaving the
-    moment estimates of untouched rows as they are. Bias correction uses the
-    global step count in both cases.
-
-    Both work in place. `step` keeps two scratch arrays per parameter, shaped
-    like it and made on its first dense step: the first holds the moment
-    increments and then the update, the second the denominator. `step_rows`
-    works in its gathered copies of the touched moment rows. Every value goes
-    through the same floating-point operations in the same order as the
-    whole-array expressions m = b1 m + (1 - b1) g, v = b2 v + ((1 - b2) g) g,
-    p -= lr (m / c1) / (sqrt(v / c2) + eps), so the results are the same bits.
+    `step` updates every element, in views; `step_rows` updates only the given
+    rows, in gathered copies that it writes back once, and leaves the moments
+    of the other rows as they are. Either call advances `t`, the step count of
+    the bias correction, and runs the one update, m = b1 m + (1 - b1) g,
+    v = b2 v + ((1 - b2) g) g, p -= lr (m / c1) / (sqrt(v / c2) + eps), in
+    that order of operations, so a row gets the same bits from either call.
     """
 
-    def __init__(self, params: dict[str, np.ndarray], lr: float = 1e-3,
+    def __init__(self, params: np.ndarray, lr: float = 1e-3,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.params = params
         self.lr = lr
@@ -125,62 +128,36 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = {k: np.zeros_like(v) for k, v in params.items()}
-        self.v = {k: np.zeros_like(v) for k, v in params.items()}
-        self._scratch: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        self.m = np.zeros_like(params)
+        self.v = np.zeros_like(params)
 
-    def begin_step(self) -> None:
+    def step(self, grad: np.ndarray, lr: float | None = None) -> None:
+        self._update(slice(None), grad, lr)
+
+    def step_rows(self, rows: np.ndarray, grad_rows: np.ndarray,
+                  lr: float | None = None) -> np.ndarray:
+        """Step the given distinct rows; returns their updated values."""
+        m, v, p = self._update(rows, grad_rows, lr)
+        self.m[rows], self.v[rows], self.params[rows] = m, v, p
+        return p
+
+    def _update(self, index, grad: np.ndarray, lr: float | None):
+        """Update m, v and the parameters at `index`: views for a slice, copies for rows."""
         self.t += 1
-
-    def _corrections(self) -> tuple[float, float]:
-        return 1.0 - self.beta1 ** self.t, 1.0 - self.beta2 ** self.t
-
-    def step(self, name: str, grad: np.ndarray, lr: float | None = None) -> None:
         lr = self.lr if lr is None else lr
-        m, v = self.m[name], self.v[name]
-        if name not in self._scratch:
-            self._scratch[name] = (np.empty_like(m), np.empty_like(m))
-        upd, den = self._scratch[name]
-        np.multiply(grad, 1 - self.beta1, out=upd)
+        m, v, p = self.m[index], self.v[index], self.params[index]
+        upd = np.multiply(grad, 1 - self.beta1)
         m *= self.beta1
         m += upd
         np.multiply(grad, 1 - self.beta2, out=upd)
         upd *= grad
         v *= self.beta2
         v += upd
-        c1, c2 = self._corrections()
-        np.divide(m, c1, out=upd)
+        np.divide(m, 1.0 - self.beta1 ** self.t, out=upd)
         upd *= lr
-        np.divide(v, c2, out=den)
+        den = np.divide(v, 1.0 - self.beta2 ** self.t)
         np.sqrt(den, out=den)
         den += self.eps
         upd /= den
-        self.params[name] -= upd
-
-    def step_rows(self, name: str, rows: np.ndarray, grad_rows: np.ndarray,
-                  lr: float | None = None) -> np.ndarray:
-        """Step the given distinct rows; returns their updated values."""
-        lr = self.lr if lr is None else lr
-        m, v = self.m[name], self.v[name]
-        inc = np.multiply(grad_rows, 1 - self.beta1)
-        m_r = m[rows]
-        m_r *= self.beta1
-        m_r += inc
-        m[rows] = m_r
-        np.multiply(grad_rows, 1 - self.beta2, out=inc)
-        inc *= grad_rows
-        v_r = v[rows]
-        v_r *= self.beta2
-        v_r += inc
-        v[rows] = v_r
-        c1, c2 = self._corrections()
-        m_r /= c1
-        m_r *= lr
-        v_r /= c2
-        np.sqrt(v_r, out=v_r)
-        v_r += self.eps
-        m_r /= v_r
-        p_r = self.params[name][rows]
-        p_r -= m_r
-        self.params[name][rows] = p_r
-        return p_r
+        p -= upd
+        return m, v, p

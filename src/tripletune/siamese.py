@@ -57,8 +57,8 @@ def aggregated_dim(dim: int, op: str) -> int:
 def init_embedding_layer(g: KnowledgeGraph, emb: EmbeddingSet, op: str) -> np.ndarray:
     emb.validate(g)
     ent = emb.entity_vectors
-    return aggregate(ent[g.ids[:, 0]], ent[g.ids[:, 2]], op,
-                     p_vec=emb.predicate_vectors[g.ids[:, 1]])
+    p_vec = emb.predicate_vectors[g.ids[:, 1]] if op == "sum" else None   # only "sum" reads it
+    return aggregate(ent[g.ids[:, 0]], ent[g.ids[:, 2]], op, p_vec=p_vec)
 
 
 @dataclass
@@ -76,10 +76,13 @@ class FineTuneConfig:
 
 
 class SiameseModel:
+    """The triple layer (n, d), w1 (d, d) and b1 (d,), copied once into one
+    (n + d + 1, d) slab, in that order, and kept as views of it."""
+
     def __init__(self, triple_embeddings: np.ndarray, w1: np.ndarray, b1: np.ndarray):
-        self.triple_embeddings = triple_embeddings
-        self.w1 = w1
-        self.b1 = b1
+        n = len(triple_embeddings)
+        self.slab = np.vstack([triple_embeddings, w1, b1], dtype=np.float64)
+        self.triple_embeddings, self.w1, self.b1 = self.slab[:n], self.slab[n:-1], self.slab[-1]
 
     @property
     def dim(self) -> int:
@@ -170,36 +173,29 @@ def train(model: SiameseModel, dataset: PtssDataset, cfg: FineTuneConfig,
           loss_history: list[float] | None = None) -> SiameseModel:
     """Adam fine-tuning of the embedding layer plus the shared dense layer.
 
-    The model's arrays as they are at the call are copied into one
-    (n + d + 1, d) slab: the triple rows, then the rows of w1, then b1, and the
-    model's three arrays become views of it. Each step is one Adam row step
-    over the touched triple rows and the d + 1 dense rows; Adam treats every
-    element alike, so this is the dense step of w1 and b1 plus the row step of
-    the triple layer, bit for bit. The row sums of every PLAN_BATCHES batches
-    of an epoch's permutation are planned at once (`optim.plan_row_sums`).
+    Each step is one Adam row step of the model's slab over the touched triple
+    rows and the d + 1 dense rows; Adam treats every element alike, so this is
+    the dense step of w1 and b1 plus the row step of the triple layer, bit for
+    bit. The row sums of every PLAN_BATCHES batches of an epoch's permutation
+    are planned at once (`optim.plan_row_sums`).
 
     Raises ValueError for an empty dataset or a pair id outside the layer's rows.
     """
     n = len(dataset)
     if n == 0:
         raise ValueError("empty pair dataset")
-    n_rows, d = model.triple_embeddings.shape
-    ids = np.concatenate([dataset.a, dataset.b])
-    bad = ids[(ids < 0) | (ids >= n_rows)]
-    if bad.size:
-        raise ValueError(f"pair triple id {bad[0]} outside [0, {n_rows})")
+    n_rows = len(model.triple_embeddings)
+    for ids in (dataset.a, dataset.b):   # not concatenated: that copy would outlive the check
+        bad = ids[(ids < 0) | (ids >= n_rows)]
+        if bad.size:
+            raise ValueError(f"pair triple id {bad[0]} outside [0, {n_rows})")
     rng = np.random.default_rng(cfg.rng_seed)
     steps_per_epoch = math.ceil(n / cfg.batch_size)
     total_steps = cfg.epochs * steps_per_epoch
     warmup_steps = int(cfg.warmup_fraction * total_steps)
 
-    slab = np.empty((n_rows + d + 1, d))
-    slab[:n_rows] = model.triple_embeddings
-    slab[n_rows:-1] = model.w1
-    slab[-1] = model.b1
-    model.triple_embeddings, model.w1, model.b1 = slab[:n_rows], slab[n_rows:-1], slab[-1]
-    dense_rows = np.arange(n_rows, n_rows + d + 1)
-    opt = Adam({"slab": slab}, lr=cfg.learning_rate)
+    dense_rows = np.arange(n_rows, len(model.slab))
+    opt = Adam(model.slab, lr=cfg.learning_rate)
     step = 0
     for epoch in range(cfg.epochs):
         order = rng.permutation(n)
@@ -215,8 +211,7 @@ def train(model: SiameseModel, dataset: PtssDataset, cfg: FineTuneConfig,
                 step += 1
                 lr = (cfg.learning_rate * min(1.0, step / warmup_steps) if warmup_steps
                       else cfg.learning_rate)
-                opt.begin_step()
-                updated = opt.step_rows("slab", np.concatenate([touched, dense_rows]),
+                updated = opt.step_rows(np.concatenate([touched, dense_rows]),
                                         np.concatenate([grows, gw, gb[None]]), lr=lr)
                 epoch_loss += loss * len(score[batch])
                 if not np.all(np.isfinite(updated)):

@@ -1,3 +1,4 @@
+import json
 import math
 from functools import partial
 from unittest import mock
@@ -593,7 +594,7 @@ def test_report_json_round_trip(tmp_path):
     rep = EvalReport(micro_f1_per_fold={"mlp": [0.5, 0.6]}, micro_f1_mean={"mlp": 0.55},
                      ch_index=12.5, ch_degenerate=False,
                      restricted_to_multi_predicate=False,
-                     correlations={"pearson": 0.9}, metadata={"dim": 8})
+                     metadata={"dim": 8})
     f = tmp_path / "report.json"
     rep.save(f)
     back = EvalReport.load(f)
@@ -697,6 +698,27 @@ def test_reports_without_ch_are_strict_json(rng, tmp_path):
         payload = strict_json((tmp_path / "report.json").read_text())
         assert (payload["ch_index"] is None) == (name != "cluster-only"), name
         assert EvalReport.load(tmp_path / "report.json") == rep
+
+
+def test_report_with_the_old_correlations_field_loads_and_compares(rng, tmp_path):
+    # reports written before the unused `correlations` field was dropped carry
+    # it as {} between `restricted_to_multi_predicate` and `metadata`
+    g, x, _ = labeled_graph_and_features(rng)
+    noisy = x + rng.normal(scale=10.0, size=x.shape)
+    reports = [evaluate(f, g, classifier="logreg", rng_seed=0,
+                        metadata={"method": name}) for name, f in (("clean", x), ("noisy", noisy))]
+    loaded = []
+    for i, rep in enumerate(reports):
+        fields = json.loads(rep.to_json())
+        old = {k: v for k, v in fields.items() if k != "metadata"}
+        old["correlations"] = {}
+        old["metadata"] = fields["metadata"]
+        path = tmp_path / f"report_{i}.json"
+        path.write_text(json.dumps(old, indent=2))
+        loaded.append(EvalReport.load(path))
+    assert loaded == reports
+    assert "correlations" not in json.loads(loaded[0].to_json())
+    assert compare_report(loaded) == compare_report(reports)
 
 
 def test_evaluate_seeds_classifiers_as_eval_stage(rng):

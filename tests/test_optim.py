@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import _AllocatingAdam
-from tripletune.optim import Adam, dense_row_sums, plan_row_sums, scatter_rows
+from tripletune.optim import Adam, dense_row_sums, packed, plan_row_sums, scatter_rows
 
 
 def test_scatter_rows_equals_add_at():
@@ -73,35 +73,63 @@ def test_plan_row_sums_reads_ids_flat_in_entry_order():
     assert plan_row_sums(np.zeros((0, 2), dtype=np.int64), 4) == []
 
 
+def test_packed_views_lie_in_turn_in_one_zeroed_array():
+    flat, (a, b) = packed((2, 3), (4,))
+    assert flat.shape == (10,) and not flat.any()
+    assert a.shape == (2, 3) and b.shape == (4,)
+    a[...] = 1.0
+    b[...] = 2.0
+    assert flat.tolist() == [1.0] * 6 + [2.0] * 4
+
+
 def test_step_rows_returns_the_updated_rows():
     rng = np.random.default_rng(4)
-    opt = Adam({"p": rng.normal(size=(9, 3))}, lr=0.1)
-    opt.begin_step()
+    init = rng.normal(size=(9, 3))
+    opt = Adam(init.copy(), lr=0.1)
+    old = _AllocatingAdam({"p": init.copy()}, lr=0.1)
     rows = np.array([1, 4, 8])
-    updated = opt.step_rows("p", rows, rng.normal(size=(3, 3)))
-    assert np.array_equal(updated, opt.params["p"][rows])
+    grad = rng.normal(size=(3, 3))
+    updated = opt.step_rows(rows, grad)
+    old.begin_step()
+    old.step_rows("p", rows, grad)
+    assert np.array_equal(updated, opt.params[rows])
+    assert np.array_equal(opt.params, old.params["p"]) and opt.t == old.t == 1
 
 
 @pytest.mark.parametrize("lr", [None, 0.3])
 def test_adam_equals_allocating_adam(lr):
-    # a matrix and a vector stepped densely and a matrix stepped by rows, as
-    # fine-tuning does, with gradients spanning 16 orders of magnitude
+    # a matrix and a vector packed in one flat array and stepped densely, as
+    # the classifiers do, and a slab stepped by rows, as fine-tuning does,
+    # with gradients spanning 16 orders of magnitude
     rng = np.random.default_rng(3)
     init = {"w": rng.normal(size=(5, 4)), "b": rng.normal(size=7),
             "emb": rng.normal(size=(30, 6))}
-    new = Adam({k: v.copy() for k, v in init.items()}, lr=0.05)
+    flat, (w, b) = packed((5, 4), (7,))
+    w[...], b[...] = init["w"], init["b"]
+    grads, (gw, gb) = packed((5, 4), (7,))
+    dense, by_rows = Adam(flat, lr=0.05), Adam(init["emb"].copy(), lr=0.05)
     old = _AllocatingAdam({k: v.copy() for k, v in init.items()}, lr=0.05)
+
+    def unpacked(a):
+        return {"w": a[:20].reshape(5, 4), "b": a[20:]}
+
     for t in range(60):
-        grads = {k: rng.normal(size=v.shape) * 10.0 ** rng.integers(-8, 8, size=v.shape)
-                 for k, v in init.items()}
-        grads["b"][t % 7] = -0.0
+        g = {k: rng.normal(size=v.shape) * 10.0 ** rng.integers(-8, 8, size=v.shape)
+             for k, v in init.items()}
+        g["b"][t % 7] = -0.0
         rows = np.sort(rng.choice(30, size=int(rng.integers(1, 12)), replace=False))
-        for opt in (new, old):
-            opt.begin_step()
-            opt.step("w", grads["w"], lr=lr)
-            opt.step("b", grads["b"], lr=lr)
-            opt.step_rows("emb", rows, grads["emb"][rows], lr=lr)
-        for k in init:
-            assert np.array_equal(new.params[k], old.params[k]), (t, k)
-            assert np.array_equal(new.m[k], old.m[k]) and np.array_equal(new.v[k], old.v[k])
-    assert not np.array_equal(new.params["emb"], init["emb"])
+        gw[...], gb[...] = g["w"], g["b"]
+        dense.step(grads, lr=lr)
+        by_rows.step_rows(rows, g["emb"][rows], lr=lr)
+        old.begin_step()
+        old.step("w", g["w"], lr=lr)
+        old.step("b", g["b"], lr=lr)
+        old.step_rows("emb", rows, g["emb"][rows], lr=lr)
+        got = {k: (unpacked(dense.params)[k], unpacked(dense.m)[k], unpacked(dense.v)[k])
+               for k in ("w", "b")}
+        got["emb"] = by_rows.params, by_rows.m, by_rows.v
+        for k, (params, m, v) in got.items():
+            assert np.array_equal(params, old.params[k]), (t, k)
+            assert np.array_equal(m, old.m[k]) and np.array_equal(v, old.v[k]), (t, k)
+        assert dense.t == by_rows.t == old.t == t + 1
+    assert not np.array_equal(by_rows.params, init["emb"])

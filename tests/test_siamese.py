@@ -365,7 +365,7 @@ def test_train_equals_frozen_train(monkeypatch, op, n_pairs, cfg):
     for got, want in ((model.triple_embeddings, ref.triple_embeddings), (model.w1, ref.w1),
                       (model.b1, ref.b1)):
         assert np.array_equal(got, want)
-    for moments, ref_moments in ((opt.m["slab"], ref_opt.m), (opt.v["slab"], ref_opt.v)):
+    for moments, ref_moments in ((opt.m, ref_opt.m), (opt.v, ref_opt.v)):
         assert np.array_equal(moments[:n], ref_moments["emb"])
         assert np.array_equal(moments[n:-1], ref_moments["w1"])
         assert np.array_equal(moments[-1], ref_moments["b1"])
@@ -391,10 +391,25 @@ def test_training_leaves_untouched_rows_alone():
     _, _, ds, model = toy_training_setup(seed=3)
     # append pristine rows beyond any pair id
     extra = np.full((2, model.dim), 7.5)
-    model.triple_embeddings = np.vstack([model.triple_embeddings, extra])
+    model = SiameseModel(np.vstack([model.triple_embeddings, extra]), model.w1, model.b1)
     cfg = FineTuneConfig(batch_size=32, epochs=3, rng_seed=0)
     train(model, ds, cfg)
     assert np.all(model.triple_embeddings[-2:] == 7.5)
+
+
+def test_model_arrays_are_views_of_its_slab_before_and_after_training():
+    _, _, ds, model = toy_training_setup(seed=6)
+    arrays = model.triple_embeddings, model.w1, model.b1
+    n, d = model.triple_embeddings.shape
+    assert model.slab.shape == (n + d + 1, d)
+    assert all(np.shares_memory(a, model.slab) for a in arrays)
+    before = model.slab.copy()
+    train(model, ds, FineTuneConfig(batch_size=32, epochs=2, rng_seed=0))
+    assert not np.array_equal(model.slab, before)
+    for got, kept in zip((model.triple_embeddings, model.w1, model.b1), arrays):
+        assert got is kept and np.shares_memory(got, model.slab)
+    assert np.array_equal(model.slab[:n], model.triple_embeddings)
+    assert np.array_equal(model.slab[n:-1], model.w1) and np.array_equal(model.slab[-1], model.b1)
 
 
 def test_training_empty_dataset_rejected():
