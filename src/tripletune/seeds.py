@@ -243,28 +243,143 @@ def _batch_terms(model_tag, params, tri, is_pos, margin):
     return terms, np.ones(len(tri), dtype=bool), coeff * d_head, coeff * d_tail, coeff * d_pred
 
 
-def _corrupt(positives: np.ndarray, k: int, n_ent: int, known: set,
+_LOW32 = np.uint64(0xFFFFFFFF)
+_DENSE = 16   # the largest window of corruption attempts checked against every slot
+
+
+def _draw_attempts(rng: np.random.Generator, n_ent: int,
+                   count: int) -> tuple[np.ndarray, np.ndarray]:
+    """What `count` pairs of calls `rng.integers(n_ent)`, `rng.random()` return, as
+    (entities, coins) drawn in bulk, with `rng` left in the state those calls leave.
+
+    NumPy's PCG64 draws `integers(n)` (1 < n <= 2**32) by Lemire's method from a
+    32-bit half: the low half of a fresh 64-bit word, whose high half it keeps for
+    the next 32-bit draw (`has_uint32`, `uinteger`), or that kept half. `random()`
+    is a fresh word's top 53 bits times 2**-53 and leaves the kept half alone. So
+    from an empty buffer, attempts 2i and 2i + 1 take the two halves of word 3i and
+    the doubles of words 3i + 1 and 3i + 2; `integers(1)` draws nothing. A draw
+    that Lemire rejects makes NumPy draw again, so that attempt goes through the
+    scalar calls and the bulk draws resume after it.
+    """
+    bitgen = rng.bit_generator
+    assert isinstance(bitgen, np.random.PCG64), "bulk draws reproduce PCG64 only"
+    assert 1 <= n_ent <= 1 << 32, n_ent
+    if n_ent == 1:
+        return np.zeros(count, dtype=np.int64), (bitgen.random_raw(count) >> 11) * 2.0 ** -53
+    ents, coins = np.empty(count, dtype=np.int64), np.empty(count)
+    done = 0
+    while done < count:
+        done += _draw_run(bitgen, n_ent, ents[done:], coins[done:])
+        if done < count:
+            ents[done], coins[done] = rng.integers(n_ent), rng.random()
+            done += 1
+    return ents, coins
+
+
+def _draw_run(bitgen: np.random.PCG64, n_ent: int, ents: np.ndarray,
+              coins: np.ndarray) -> int:
+    """Fill `ents` and `coins` as `_draw_attempts` does, up to the first attempt whose
+    32-bit draw Lemire rejects; returns the number of attempts filled."""
+    count = len(ents)
+    saved = bitgen.state
+    kept = saved["has_uint32"]
+    # attempt j is the q-th to open a word for its integer (q = -1: the kept half)
+    q = np.arange(count) - kept
+    int_word = kept + 3 * (q // 2)
+    dbl_word = int_word + 1 + q % 2
+    raw = bitgen.random_raw(int(dbl_word[-1]) + 1)
+    word = raw[np.maximum(int_word, 0)]
+    halves = np.where(q % 2 == 0, word & _LOW32, word >> 32)
+    if kept:
+        halves[0] = saved["uinteger"]
+    scaled = halves * np.uint64(n_ent)
+    rejected = np.flatnonzero((scaled & _LOW32) < (1 << 32) % n_ent)
+    stop = int(rejected[0]) if len(rejected) else count
+    if stop < count:   # give back the words from the rejected attempt on
+        bitgen.state = saved
+        if stop:
+            bitgen.random_raw(int(dbl_word[stop - 1]) + 1, output=False)
+    if stop:
+        ents[:stop] = scaled[:stop] >> 32
+        coins[:stop] = (raw[dbl_word[:stop]] >> 11) * 2.0 ** -53
+        state = bitgen.state
+        if stop > kept:   # NumPy leaves the last used high half in `uinteger`
+            state["has_uint32"] = (stop - kept) % 2
+            state["uinteger"] = int(word[stop - 1] >> 32)
+        else:
+            state["has_uint32"] = 0
+        bitgen.state = state
+    return stop
+
+
+def _is_known(known: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Whether each key is in `known`, a sorted key array."""
+    return known.take(np.searchsorted(known, keys), mode="clip") == keys
+
+
+def _corrupt(positives: np.ndarray, k: int, known: np.ndarray, dims: tuple[int, int, int],
              rng: np.random.Generator) -> np.ndarray:
     """Each positive followed by its k corruptions, as an (n * (1 + k), 3) array.
 
-    Corruptions are drawn per example, in order, replacing the head or the tail
-    with a uniform entity; one that reproduces a known fact is re-drawn up to
-    10 times.
+    A corruption replaces the head or the tail with a uniform entity; one that
+    reproduces a known fact (`known`: sorted `np.ravel_multi_index` keys over
+    `dims` = (|E|, |P|, |E|)) is re-drawn, up to 10 attempts in all, and the
+    10th is kept as it is. The attempts are those of a loop over the examples
+    in order, each `rng.integers(|E|)` then `rng.random()` (< 0.5: replace the
+    head), drawn in bulk (`_draw_attempts`). Each refill draws one attempt per
+    slot left, since every slot takes at least one, so `rng` ends where the
+    loop would leave it. Attempts go to the slots in order, a window at a time:
+    where hits on known facts are rare, attempt a + i goes to slot s + i up to
+    the first hit, whose slot takes the next attempt; where they are frequent,
+    each attempt of a small window is checked against every slot it may go to,
+    and a walk over those hits assigns them.
     """
-    tri = []
-    for h_i, p_i, t_i in positives.tolist():
-        tri.append((h_i, p_i, t_i))
-        for _ in range(k):
-            for _retry in range(10):
-                e_new = int(rng.integers(n_ent))
-                if rng.random() < 0.5:
-                    neg = (e_new, p_i, t_i)
+    base = np.repeat(positives, k, axis=0)   # the positive of each corruption slot
+    n_ent, n_pred, _ = dims
+    # a corruption's key is its new entity's term plus the rest of its slot's key
+    rest_head = base[:, 1] * n_ent + base[:, 2]
+    rest_tail = (base[:, 0] * n_pred + base[:, 1]) * n_ent
+    new_ent, new_col = np.empty(len(base), dtype=np.int64), np.empty(len(base), dtype=np.int64)
+    slot = tries = 0   # the first slot without its corruption, and its failed attempts
+    while slot < len(base):
+        ents, coins = _draw_attempts(rng, n_ent, len(base) - slot)
+        col = np.where(coins < 0.5, 0, 2)
+        term = np.where(col, ents, ents * (n_pred * n_ent))
+        a, width = 0, len(ents)
+        while a < len(ents):
+            w = min(width, len(ents) - a)
+            if w > _DENSE:
+                keys = term[a:a + w] + np.where(col[a:a + w], rest_tail[slot:slot + w],
+                                                rest_head[slot:slot + w])
+                hit = _is_known(known, keys)
+                hit[0] &= tries < 9
+                taken = int(hit.argmax()) if hit.any() else w
+                take = np.arange(a, a + taken)
+                if taken < w:   # the hit's slot has failed once more
+                    tries = (0 if taken else tries) + 1
                 else:
-                    neg = (h_i, p_i, e_new)
-                if neg not in known:
-                    break
-            tri.append(neg)
-    return np.array(tri, dtype=np.int64).reshape(-1, 3)
+                    tries = 0
+                used = min(taken + 1, w)
+            else:
+                keys = term[a:a + w, None] + np.where(col[a:a + w, None],
+                                                      rest_tail[None, slot:slot + w],
+                                                      rest_head[None, slot:slot + w])
+                hit = _is_known(known, keys).tolist()
+                take = []
+                for i in range(w):
+                    if hit[i][len(take)] and tries < 9:
+                        tries += 1
+                    else:
+                        take.append(a + i)
+                        tries = 0
+                used = w
+            new_ent[slot:slot + len(take)], new_col[slot:slot + len(take)] = ents[take], col[take]
+            slot, a = slot + len(take), a + used
+            # the next window: about two hits' worth of attempts
+            width = max(_DENSE, 2 * used // max(used - len(take), 1))
+    negs = base.copy()
+    negs[np.arange(len(base)), new_col] = new_ent
+    return np.concatenate([positives[:, None], negs.reshape(-1, k, 3)], axis=1).reshape(-1, 3)
 
 
 def train_seed(g: KnowledgeGraph, model_tag: str, cfg: SeedTrainConfig,
@@ -278,9 +393,10 @@ def train_seed(g: KnowledgeGraph, model_tag: str, cfg: SeedTrainConfig,
     DistMult/ComplEx use binary cross-entropy on sigmoid scores.
 
     Each mini-batch is one vectorised step. The corruptions of every
-    PLAN_BATCHES batches are drawn at once (`_corrupt`), the same draws in the
-    same order as drawing them batch by batch, since nothing else in an epoch
-    draws, and their row sums are planned at once (`optim.plan_row_sums`). A
+    PLAN_BATCHES batches are drawn at once, in bulk (`_corrupt`): the same
+    draws in the same order as a loop over the examples, batch by batch, since
+    nothing else in an epoch draws. Their row sums are planned at once
+    (`optim.plan_row_sums`). A
     batch's positives and negatives are scored together against the same
     parameters, and each parameter row gets the sum of its gradient rows in
     example order (h, t, then nh, nt of each negative; negatives outside the
@@ -304,8 +420,9 @@ def train_seed(g: KnowledgeGraph, model_tag: str, cfg: SeedTrainConfig,
         params = {"ent": ent, "pred": pred}
     pred_key = "phases" if model_tag == "rotate" else "pred"
 
-    known = set(map(tuple, g.ids.tolist()))
     n, k, n_ent = g.num_triples, cfg.negatives, g.num_entities
+    dims = (n_ent, g.num_predicates, n_ent)
+    known = np.sort(np.ravel_multi_index(tuple(g.ids.T), dims))
     per_batch = (1 + k) * cfg.batch_size   # scored triples in a full batch
     is_pos = np.zeros(per_batch, dtype=bool)
     is_pos[::1 + k] = True
@@ -316,7 +433,7 @@ def train_seed(g: KnowledgeGraph, model_tag: str, cfg: SeedTrainConfig,
         epoch_loss = 0.0
         for first in range(0, n, PLAN_BATCHES * cfg.batch_size):
             ahead = _corrupt(g.ids[order[first:first + PLAN_BATCHES * cfg.batch_size]],
-                             k, n_ent, known, rng)
+                             k, known, dims, rng)
             # one planned sum per batch for all rows: predicate ids follow the entity ids
             plan = plan_row_sums(ahead[:, [0, 2, 1]] + [0, 0, n_ent], 3 * per_batch)
             for start, rows in zip(range(0, len(ahead), per_batch), plan):
@@ -363,9 +480,9 @@ def train_seed(g: KnowledgeGraph, model_tag: str, cfg: SeedTrainConfig,
 
 def write_rows(path: str | Path, names: Iterable[str], mat: np.ndarray) -> None:
     """One `name<TAB>value...` line per row, every value as %.17g so it reads back exactly."""
+    line = "%s" + "\t%.17g" * mat.shape[1] + "\n"
     with Path(path).open("w", encoding="utf-8") as fh:
-        for name, row in zip(names, mat):
-            fh.write(name + "\t" + "\t".join(f"{x:.17g}" for x in row) + "\n")
+        fh.writelines(line % (name, *row.tolist()) for name, row in zip(names, mat))
 
 
 def export_embeddings(es: EmbeddingSet, g: KnowledgeGraph,

@@ -453,6 +453,123 @@ def test_train_seed_negatives_outside_the_margin_equal_example_loop(monkeypatch,
     assert history == ref_history
 
 
+def dense_graph():
+    """6 entities, 2 predicates and 40 of the 72 possible facts: about half of
+    all corruptions hit a known fact, some slots more than once."""
+    rows = [(f"e{h}", f"r{p}", f"e{t}") for h in range(6) for p in range(2) for t in range(6)]
+    return KnowledgeGraph.from_named_triples(
+        [rows[i] for i in np.random.default_rng(5).permutation(72)[:40]])
+
+
+CORRUPTION_GRAPHS = {
+    # every corruption is a known fact, so every slot takes 10 attempts
+    "all-known": lambda: KnowledgeGraph.from_named_triples(
+        [(h, "r", t) for h in "ab" for t in "ab"]),
+    # integers(1) draws no bits
+    "one-entity": lambda: KnowledgeGraph.from_named_triples(
+        [("a", "r", "a"), ("a", "s", "a")]),
+    "dense": dense_graph,
+}
+
+
+@pytest.mark.parametrize("dense", [0, seedmod._DENSE])
+@pytest.mark.parametrize("plan_batches", [1, 64])
+@pytest.mark.parametrize("negatives", [1, 3])
+@pytest.mark.parametrize("graph", sorted(CORRUPTION_GRAPHS))
+def test_train_seed_corruption_edge_cases_equal_example_loop(monkeypatch, graph, negatives,
+                                                             plan_batches, dense):
+    # with one batch of 3 per plan, a chunk of slots that hit known facts
+    # refills several times, and a slot's retries span refills. `_DENSE` 0
+    # sends every window of attempts through the rare-hit path
+    monkeypatch.setattr(seedmod, "PLAN_BATCHES", plan_batches)
+    monkeypatch.setattr(seedmod, "_DENSE", dense)
+    g = CORRUPTION_GRAPHS[graph]()
+    cfg = SeedTrainConfig(dim=4, epochs=3, batch_size=3, negatives=negatives, margin=12.0,
+                          learning_rate=0.5, rng_seed=2)
+    history = []
+    es = train_seed(g, "transe", cfg, loss_history=history)
+    params, ref_history = _reference_train_seed(g, "transe", cfg, np.zeros(2, dtype=np.int64))
+    assert np.array_equal(es.entity_vectors, params["ent"])
+    assert np.array_equal(es.predicate_vectors, params["pred"])
+    assert history == ref_history
+
+
+def reference_corrupt(positives, k, n_ent, known, rng):
+    """The example loop's corruptions: each positive followed by its k negatives."""
+    tri = []
+    for h_i, p_i, t_i in positives.tolist():
+        tri.append((h_i, p_i, t_i))
+        for _ in range(k):
+            for _retry in range(10):
+                e_new = int(rng.integers(n_ent))
+                if rng.random() < 0.5:
+                    neg = (e_new, p_i, t_i)
+                else:
+                    neg = (h_i, p_i, e_new)
+                if neg not in known:
+                    break
+            tri.append(neg)
+    return tri
+
+
+@pytest.mark.parametrize("dense", [0, seedmod._DENSE])
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("k", [1, 3])
+def test_corrupt_equals_example_loop_on_rare_and_frequent_hits(monkeypatch, k, seed, dense):
+    # 300 entities with sparse random facts under predicates 1-3, and predicate
+    # 0 joining entity 0 to every entity both ways: a corruption of (e, 0, 0)
+    # hits half the time and one of (0, 0, 0) always, so runs without hits,
+    # long retries and dense stretches alternate
+    monkeypatch.setattr(seedmod, "_DENSE", dense)
+    rng = np.random.default_rng(8)
+    n_ent = 300
+    sparse = np.stack([rng.integers(n_ent, size=1500), rng.integers(1, 4, size=1500),
+                       rng.integers(n_ent, size=1500)], axis=1)
+    star = np.arange(n_ent)
+    hub = np.concatenate([np.stack([star, 0 * star, 0 * star], axis=1),
+                          np.stack([0 * star, 0 * star, star], axis=1)])
+    ids = np.unique(np.concatenate([sparse, hub]), axis=0)
+    dims = (n_ent, 4, n_ent)
+    known = np.sort(np.ravel_multi_index(tuple(ids.T), dims))
+    positives = ids[np.random.default_rng(seed).permutation(len(ids))]
+    bulk, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
+    tri = seedmod._corrupt(positives, k, known, dims, bulk)
+    assert [tuple(row) for row in tri.tolist()] == reference_corrupt(
+        positives, k, n_ent, set(map(tuple, ids.tolist())), scalar)
+    assert bulk.bit_generator.state == scalar.bit_generator.state
+
+
+def scalar_attempts(rng, n_ent, count):
+    """The example loop's draws of `count` corruption attempts."""
+    ents, coins = [], []
+    for _ in range(count):
+        ents.append(int(rng.integers(n_ent)))
+        coins.append(rng.random())
+    return ents, coins
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, 3, 8, 101])
+@pytest.mark.parametrize("warmup", [0, 1, 2])
+@pytest.mark.parametrize("n_ent", [1, 2, 440, 14505, 2 ** 31 + 1])
+def test_draw_attempts_equal_scalar_calls(n_ent, warmup, count):
+    # warmup 1 leaves a 32-bit half kept in the generator (`has_uint32` 1);
+    # warmup 2 uses it, leaving `has_uint32` 0 beside a non-zero `uinteger`.
+    # At 2**31 + 1 entities Lemire rejects about half of all 32-bit draws
+    bulk, scalar = np.random.default_rng(17), np.random.default_rng(17)
+    for rng in (bulk, scalar):
+        rng.integers(440, size=warmup)
+    assert bulk.bit_generator.state["has_uint32"] == warmup % 2
+    ents, coins = seedmod._draw_attempts(bulk, n_ent, count)
+    assert (ents.tolist(), coins.tolist()) == scalar_attempts(scalar, n_ent, count)
+    assert bulk.bit_generator.state == scalar.bit_generator.state
+    assert bulk.integers(440, size=3).tolist() == scalar.integers(440, size=3).tolist()
+
+
+def test_draw_attempts_rejects_other_bit_generators():
+    with pytest.raises(AssertionError, match="PCG64"):
+        seedmod._draw_attempts(np.random.Generator(np.random.MT19937(0)), 5, 3)
+
+
 @pytest.mark.parametrize("field", ["epochs", "batch_size"])
 def test_seed_config_rejects_counts_below_one(field):
     with pytest.raises(ValueError, match=f"{field} must be >= 1, got 0"):
@@ -475,6 +592,19 @@ def test_export_import_round_trip(tmp_path):
     es2 = import_embeddings(ep, pp, g)
     assert np.allclose(es.entity_vectors, es2.entity_vectors, atol=1e-12, rtol=0)
     assert np.allclose(es.predicate_vectors, es2.predicate_vectors, atol=1e-12, rtol=0)
+
+
+def test_write_rows_bytes_equal_per_value_format(tmp_path):
+    # the bytes of the earlier per-value f-string writer, on signed zeros,
+    # subnormals, infinities, NaNs and values that need all 17 digits
+    values = [0.0, -0.0, 5e-324, -2.2250738585072014e-308 / 3, math.inf, -math.inf,
+              math.nan, -math.nan, 1 / 3, -2 / 3, 1e300, 0.1, 123456789012345678.0]
+    mat = np.array([values, values[::-1]])
+    names = ["a", "b c"]
+    seedmod.write_rows(tmp_path / "m.tsv", names, mat)
+    expected = "".join(name + "\t" + "\t".join(f"{x:.17g}" for x in row) + "\n"
+                       for name, row in zip(names, mat))
+    assert (tmp_path / "m.tsv").read_bytes() == expected.encode("utf-8")
 
 
 def test_import_missing_entity_named(tmp_path):
