@@ -218,7 +218,9 @@ class MlpClassifier:
         opt = Adam(params, lr=self.learning_rate)
         grads, (gw1, gb1, gw2, gb2) = packed(*shapes)
         bs = min(self.batch_size, n)
-        z, a, dz = (np.empty((bs, self.hidden)) for _ in range(3))
+        # one hidden buffer: the pre-activation, then the relu in place, then
+        # the hidden gradient once gw2 has read the activations
+        h = np.empty((bs, self.hidden))
         mask = np.empty((bs, self.hidden), dtype=bool)
         logits = np.empty((bs, c))
         for _ in range(self.epochs):
@@ -227,11 +229,12 @@ class MlpClassifier:
                 idx = order[start:start + self.batch_size]
                 m = len(idx)
                 xb, yb = x[idx], yi[idx]
-                zb, ab, dzb, mb, prob = z[:m], a[:m], dz[:m], mask[:m], logits[:m]
-                np.matmul(xb, p["w1"].T, out=zb)
-                zb += p["b1"]
-                np.maximum(zb, 0.0, out=ab)
-                np.matmul(ab, p["w2"].T, out=prob)
+                hb, mb, prob = h[:m], mask[:m], logits[:m]
+                np.matmul(xb, p["w1"].T, out=hb)
+                hb += p["b1"]
+                np.greater(hb, 0, out=mb)
+                np.maximum(hb, 0.0, out=hb)
+                np.matmul(hb, p["w2"].T, out=prob)
                 prob += p["b2"]
                 # softmax in place, then its gradient w.r.t. the logits
                 prob -= prob.max(axis=1, keepdims=True)
@@ -239,13 +242,12 @@ class MlpClassifier:
                 prob /= prob.sum(axis=1, keepdims=True)
                 prob[np.arange(m), yb] -= 1.0
                 prob /= m
-                np.matmul(prob.T, ab, out=gw2)
+                np.matmul(prob.T, hb, out=gw2)
                 np.sum(prob, axis=0, out=gb2)
-                np.matmul(prob, p["w2"], out=dzb)
-                np.greater(zb, 0, out=mb)
-                dzb *= mb
-                np.matmul(dzb.T, xb, out=gw1)
-                np.sum(dzb, axis=0, out=gb1)
+                np.matmul(prob, p["w2"], out=hb)
+                hb *= mb
+                np.matmul(hb.T, xb, out=gw1)
+                np.sum(hb, axis=0, out=gb1)
                 opt.step(grads)
         self.params = p
         return self

@@ -21,6 +21,9 @@ PROVENANCES = ("shared-head", "shared-tail", "shared-predicate", "negative")
 # Rejection-sampling budget for negatives, per anchor, as a multiple of N.
 NEGATIVE_RETRY_FACTOR = 100
 
+SCORE_BLOCK = 1 << 17   # embedding values per slot gathered at once by `ptss_scores`
+ROW_BLOCK = 1 << 14     # rows formatted by `save_dataset` or parsed by `load_dataset` at once
+
 
 @dataclass
 class PtssDataset:
@@ -71,9 +74,10 @@ def anchor_rng(rng_seed: int, triple_id: int) -> np.random.Generator:
     return np.random.default_rng([rng_seed, triple_id])
 
 
-def _slot_cosines(table: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """cosine_sim(table[i[k]], table[j[k]]) for every k, bit for bit."""
-    norms = np.sqrt(row_dot(table, table))
+def _slot_cosines(table: np.ndarray, norms: np.ndarray, i: np.ndarray,
+                  j: np.ndarray) -> np.ndarray:
+    """cosine_sim(table[i[k]], table[j[k]]) for every k, bit for bit; `norms` holds
+    the row norms of `table`."""
     ni, nj = norms[i], norms[j]
     ok = (ni != 0.0) & (nj != 0.0)
     cos = row_dot(table[i], table[j]) / np.where(ok, ni * nj, 1.0)
@@ -82,12 +86,23 @@ def _slot_cosines(table: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray
 
 def ptss_scores(g: KnowledgeGraph, emb: EmbeddingSet, a: np.ndarray,
                 b: np.ndarray) -> np.ndarray:
-    """compute_ptss of every pair (a[k], b[k]) of triple ids, one slot at a time."""
-    ta, tb = g.ids[a], g.ids[b]
-    score = _slot_cosines(emb.entity_vectors, ta[:, 0], tb[:, 0])
-    score += _slot_cosines(emb.predicate_vectors, ta[:, 1], tb[:, 1])
-    score += _slot_cosines(emb.entity_vectors, ta[:, 2], tb[:, 2])
-    return score / 3.0
+    """compute_ptss of every pair (a[k], b[k]) of triple ids, one slot at a time.
+
+    The rows of a block of pairs are gathered at once, SCORE_BLOCK values per
+    gathered slot, so the scratch memory does not grow with the pair count.
+    """
+    ent, pred = emb.entity_vectors, emb.predicate_vectors
+    ent_norms, pred_norms = np.sqrt(row_dot(ent, ent)), np.sqrt(row_dot(pred, pred))
+    score = np.empty(len(a))
+    step = max(1, SCORE_BLOCK // max(1, ent.shape[1]))
+    for start in range(0, len(a), step):
+        ta, tb = g.ids[a[start:start + step]], g.ids[b[start:start + step]]
+        block = score[start:start + step]
+        block[...] = _slot_cosines(ent, ent_norms, ta[:, 0], tb[:, 0])
+        block += _slot_cosines(pred, pred_norms, ta[:, 1], tb[:, 1])
+        block += _slot_cosines(ent, ent_norms, ta[:, 2], tb[:, 2])
+        block /= 3.0
+    return score
 
 
 def sample_candidates(g: KnowledgeGraph, triple_id: int, n: int,
@@ -132,55 +147,85 @@ def sample_candidates(g: KnowledgeGraph, triple_id: int, n: int,
 
 def build_dataset(g: KnowledgeGraph, emb: EmbeddingSet, n: int,
                   rng_seed: int = 0) -> PtssDataset:
-    """Sample pairs for every triple, in anchor order, then score them all at once."""
+    """Sample pairs for every triple, in anchor order, then score them all.
+
+    Candidates go straight into arrays of 4N slots per anchor, trimmed once.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
     emb.validate(g)
     code = {name: i for i, name in enumerate(PROVENANCES)}
-    a: list[int] = []
-    b: list[int] = []
-    provenance: list[int] = []
+    b = np.empty(4 * n * g.num_triples, dtype=np.int64)
+    provenance = np.empty(len(b), dtype=np.int8)
+    per_anchor = np.empty(g.num_triples, dtype=np.int64)
     deficits: list[int] = []
+    filled = 0
     for anchor_id in range(g.num_triples):
         candidates, deficit = sample_candidates(g, anchor_id, n,
                                                 anchor_rng(rng_seed, anchor_id))
         if deficit:
             deficits.append(anchor_id)
-        a.extend([anchor_id] * len(candidates))
+        per_anchor[anchor_id] = len(candidates)
         for cand_id, name in candidates:
-            b.append(cand_id)
-            provenance.append(code[name])
-    a_ids = np.array(a, dtype=np.int64)
-    b_ids = np.array(b, dtype=np.int64)
-    return PtssDataset(a_ids, b_ids, ptss_scores(g, emb, a_ids, b_ids),
-                       np.array(provenance, dtype=np.int8),
+            b[filled] = cand_id
+            provenance[filled] = code[name]
+            filled += 1
+    b, provenance = b[:filled].copy(), provenance[:filled].copy()
+    a = np.repeat(np.arange(g.num_triples, dtype=np.int64), per_anchor)
+    return PtssDataset(a, b, ptss_scores(g, emb, a, b), provenance,
                        negative_deficit_anchors=deficits)
 
 
 def save_dataset(ds: PtssDataset, path: str | Path) -> None:
+    """Write one a<TAB>b<TAB>score<TAB>provenance line per pair, ROW_BLOCK pairs at a time."""
     with Path(path).open("w", encoding="utf-8") as fh:
-        for a, b, score, code in zip(ds.a.tolist(), ds.b.tolist(), ds.score.tolist(),
-                                     ds.provenance.tolist()):
-            fh.write(f"{a}\t{b}\t{score:.17g}\t{PROVENANCES[code]}\n")
+        for start in range(0, len(ds), ROW_BLOCK):
+            rows = slice(start, start + ROW_BLOCK)
+            fh.writelines(f"{a}\t{b}\t{score:.17g}\t{PROVENANCES[code]}\n"
+                          for a, b, score, code in zip(ds.a[rows].tolist(), ds.b[rows].tolist(),
+                                                       ds.score[rows].tolist(),
+                                                       ds.provenance[rows].tolist()))
 
 
 def load_dataset(path: str | Path) -> PtssDataset:
     """Read a pairs file; a row that is not a<TAB>b<TAB>score<TAB>provenance,
-    or names an unknown provenance, raises ValueError naming its line."""
+    or names an unknown provenance, raises ValueError naming its line.
+
+    Rows are parsed ROW_BLOCK at a time into arrays, so no object per row is kept.
+    """
     code = {name: i for i, name in enumerate(PROVENANCES)}
-    rows: list[tuple[int, int, float, int]] = []
+    dtypes = (np.int64, np.int64, np.float64, np.int8)
+    columns: tuple[list[np.ndarray], ...] = ([], [], [], [])   # per column, each block's array
+    a, b, score, provenance = block = ([], [], [], [])          # the rows not yet in arrays
+
+    def flush() -> None:
+        try:
+            for arrays, values, dtype in zip(columns, block, dtypes):
+                arrays.append(np.array(values, dtype=dtype))
+                values.clear()
+        except OverflowError:
+            raise ValueError(f"{path}: a triple id is outside the int64 range") from None
+
     with Path(path).open("r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                a, b, score, provenance = line.rstrip("\n").split("\t")
-                rows.append((int(a), int(b), float(score), code[provenance]))
+                ai, bi, si, pi = line.rstrip("\n").split("\t")
+                a.append(int(ai))
+                b.append(int(bi))
+                score.append(float(si))
+                provenance.append(code[pi])
             except (ValueError, KeyError):
                 raise ValueError(f"{path}:{lineno}: expected triple id, triple id, score "
                                  f"and one of {', '.join(PROVENANCES)}, got {line!r}") from None
-    a, b, score, provenance = zip(*rows) if rows else ((), (), (), ())
-    try:
-        a, b = np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)
-    except OverflowError:
-        raise ValueError(f"{path}: a triple id is outside the int64 range") from None
-    return PtssDataset(a, b, np.array(score, dtype=np.float64),
-                       np.array(provenance, dtype=np.int8))
+            if len(a) == ROW_BLOCK:
+                flush()
+    flush()
+    # join one column at a time and drop its blocks, so the rows are held once
+    # plus the column being joined
+    joined = []
+    for arrays in columns:
+        joined.append(np.concatenate(arrays))
+        arrays.clear()
+    return PtssDataset(*joined)

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from functools import partial
 from unittest import mock
 
@@ -351,6 +352,23 @@ def test_mlp_buffered_fit_equals_allocating_fit(rng, k, per, batch, hidden):
     x, y = blobs(rng, k=k, per=per, spread=2.0, sep=3.0)
     kwargs = dict(hidden=hidden, batch_size=batch, epochs=4, learning_rate=0.05, rng_seed=7)
     _assert_same_mlp(MlpClassifier(**kwargs).fit(x, y), _AllocatingMlp(**kwargs).fit(x, y))
+
+
+def test_bounded_memory_mlp_fit_holds_one_hidden_buffer(rng):
+    # the pre-activation, the activation and the hidden gradient share one
+    # (batch, hidden) buffer; beside it a fit holds its packed weights, their
+    # gradient and two Adam moments, and small per-batch arrays
+    x, y = blobs(rng, k=5, per=120, dim=16)
+    clf = MlpClassifier(hidden=512, batch_size=256, epochs=1)
+    tracemalloc.start()
+    try:
+        clf.fit(x, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    weights = sum(v.size for v in clf.params.values()) * 8
+    hidden = 256 * 512 * 8
+    assert peak < 4 * weights + 2 * hidden, (peak, weights, hidden)
 
 
 def test_mlp_refit_equals_fresh_fit(rng):

@@ -1,13 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from tripletune import pairs
 from tripletune.graph import KnowledgeGraph, Triple
-from tripletune.pairs import (PROVENANCES, anchor_rng, build_dataset, compute_ptss,
-                              cosine_sim, load_dataset, sample_candidates, save_dataset,
-                              shares_slot)
-from tripletune.seeds import EmbeddingSet
+from tripletune.pairs import (PROVENANCES, PtssDataset, anchor_rng, build_dataset,
+                              compute_ptss, cosine_sim, load_dataset, ptss_scores,
+                              sample_candidates, save_dataset, shares_slot)
+from tripletune.seeds import EmbeddingSet, row_dot
+from tripletune.synthetic import random_graph
 from conftest import FLOAT_TEXT, INT_TEXT, random_named_triples, tsv_text
 
 
@@ -256,6 +260,156 @@ def test_load_dataset_parses_or_raises_value_error(tmp_path, text):
         return
     assert len(ds.a) == len(ds.b) == len(ds.score) == len(ds.provenance)
     assert ds.a.dtype == ds.b.dtype == np.int64
+
+
+def _reference_slot_cosines(table, i, j):
+    norms = np.sqrt(row_dot(table, table))
+    ni, nj = norms[i], norms[j]
+    ok = (ni != 0.0) & (nj != 0.0)
+    cos = row_dot(table[i], table[j]) / np.where(ok, ni * nj, 1.0)
+    return np.where(ok, np.clip(cos, -1.0, 1.0), 0.0)
+
+
+def _reference_build_dataset(g, emb, n, rng_seed=0):
+    """Frozen list-based build_dataset: per-pair Python lists, every pair's rows
+    gathered at once."""
+    code = {name: i for i, name in enumerate(PROVENANCES)}
+    a, b, provenance, deficits = [], [], [], []
+    for anchor_id in range(g.num_triples):
+        candidates, deficit = sample_candidates(g, anchor_id, n,
+                                                anchor_rng(rng_seed, anchor_id))
+        if deficit:
+            deficits.append(anchor_id)
+        a.extend([anchor_id] * len(candidates))
+        for cand_id, name in candidates:
+            b.append(cand_id)
+            provenance.append(code[name])
+    a_ids = np.array(a, dtype=np.int64)
+    b_ids = np.array(b, dtype=np.int64)
+    ta, tb = g.ids[a_ids], g.ids[b_ids]
+    score = _reference_slot_cosines(emb.entity_vectors, ta[:, 0], tb[:, 0])
+    score += _reference_slot_cosines(emb.predicate_vectors, ta[:, 1], tb[:, 1])
+    score += _reference_slot_cosines(emb.entity_vectors, ta[:, 2], tb[:, 2])
+    return PtssDataset(a_ids, b_ids, score / 3.0, np.array(provenance, dtype=np.int8),
+                       negative_deficit_anchors=deficits)
+
+
+def deficit_graph():
+    # the h0/p0 hub anchors have two slot-disjoint triples, so N >= 3 leaves them
+    # short; ("h0", "p1", "y0") shares a slot with every other triple
+    rows = [("h0", "p0", f"t{i}") for i in range(60)]
+    rows += [(f"x{i}", "p1", f"y{i}") for i in range(2)]
+    rows += [("h0", "p1", "y0")]
+    return KnowledgeGraph.from_named_triples(rows)
+
+
+@pytest.mark.parametrize("n", [1, 3, 5])
+@pytest.mark.parametrize("graph", ["deficit", "random"])
+def test_build_dataset_equals_list_based_oracle(rng, graph, n):
+    g = deficit_graph() if graph == "deficit" else \
+        KnowledgeGraph.from_named_triples(random_named_triples(rng, 25, 4, 90))
+    emb = make_embeddings(g, 6)
+    emb.entity_vectors[0] = 0.0   # zero rows score 0 against everything
+    got = build_dataset(g, emb, n=n, rng_seed=3)
+    want = _reference_build_dataset(g, emb, n=n, rng_seed=3)
+    if graph == "deficit":
+        assert want.negative_deficit_anchors
+    for name in ("a", "b", "score", "provenance"):
+        assert getattr(got, name).dtype == getattr(want, name).dtype, name
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert got.negative_deficit_anchors == want.negative_deficit_anchors
+
+
+def test_build_dataset_rejects_n_below_one():
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        build_dataset(star_graph(), make_embeddings(star_graph(), 3), n=0)
+
+
+@pytest.mark.parametrize("block", [1, 4, 7 * 4 + 3, 1 << 17])
+def test_ptss_scores_equal_compute_ptss_at_any_block(monkeypatch, rng, block):
+    # block 1 and 4 (= dim) score one pair per block; 31 splits the pairs 7 by 7
+    g = KnowledgeGraph.from_named_triples(random_named_triples(rng, 12, 3, 40))
+    emb = make_embeddings(g, 4)
+    emb.predicate_vectors[1] = 0.0
+    a = rng.integers(g.num_triples, size=101)
+    b = rng.integers(g.num_triples, size=101)
+    monkeypatch.setattr(pairs, "SCORE_BLOCK", block)
+    want = [compute_ptss(g.triples[i], g.triples[j], emb) for i, j in zip(a, b)]
+    assert ptss_scores(g, emb, a, b).tolist() == want
+
+
+def _reference_tsv(ds):
+    return "".join(f"{a}\t{b}\t{score:.17g}\t{PROVENANCES[code]}\n"
+                   for a, b, score, code in zip(ds.a.tolist(), ds.b.tolist(),
+                                                ds.score.tolist(), ds.provenance.tolist()))
+
+
+@pytest.mark.parametrize("block", [1, 7, 100, 10_000])
+def test_save_and_load_dataset_equal_at_any_block(monkeypatch, tmp_path, rng, block):
+    g = KnowledgeGraph.from_named_triples(random_named_triples(rng, 15, 3, 40))
+    ds = build_dataset(g, make_embeddings(g, 4), n=2, rng_seed=1)
+    assert len(ds) > 100
+    monkeypatch.setattr(pairs, "ROW_BLOCK", block)
+    f = tmp_path / "pairs.tsv"
+    save_dataset(ds, f)
+    assert f.read_text(encoding="utf-8") == _reference_tsv(ds)
+    back = load_dataset(f)
+    for name in ("a", "b", "score", "provenance"):
+        assert getattr(back, name).dtype == getattr(ds, name).dtype, name
+        assert np.array_equal(getattr(back, name), getattr(ds, name)), name
+
+
+def test_empty_dataset_round_trip(tmp_path):
+    empty = PtssDataset(np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0),
+                        np.empty(0, np.int8))
+    f = tmp_path / "pairs.tsv"
+    save_dataset(empty, f)
+    assert f.read_bytes() == b""
+    back = load_dataset(f)
+    assert len(back) == 0
+    assert [back.a.dtype, back.b.dtype, back.score.dtype, back.provenance.dtype] == \
+        [np.int64, np.int64, np.float64, np.int8]
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 1 << 14])
+def test_load_dataset_names_the_line_at_any_block(monkeypatch, tmp_path, block):
+    monkeypatch.setattr(pairs, "ROW_BLOCK", block)
+    good = "0\t1\t0.5\tshared-head\n"
+    f = tmp_path / "pairs.tsv"
+    f.write_text(good + "\n" + good + "\n" + "0\t1\tx\tnegative\n" + good, encoding="utf-8")
+    with pytest.raises(ValueError, match="pairs.tsv:5:"):
+        load_dataset(f)
+    f.write_text(good + "\n" + good + f"0\t{2 ** 63}\t0.5\tnegative\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="outside the int64 range"):
+        load_dataset(f)
+    f.write_text(good + "\n\n" + good, encoding="utf-8")
+    assert load_dataset(f).a.tolist() == [0, 0]
+
+
+def test_bounded_memory_build_save_load(tmp_path):
+    # scratch memory is set by SCORE_BLOCK and ROW_BLOCK, not by pairs x dim: at
+    # d = 64, gathering every pair's rows at once would take 1 KiB per pair
+    g = random_graph(2_000, n_entities=500, n_predicates=10, rng_seed=0)
+    rng = np.random.default_rng(0)
+    emb = EmbeddingSet(rng.normal(size=(g.num_entities, 64)),
+                       rng.normal(size=(g.num_predicates, 64)))
+    f = tmp_path / "pairs.tsv"
+    tracemalloc.start()
+    try:
+        ds = build_dataset(g, emb, n=5, rng_seed=0)
+        save_dataset(ds, f)
+        built_peak = tracemalloc.get_traced_memory()[1]
+        del ds
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        n_pairs = len(load_dataset(f))
+        load_peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert n_pairs >= 20_000
+    bound = 64 * n_pairs + 8 * 2 ** 20
+    assert built_peak < bound, (built_peak, n_pairs)
+    assert load_peak < bound, (load_peak, n_pairs)
 
 
 @settings(max_examples=25, deadline=None)
