@@ -13,6 +13,7 @@ from scipy import stats as sp_stats
 
 from .graph import KnowledgeGraph, multi_predicate_triple_ids
 from .optim import Adam, dense_row_sums, packed
+from .parallel import fork_map
 
 @dataclass
 class EvalReport:
@@ -267,14 +268,17 @@ CLASSIFIERS = {"logreg": (LogisticOvR,), "mlp": (MlpClassifier,),
 def train_classify(features: np.ndarray, labels: np.ndarray, spec, folds,
                    rng_seed: int = 0) -> list[float]:
     """Micro-F1 on each (train, test) fold of a classifier that `spec(rng_seed=s)`
-    builds, with s = rng_seed * 1000 + the fold's index."""
+    builds, with s = rng_seed * 1000 + the fold's index.
+
+    The folds are checked and their classifiers built here; the fits run in
+    `fork_map` jobs, one per fold.
+    """
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels)
     if features.shape[0] != len(labels):
         raise ValueError("features/labels length mismatch")
     all_classes = np.unique(labels)
-    scores = []
-    for fold_idx, (train_idx, test_idx) in enumerate(folds):
+    for fold_idx, (train_idx, _) in enumerate(folds):
         train_classes = np.unique(labels[train_idx])
         if len(train_classes) < 2:
             raise ValueError("need at least 2 classes in every training fold")
@@ -282,11 +286,15 @@ def train_classify(features: np.ndarray, labels: np.ndarray, spec, folds,
             warnings.warn(
                 f"fold {fold_idx}: {len(all_classes) - len(train_classes)} classes absent "
                 "from the training split and cannot be predicted", stacklevel=2)
-        clf = spec(rng_seed=rng_seed * 1000 + fold_idx)
+    classifiers = [spec(rng_seed=rng_seed * 1000 + fold_idx) for fold_idx in range(len(folds))]
+
+    def fold_score(fold_idx: int) -> float:
+        train_idx, test_idx = folds[fold_idx]
+        clf, classifiers[fold_idx] = classifiers[fold_idx], None   # one fitted model at a time
         clf.fit(features[train_idx], labels[train_idx])
-        pred = clf.predict(features[test_idx])
-        scores.append(micro_f1(labels[test_idx], pred))
-    return scores
+        return micro_f1(labels[test_idx], clf.predict(features[test_idx]))
+
+    return fork_map(fold_score, len(folds))
 
 
 # ---------------------------------------------------------------------------
@@ -378,18 +386,22 @@ def kmeans(features: np.ndarray, k: int, rng_seed: int = 0, restarts: int = 10,
     """Lloyd iterations with k-means++ seeding, best of `restarts` by inertia.
 
     Each centre moves to the mean of its members, summed in row order; an
-    empty cluster is re-seeded at the point farthest from its centre.
+    empty cluster is re-seeded at the point farthest from its centre. The
+    restarts run as `fork_map` jobs; each returns its centres, inertia and
+    history, and the first restart of least inertia is kept.
     """
     x = np.asarray(features, dtype=np.float64)
     n = x.shape[0]
     if n < k:
         raise ValueError("fewer points than clusters")
+    if restarts < 1:
+        raise ValueError(f"restarts must be >= 1, got {restarts}")
     _reject_non_finite(x, "feature")
     degenerate = len(np.unique(x, axis=0)) < k
-    best: KMeansResult | None = None
     xx = (x ** 2).sum(axis=1)
     xn = np.sqrt(xx)
-    for r in range(restarts):
+
+    def restart(r: int) -> tuple[np.ndarray, float, list[float]]:
         rng = np.random.default_rng([rng_seed, r])
         centers = _kmeans_pp_init(x, k, rng)
         history: list[float] = []
@@ -407,12 +419,15 @@ def kmeans(features: np.ndarray, k: int, rng_seed: int = 0, restarts: int = 10,
             centers = new_centers
             if shift < tol:
                 break
-        labels, nearest = _nearest_centers(x, xx, centers, xn)
-        inertia = float(nearest.sum())
+        inertia = float(_nearest_centers(x, xx, centers, xn)[1].sum())
         history.append(inertia)
-        if best is None or inertia < best.inertia:
-            best = KMeansResult(labels, centers, inertia, degenerate, history)
-    return best
+        return centers, inertia, history
+
+    # min keeps the first of equal inertias: restart order, strict <
+    centers, inertia, history = min(fork_map(restart, restarts), key=lambda run: run[1])
+    # the kept restart's labels, from the pass that gave its inertia
+    labels = _nearest_centers(x, xx, centers, xn)[0]
+    return KMeansResult(labels, centers, inertia, degenerate, history)
 
 
 # ---------------------------------------------------------------------------

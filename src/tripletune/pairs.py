@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .graph import KnowledgeGraph, Triple
+from . import parallel
 from .seeds import EmbeddingSet, row_dot
 
 PROVENANCES = ("shared-head", "shared-tail", "shared-predicate", "negative")
@@ -43,10 +44,23 @@ class PtssDataset:
         return len(self.a)
 
 
+def _scaled_rows(x: np.ndarray) -> np.ndarray:
+    """`x` with each row (along the last axis) whose max-abs lies outside
+    [2**-500, 2**500) multiplied by the power of two that brings it into
+    [0.5, 1), so that its squares and products neither underflow nor overflow.
+    The scaling is exact and leaves the row's cosines alone. Rows in range, and
+    zero rows, keep their bits; `x` itself is returned when every row does."""
+    _, exp = np.frexp(np.abs(x).max(axis=-1, keepdims=True, initial=0.0))
+    out = (exp < -499) | (exp > 500)
+    return np.where(out, np.ldexp(x, -exp), x) if out.any() else x
+
+
 def cosine_sim(u: np.ndarray, v: np.ndarray) -> float:
-    """Cosine similarity clamped to [-1, 1]; all-zero vectors compare as 0.0."""
+    """Cosine similarity clamped to [-1, 1]; all-zero vectors compare as 0.0.
+    Vectors of tiny or huge values are first scaled by `_scaled_rows`."""
     if len(u) != len(v):
         raise ValueError("dimension mismatch")
+    u, v = _scaled_rows(np.asarray(u)), _scaled_rows(np.asarray(v))
     nu = float(np.linalg.norm(u))
     nv = float(np.linalg.norm(v))
     if nu == 0.0 or nv == 0.0:
@@ -70,14 +84,18 @@ def shares_slot(a: Triple, b: Triple) -> bool:
 
 
 def anchor_rng(rng_seed: int, triple_id: int) -> np.random.Generator:
-    """Independent per-anchor stream so parallel and serial sampling agree."""
+    """The anchor's own stream, seeded by (rng_seed, triple_id): an anchor's
+    candidates do not depend on which anchors were sampled before it, or in which
+    process, so `build_dataset` samples ranges of anchors in `fork_map` workers
+    and gets the pairs of one serial pass at any worker count."""
     return np.random.default_rng([rng_seed, triple_id])
 
 
 def _slot_cosines(table: np.ndarray, norms: np.ndarray, i: np.ndarray,
                   j: np.ndarray) -> np.ndarray:
-    """cosine_sim(table[i[k]], table[j[k]]) for every k, bit for bit; `norms` holds
-    the row norms of `table`."""
+    """cosine_sim(table[i[k]], table[j[k]]) for every k, bit for bit, where `table`
+    has its rows scaled by `_scaled_rows` as `cosine_sim` scales each vector, and
+    `norms` holds its row norms."""
     ni, nj = norms[i], norms[j]
     ok = (ni != 0.0) & (nj != 0.0)
     cos = row_dot(table[i], table[j]) / np.where(ok, ni * nj, 1.0)
@@ -91,7 +109,7 @@ def ptss_scores(g: KnowledgeGraph, emb: EmbeddingSet, a: np.ndarray,
     The rows of a block of pairs are gathered at once, SCORE_BLOCK values per
     gathered slot, so the scratch memory does not grow with the pair count.
     """
-    ent, pred = emb.entity_vectors, emb.predicate_vectors
+    ent, pred = _scaled_rows(emb.entity_vectors), _scaled_rows(emb.predicate_vectors)
     ent_norms, pred_norms = np.sqrt(row_dot(ent, ent)), np.sqrt(row_dot(pred, pred))
     score = np.empty(len(a))
     step = max(1, SCORE_BLOCK // max(1, ent.shape[1]))
@@ -145,35 +163,52 @@ def sample_candidates(g: KnowledgeGraph, triple_id: int, n: int,
     return out, deficit
 
 
-def build_dataset(g: KnowledgeGraph, emb: EmbeddingSet, n: int,
-                  rng_seed: int = 0) -> PtssDataset:
-    """Sample pairs for every triple, in anchor order, then score them all.
-
-    Candidates go straight into arrays of 4N slots per anchor, trimmed once.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    emb.validate(g)
+def _sample_anchors(g: KnowledgeGraph, emb: EmbeddingSet, n: int, rng_seed: int,
+                    start: int, stop: int) -> tuple:
+    """The scored pairs of anchors start .. stop - 1 as (a, b, score, provenance,
+    deficit anchors). Candidates go straight into arrays of 4N slots per anchor,
+    trimmed once."""
     code = {name: i for i, name in enumerate(PROVENANCES)}
-    b = np.empty(4 * n * g.num_triples, dtype=np.int64)
+    b = np.empty(4 * n * (stop - start), dtype=np.int64)
     provenance = np.empty(len(b), dtype=np.int8)
-    per_anchor = np.empty(g.num_triples, dtype=np.int64)
+    per_anchor = np.empty(stop - start, dtype=np.int64)
     deficits: list[int] = []
     filled = 0
-    for anchor_id in range(g.num_triples):
+    for anchor_id in range(start, stop):
         candidates, deficit = sample_candidates(g, anchor_id, n,
                                                 anchor_rng(rng_seed, anchor_id))
         if deficit:
             deficits.append(anchor_id)
-        per_anchor[anchor_id] = len(candidates)
+        per_anchor[anchor_id - start] = len(candidates)
         for cand_id, name in candidates:
             b[filled] = cand_id
             provenance[filled] = code[name]
             filled += 1
     b, provenance = b[:filled].copy(), provenance[:filled].copy()
-    a = np.repeat(np.arange(g.num_triples, dtype=np.int64), per_anchor)
-    return PtssDataset(a, b, ptss_scores(g, emb, a, b), provenance,
-                       negative_deficit_anchors=deficits)
+    a = np.repeat(np.arange(start, stop, dtype=np.int64), per_anchor)
+    return a, b, ptss_scores(g, emb, a, b), provenance, deficits
+
+
+def build_dataset(g: KnowledgeGraph, emb: EmbeddingSet, n: int,
+                  rng_seed: int = 0) -> PtssDataset:
+    """Sample and score the pairs of every triple, in anchor order.
+
+    The anchors are cut into one contiguous range per `fork_map` worker; each
+    worker samples and scores its range, and the ranges are joined in order.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    emb.validate(g)
+    bounds = np.linspace(0, g.num_triples, parallel.workers() + 1).astype(np.int64).tolist()
+    parts = parallel.fork_map(
+        lambda r: _sample_anchors(g, emb, n, rng_seed, bounds[r], bounds[r + 1]),
+        len(bounds) - 1)
+    if len(parts) == 1:
+        a, b, score, provenance, deficits = parts[0]
+    else:
+        a, b, score, provenance = (np.concatenate([part[c] for part in parts]) for c in range(4))
+        deficits = [anchor for part in parts for anchor in part[4]]
+    return PtssDataset(a, b, score, provenance, negative_deficit_anchors=deficits)
 
 
 def save_dataset(ds: PtssDataset, path: str | Path) -> None:

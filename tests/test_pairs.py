@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from tripletune import pairs
@@ -39,8 +39,13 @@ def test_cosine_dimension_mismatch():
         cosine_sim(np.ones(2), np.ones(3))
 
 
+# values whose squares are subnormal: unscaled, the two cosines were 1.0 and 0.0
+TINY_ROW = [3.30e-162, 2.69e-162, 3.88e-162, 3.93e-162]
+
+
 @given(st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=8),
        st.floats(1e-3, 1e3))
+@example(TINY_ROW, 0.125)
 def test_cosine_scale_invariant(vals, scale):
     u = np.array(vals)
     v = u[::-1].copy()
@@ -48,6 +53,24 @@ def test_cosine_scale_invariant(vals, scale):
     b = cosine_sim(scale * u, v)
     assert abs(a - b) < 1e-9
     assert -1.0 <= a <= 1.0
+
+
+@pytest.mark.parametrize("exponent", [-600, -100, 0, 100, 500, 1000])
+def test_cosine_of_tiny_and_huge_vectors_equals_unit_scale(exponent):
+    u = np.ldexp(np.array(TINY_ROW) * 1e162, exponent)
+    v = u[::-1].copy()
+    want = cosine_sim(u * 2.0 ** -exponent, v * 2.0 ** -exponent)
+    assert abs(cosine_sim(u, v) - want) < 1e-15
+    assert abs(cosine_sim(u, 0.125 * v) - want) < 1e-15
+
+
+def test_scaled_rows_leave_rows_in_range_alone():
+    x = np.array([[1.0, -2.0], [0.0, 0.0], [2.0 ** -499, 1.0e-300], [2.0 ** 500 * 0.99, 1.0]])
+    assert pairs._scaled_rows(x) is x
+    tiny = np.vstack([x, [[2.0 ** -501, -2.0 ** -600]]])
+    scaled = pairs._scaled_rows(tiny)
+    assert np.array_equal(scaled[:4], x)
+    assert scaled[4].tolist() == [0.5, -2.0 ** -100]
 
 
 # -- PTSS --------------------------------------------------------------------
@@ -331,6 +354,10 @@ def test_ptss_scores_equal_compute_ptss_at_any_block(monkeypatch, rng, block):
     g = KnowledgeGraph.from_named_triples(random_named_triples(rng, 12, 3, 40))
     emb = make_embeddings(g, 4)
     emb.predicate_vectors[1] = 0.0
+    # the rows of the tiny-value cosine example, and the same rows made huge
+    emb.entity_vectors[:2] = TINY_ROW, TINY_ROW[::-1]
+    emb.entity_vectors[2] = np.ldexp(np.array(TINY_ROW), 1060)
+    emb.predicate_vectors[0] = TINY_ROW
     a = rng.integers(g.num_triples, size=101)
     b = rng.integers(g.num_triples, size=101)
     monkeypatch.setattr(pairs, "SCORE_BLOCK", block)
