@@ -6,7 +6,7 @@ fine-tuning a Siamese encoder; evaluation covers predicate classification
 and clusterability against a line-graph random-walk baseline.
 """
 
-from .graph import (GraphParseError, GraphStats, KnowledgeGraph, Triple, Vocabulary,
+from .graph import (GraphParseError, GraphStats, KnowledgeGraph, Triple,
                     compute_stats, load_triples, multi_predicate_triple_ids, save_triples)
 from .seeds import (EmbeddingSet, SeedTrainConfig, import_embeddings, export_embeddings,
                     score_complex, score_distmult, score_rotate, score_transe,
@@ -14,7 +14,7 @@ from .seeds import (EmbeddingSet, SeedTrainConfig, import_embeddings, export_emb
 from .pairs import (PtssDataset, build_dataset, compute_ptss, cosine_sim,
                     sample_candidates)
 from .siamese import (AGG_OPS, FineTuneConfig, SiameseModel, aggregate,
-                      export_triple_embeddings, init_embedding_layer, train)
+                      init_embedding_layer, train)
 from .evaluation import (CLASSIFIERS, EvalReport, LogisticOvR, MlpClassifier,
                          calinski_harabasz, evaluate, kfold_split, kmeans, micro_f1,
                          pearson, spearman, train_classify)

@@ -36,9 +36,16 @@ class EvalReport:
 
     @classmethod
     def load(cls, path: str | Path) -> "EvalReport":
+        """Read a saved report; a file that is not a JSON object of the report's
+        fields raises ValueError naming it."""
         fields = json.loads(Path(path).read_text(encoding="utf-8"))
+        if not isinstance(fields, dict):
+            raise ValueError(f"{path}: a report must be a JSON object")
         fields.pop("correlations", None)   # older reports carry this unused field, always {}
-        return cls(**fields)
+        try:
+            return cls(**fields)
+        except TypeError as exc:   # a missing or an unknown field
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def _reject_non_finite(x: np.ndarray, what: str) -> None:
@@ -306,7 +313,6 @@ class KMeansResult:
     assignment: np.ndarray
     centers: np.ndarray
     inertia: float
-    degenerate: bool
     inertia_history: list[float] = field(default_factory=list)
 
 
@@ -397,7 +403,6 @@ def kmeans(features: np.ndarray, k: int, rng_seed: int = 0, restarts: int = 10,
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
     _reject_non_finite(x, "feature")
-    degenerate = len(np.unique(x, axis=0)) < k
     xx = (x ** 2).sum(axis=1)
     xn = np.sqrt(xx)
 
@@ -427,7 +432,7 @@ def kmeans(features: np.ndarray, k: int, rng_seed: int = 0, restarts: int = 10,
     centers, inertia, history = min(fork_map(restart, restarts), key=lambda run: run[1])
     # the kept restart's labels, from the pass that gave its inertia
     labels = _nearest_centers(x, xx, centers, xn)[0]
-    return KMeansResult(labels, centers, inertia, degenerate, history)
+    return KMeansResult(labels, centers, inertia, history)
 
 
 # ---------------------------------------------------------------------------

@@ -25,43 +25,6 @@ class Triple(NamedTuple):
     tail: int
 
 
-class Vocabulary:
-    """String <-> dense-index mapping, indices assigned in first-appearance order."""
-
-    def __init__(self, names: Iterable[str] = ()):
-        self._name_to_id: dict[str, int] = {}
-        self._names: list[str] = []
-        for n in names:
-            self.add(n)
-
-    def add(self, name: str) -> int:
-        idx = self._name_to_id.get(name)
-        if idx is None:
-            idx = len(self._names)
-            self._name_to_id[name] = idx
-            self._names.append(name)
-        return idx
-
-    def index(self, name: str) -> int:
-        return self._name_to_id[name]
-
-    def name(self, idx: int) -> str:
-        return self._names[idx]
-
-    @property
-    def names(self) -> list[str]:
-        return list(self._names)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._name_to_id
-
-    def __len__(self) -> int:
-        return len(self._names)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Vocabulary) and self._names == other._names
-
-
 class Postings:
     """CSR posting lists of one slot: the triple ids holding each value, ascending."""
 
@@ -84,10 +47,11 @@ class KnowledgeGraph:
     """Immutable-after-load triple store.
 
     `ids` is a (T, 3) int64 array of distinct (head, predicate, tail) rows;
-    `by_head`, `by_tail` and `by_predicate` are its posting lists per slot.
+    `entities[i]` and `predicates[i]` are the names of id i; `by_head`,
+    `by_tail` and `by_predicate` are the posting lists per slot.
     """
 
-    def __init__(self, entities: Vocabulary, predicates: Vocabulary,
+    def __init__(self, entities: list[str], predicates: list[str],
                  ids, duplicates_dropped: int = 0):
         self.entities = entities
         self.predicates = predicates
@@ -116,24 +80,27 @@ class KnowledgeGraph:
 
     @classmethod
     def from_named_triples(cls, rows: Iterable[tuple[str, str, str]]) -> "KnowledgeGraph":
-        entities = Vocabulary()
-        predicates = Vocabulary()
+        # ids in first-appearance order: setdefault keeps a name's first id
+        entity_ids: dict[str, int] = {}
+        predicate_ids: dict[str, int] = {}
         ids: dict[tuple[int, int, int], None] = {}
         dropped = 0
         for h, p, t in rows:
-            key = (entities.add(h), predicates.add(p), entities.add(t))
+            key = (entity_ids.setdefault(h, len(entity_ids)),
+                   predicate_ids.setdefault(p, len(predicate_ids)),
+                   entity_ids.setdefault(t, len(entity_ids)))
             if key in ids:
                 dropped += 1
             else:
                 ids[key] = None
-        return cls(entities, predicates, list(ids), duplicates_dropped=dropped)
+        return cls(list(entity_ids), list(predicate_ids), list(ids), duplicates_dropped=dropped)
 
 
 def load_triples(paths: str | Path | Sequence[str | Path]) -> KnowledgeGraph:
     """Load one or more head<TAB>predicate<TAB>tail files into a single graph.
 
     Multiple paths are unioned (duplicate facts across files are dropped with
-    a counted warning). Vocabulary order follows first appearance across the
+    a counted warning). Name ids follow first appearance across the
     files in the order given.
     """
     if isinstance(paths, (str, Path)):
@@ -164,7 +131,7 @@ def load_triples(paths: str | Path | Sequence[str | Path]) -> KnowledgeGraph:
 
 
 def save_triples(g: KnowledgeGraph, path: str | Path) -> None:
-    ent, pred = g.entities.names, g.predicates.names
+    ent, pred = g.entities, g.predicates
     with Path(path).open("w", encoding="utf-8") as fh:
         for h, p, t in g.ids.tolist():
             fh.write(f"{ent[h]}\t{pred[p]}\t{ent[t]}\n")

@@ -1,12 +1,13 @@
 """Adam over one parameter array, which fine-tuning and the classifiers step;
 `packed`, which lays several arrays out as views of one; the ordered row sums
-of the sparse gradients of seed training and fine-tuning; the check of the two
-training configs' counts and step size; and the error that fine-tuning and
-skip-gram raise on non-finite parameters."""
+of the sparse gradients of seed training and fine-tuning; the check of a count
+and of the two training configs; and the error that fine-tuning and skip-gram
+raise on non-finite parameters."""
 
 from __future__ import annotations
 
 import math
+import numbers
 from typing import NamedTuple
 
 import numpy as np
@@ -17,12 +18,19 @@ class TrainingDiverged(RuntimeError):
     """A training loop produced non-finite parameters."""
 
 
+def check_count(name: str, value, least: int = 1) -> None:
+    """Reject a count that is not an integer (a bool is not one) or is below `least`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+
+
 def check_training_config(cfg) -> None:
-    """Reject a training config whose `epochs` or `batch_size` is below 1, or
-    whose `learning_rate` is not finite and > 0, naming the key."""
+    """Reject a training config whose `epochs` or `batch_size` is not an integer
+    >= 1, or whose `learning_rate` is not finite and > 0, naming the key."""
     for name in ("epochs", "batch_size"):
-        if getattr(cfg, name) < 1:
-            raise ValueError(f"{name} must be >= 1, got {getattr(cfg, name)}")
+        check_count(name, getattr(cfg, name))
     if not (math.isfinite(cfg.learning_rate) and cfg.learning_rate > 0):
         raise ValueError(f"learning_rate must be finite and > 0, got {cfg.learning_rate}")
 

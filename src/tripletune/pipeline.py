@@ -27,6 +27,7 @@ from . import seeds as seedmod
 from . import siamese
 from .evaluation import CLASSIFIERS, EvalReport, evaluate, pearson, spearman
 from .graph import KnowledgeGraph, compute_stats, load_triples
+from .optim import check_count
 
 
 class PipelineError(RuntimeError):
@@ -117,6 +118,7 @@ class ExperimentConfig:
                   f"embedding file not found: {sc[key]}")
         pc, fc, ec, bc = self.pairs, self.finetune, self.eval, self.baseline
         try:   # a value of the wrong type fails a comparison or a config's own check
+            check_count("rng_seed", self.rng_seed, 0)
             section = "seed: "
             if sc["mode"] == "train":
                 check(sc["model"] in seedmod.TRAINABLE_MODELS, f"cannot train {sc['model']}")
@@ -127,13 +129,14 @@ class ExperimentConfig:
             check(fc["aggregation"] in siamese.AGG_OPS,
                   f"unknown aggregation {fc['aggregation']!r}")
             section = "pairs: "
-            check(pc["n"] >= 1, f"n must be >= 1, got {pc['n']!r}")
+            check_count("n", pc["n"])
             section = "eval: "
             check(ec["classifier"] in CLASSIFIERS, f"unknown classifier {ec['classifier']!r}")
-            check(ec["folds"] >= 2, f"folds must be >= 2, got {ec['folds']!r}")
+            check_count("folds", ec["folds"], 2)
             section = "baseline: "
-            for key in ("walks_per_node", "walk_length", "window", "negatives"):
-                check(not bc["enabled"] or bc[key] >= 1, f"{key} must be >= 1, got {bc[key]}")
+            if bc["enabled"]:
+                for key in ("walks_per_node", "walk_length", "window", "negatives"):
+                    check_count(key, bc[key])
         except (TypeError, ValueError, OverflowError) as exc:
             raise PipelineError("validate", f"{section}{exc}") from None
 

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .graph import KnowledgeGraph
-from .optim import PLAN_BATCHES, check_training_config, plan_row_sums
+from .optim import PLAN_BATCHES, check_count, check_training_config, plan_row_sums
 
 TRAINABLE_MODELS = ("transe", "distmult", "complex", "rotate")
 COMPLEX_MODELS = ("complex", "rotate")
@@ -58,10 +58,8 @@ class SeedTrainConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.dim < 2:
-            raise ValueError("dim must be >= 2")
-        if self.negatives < 1:
-            raise ValueError("negatives must be >= 1")
+        check_count("dim", self.dim, 2)
+        check_count("negatives", self.negatives)
         check_training_config(self)
 
 
@@ -487,8 +485,8 @@ def write_rows(path: str | Path, names: Iterable[str], mat: np.ndarray) -> None:
 
 def export_embeddings(es: EmbeddingSet, g: KnowledgeGraph,
                       entity_path: str | Path, predicate_path: str | Path) -> None:
-    write_rows(entity_path, g.entities.names, es.entity_vectors)
-    write_rows(predicate_path, g.predicates.names, es.predicate_vectors)
+    write_rows(entity_path, g.entities, es.entity_vectors)
+    write_rows(predicate_path, g.predicates, es.predicate_vectors)
 
 
 def read_rows(path: str | Path, key: Callable[[str], object] = str,
@@ -527,8 +525,8 @@ def _read_matrix(path: str | Path, names: list[str], what: str) -> np.ndarray:
 
 def import_embeddings(entity_path: str | Path, predicate_path: str | Path,
                       g: KnowledgeGraph) -> EmbeddingSet:
-    ent = _read_matrix(entity_path, g.entities.names, "entity")
-    pred = _read_matrix(predicate_path, g.predicates.names, "predicate")
+    ent = _read_matrix(entity_path, g.entities, "entity")
+    pred = _read_matrix(predicate_path, g.predicates, "predicate")
     es = EmbeddingSet(ent, pred)
     es.validate(g)
     return es

@@ -179,7 +179,8 @@ def train(model: SiameseModel, dataset: PtssDataset, cfg: FineTuneConfig,
     bit. The row sums of every PLAN_BATCHES batches of an epoch's permutation
     are planned at once (`optim.plan_row_sums`).
 
-    Raises ValueError for an empty dataset or a pair id outside the layer's rows.
+    Raises ValueError for an empty dataset, a pair id outside the layer's rows,
+    or a score that is not a PTSS value: one outside [-1, 1], NaN included.
     """
     n = len(dataset)
     if n == 0:
@@ -189,6 +190,10 @@ def train(model: SiameseModel, dataset: PtssDataset, cfg: FineTuneConfig,
         bad = ids[(ids < 0) | (ids >= n_rows)]
         if bad.size:
             raise ValueError(f"pair triple id {bad[0]} outside [0, {n_rows})")
+    bad = np.flatnonzero(~(np.abs(dataset.score) <= 1.0))   # NaN fails <=
+    if bad.size:
+        raise ValueError(f"pair {bad[0]} has score {dataset.score[bad[0]]}, "
+                         "not a finite value in [-1, 1]")
     rng = np.random.default_rng(cfg.rng_seed)
     steps_per_epoch = math.ceil(n / cfg.batch_size)
     total_steps = cfg.epochs * steps_per_epoch
@@ -220,11 +225,6 @@ def train(model: SiameseModel, dataset: PtssDataset, cfg: FineTuneConfig,
         if loss_history is not None:
             loss_history.append(epoch_loss / n)
     return model
-
-
-def export_triple_embeddings(model: SiameseModel) -> np.ndarray:
-    """The fine-tuned embedding layer itself (not the encoder outputs)."""
-    return model.triple_embeddings.copy()
 
 
 def save_checkpoint(model: SiameseModel, path: str | Path,

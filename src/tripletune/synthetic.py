@@ -105,9 +105,8 @@ def exact_translation_graph(dim: int = 8, n_pairs_per_group: int = 30,
         add_pair(f"s{i}", center, ("q0", "q1"), (p0 + p1) / 2.0)
 
     g = KnowledgeGraph.from_named_triples(rows)
-    ent = np.stack([vectors[g.entities.name(i)] for i in range(g.num_entities)])
-    pred = np.stack([p0 if g.predicates.name(i) == "q0" else p1
-                     for i in range(g.num_predicates)])
+    ent = np.stack([vectors[name] for name in g.entities])
+    pred = np.stack([p0 if name == "q0" else p1 for name in g.predicates])
     emb = EmbeddingSet(ent, pred)
     emb.validate(g)
     return g, emb

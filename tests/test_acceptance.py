@@ -401,8 +401,8 @@ def test_criterion_6_benchmark_subsample():
     g_full = load_triples(files)
     rng = np.random.default_rng(0)
     keep = rng.choice(g_full.num_triples, size=2000, replace=False)
-    rows = [(g_full.entities.name(t.head), g_full.predicates.name(t.predicate),
-             g_full.entities.name(t.tail)) for t in (g_full.triples[i] for i in keep)]
+    rows = [(g_full.entities[t.head], g_full.predicates[t.predicate],
+             g_full.entities[t.tail]) for t in (g_full.triples[i] for i in keep)]
     run_desk_scale(KnowledgeGraph.from_named_triples(rows), "fb15k237-2000")
 
 

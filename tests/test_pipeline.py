@@ -488,6 +488,24 @@ def test_cli_baseline_and_compare(tmp_path, capsys):
     assert csvf.read_text().startswith("method,")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("[1, 2]", "a report must be a JSON object"),
+    ('{"micro_f1_mean": {}}', "missing 4 required positional arguments"),
+    ('{"bogus": 1}', "unexpected keyword argument 'bogus'"),
+])
+def test_cli_compare_malformed_report_exits_one(tmp_path, capsys, text, message):
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    make_report("finetuned", 0.9, 50.0).save(good)
+    bad.write_text(text)
+    with pytest.raises(ValueError, match=message):
+        EvalReport.load(bad)
+    capsys.readouterr()
+    assert cli_main(["compare", str(good), str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: ") and message in err
+    assert "Traceback" not in err and err.count("\n") == 1
+
+
 def test_cli_run_all(tmp_path, capsys):
     gf, _ = write_graph(tmp_path)
     cfgf = small_config(tmp_path, gf)
@@ -520,6 +538,9 @@ BAD_CLI_INPUTS = {
     "pairs-id-past-end": ("finetune", [], "pairs.tsv", "0\t99999\t0.5\tshared-head\n"),
     "pairs-unknown-provenance": ("finetune", [], "pairs.tsv", "0\t1\t0.5\tsame-tail\n"),
     "pairs-short-row": ("finetune", [], "pairs.tsv", "0\t1\t0.5\n"),
+    "pairs-nan-score": ("finetune", [], "pairs.tsv", "0\t1\t0.5\tshared-head\n"
+                                                     "0\t2\tnan\tshared-head\n"),
+    "pairs-score-above-1": ("finetune", [], "pairs.tsv", "0\t1\t7.5\tshared-head\n"),
     "embeddings-id-gap": ("eval", [], "emb.tsv", "0\t1.0\n2\t1.0\n"),
     "baseline-dim-0": ("baseline", ["--dim", "0"], None, ""),
     "baseline-walks-0": ("baseline", ["--walks", "0"], None, ""),
@@ -552,12 +573,23 @@ def test_cli_bad_input_exits_one_with_message(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert rc == 1
     assert err.startswith("error: ") and "Traceback" not in err
+    assert "diverged" not in err          # a bad input is named, not trained on
     assert err.count("\n") == 1          # one line
     assert not out.exists()
 
 
-# case: (section values, the message of the validate error)
+# case: (section values or top-level values, the message of the validate error)
 BAD_VALUES = {
+    "rng-seed-string": ({"rng_seed": "abc"}, "rng_seed must be an integer, got 'abc'"),
+    "rng-seed-negative": ({"rng_seed": -1}, "rng_seed must be >= 0, got -1"),
+    "seed-epochs-float": ({"seed": {"epochs": 2.5}}, "seed: epochs must be an integer, got 2.5"),
+    "seed-dim-bool": ({"seed": {"dim": True}}, "seed: dim must be an integer, got True"),
+    "finetune-batch-size-float": ({"finetune": {"batch_size": 64.5}},
+                                  "finetune: batch_size must be an integer, got 64.5"),
+    "pairs-n-float": ({"pairs": {"n": 2.5}}, "pairs: n must be an integer, got 2.5"),
+    "eval-folds-float": ({"eval": {"folds": 2.5}}, "eval: folds must be an integer, got 2.5"),
+    "baseline-walks-float": ({"baseline": {"walks_per_node": 1.5}},
+                             "baseline: walks_per_node must be an integer, got 1.5"),
     "seed-batch-size-0": ({"seed": {"batch_size": 0}}, "seed: batch_size must be >= 1, got 0"),
     "seed-epochs-0": ({"seed": {"epochs": 0}}, "seed: epochs must be >= 1, got 0"),
     "seed-lr-0": ({"seed": {"learning_rate": 0.0}},
@@ -572,7 +604,7 @@ BAD_VALUES = {
     "finetune-aggregation": ({"finetune": {"aggregation": "bogus"}},
                              "finetune: unknown aggregation 'bogus'"),
     "pairs-n-0": ({"pairs": {"n": 0}}, "pairs: n must be >= 1, got 0"),
-    "pairs-n-string": ({"pairs": {"n": "2"}}, "pairs: '>=' not supported"),
+    "pairs-n-string": ({"pairs": {"n": "2"}}, "pairs: n must be an integer, got '2'"),
     "eval-classifier": ({"eval": {"classifier": "svm"}}, "eval: unknown classifier 'svm'"),
     "eval-folds-1": ({"eval": {"folds": 1}}, "eval: folds must be >= 2, got 1"),
     "baseline-walk-length-0": ({"baseline": {"walk_length": 0}},
@@ -588,7 +620,7 @@ def test_bad_section_value_fails_validate(tmp_path, capsys, case):
     cfgf = small_config(tmp_path, gf)
     raw = json.loads(cfgf.read_text())
     for name, values in section.items():
-        raw[name] = {**raw[name], **values}
+        raw[name] = {**raw[name], **values} if isinstance(values, dict) else values
     cfgf.write_text(json.dumps(raw))
     with pytest.raises(PipelineError) as exc:
         ExperimentConfig.from_file(cfgf)
@@ -599,6 +631,13 @@ def test_bad_section_value_fails_validate(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert err.startswith(f"error: stage 'validate' failed: {message}") and err.count("\n") == 1
     assert not (tmp_path / "out").exists()
+
+
+def test_int_learning_rates_load(tmp_path):
+    gf, _ = write_graph(tmp_path)
+    cfgf = small_config(tmp_path, gf, seed={"learning_rate": 1}, finetune={"learning_rate": 1})
+    cfg = ExperimentConfig.from_file(cfgf)
+    assert (cfg.seed["learning_rate"], cfg.finetune["learning_rate"]) == (1, 1)
 
 
 def test_disabled_baseline_counts_are_not_checked(tmp_path):

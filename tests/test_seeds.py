@@ -258,7 +258,7 @@ def test_train_seed_separates_clusters():
     ent = es.entity_vectors
     norms = np.linalg.norm(ent, axis=1, keepdims=True)
     unit = ent / norms
-    cluster = np.array([int(g.entities.name(i)[1]) for i in range(g.num_entities)])
+    cluster = np.array([int(name[1]) for name in g.entities])
     sims = unit @ unit.T
     mask_same = cluster[:, None] == cluster[None, :]
     np.fill_diagonal(mask_same, False)
@@ -574,6 +574,18 @@ def test_draw_attempts_rejects_other_bit_generators():
 def test_seed_config_rejects_counts_below_one(field):
     with pytest.raises(ValueError, match=f"{field} must be >= 1, got 0"):
         SeedTrainConfig(**{field: 0})
+
+
+@pytest.mark.parametrize("field", ["dim", "negatives", "epochs", "batch_size"])
+@pytest.mark.parametrize("value", [4.5, 4.0, True, "4"])
+def test_seed_config_rejects_non_integer_counts(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be an integer, got {value!r}"):
+        SeedTrainConfig(**{field: value})
+
+
+def test_seed_config_takes_numpy_integers_and_an_int_learning_rate():
+    cfg = SeedTrainConfig(dim=np.int64(4), epochs=np.int32(2), learning_rate=1)
+    assert (cfg.dim, cfg.epochs, cfg.learning_rate) == (4, 2, 1)
 
 
 @pytest.mark.parametrize("lr", [0.0, -0.05, float("nan"), float("inf")])

@@ -8,9 +8,9 @@ from tripletune.pairs import PtssDataset, build_dataset
 from tripletune.seeds import EmbeddingSet
 from tripletune.siamese import (AGG_OPS, FineTuneConfig, SiameseModel, TrainingDiverged,
                                 aggregate, aggregated_dim, batch_loss_and_grads,
-                                export_triple_embeddings, init_embedding_layer,
-                                load_checkpoint, pair_loss, read_triple_embedding_tsv,
-                                save_checkpoint, train, write_triple_embedding_tsv)
+                                init_embedding_layer, load_checkpoint, pair_loss,
+                                read_triple_embedding_tsv, save_checkpoint, train,
+                                write_triple_embedding_tsv)
 from tripletune import siamese
 from tripletune.optim import Adam
 from conftest import (FLOAT_TEXT, _reference_batch_loss_and_grads, _reference_train,
@@ -142,6 +142,12 @@ def test_config_validation():
 def test_config_rejects_counts_below_one(field):
     with pytest.raises(ValueError, match=f"{field} must be >= 1"):
         FineTuneConfig(**{field: 0})
+
+
+@pytest.mark.parametrize("field", ["epochs", "batch_size"])
+def test_config_rejects_non_integer_counts(field):
+    with pytest.raises(ValueError, match=f"{field} must be an integer, got 64.5"):
+        FineTuneConfig(**{field: 64.5})
 
 
 @pytest.mark.parametrize("lr", [0.0, -1e-3, float("nan"), float("inf")])
@@ -437,6 +443,17 @@ def test_training_rejects_pair_ids_outside_the_layer(bad_id):
         train(model, ds, FineTuneConfig(epochs=1))
 
 
+@pytest.mark.parametrize("bad_score", [np.nan, np.inf, 7.5, -1.0000001])
+def test_training_rejects_scores_outside_ptss_range(bad_score):
+    model = small_model(n=40)
+    before = model.slab.copy()
+    ds = PtssDataset(np.array([0, 1, 2]), np.array([1, 2, 3]),
+                     np.array([1.0, bad_score, -1.0]), np.array([0, 0, 0]))
+    with pytest.raises(ValueError, match=f"pair 1 has score {bad_score}, not a finite"):
+        train(model, ds, FineTuneConfig(epochs=1))
+    assert np.array_equal(model.slab, before)
+
+
 def test_warmup_shrinks_early_updates():
     # one epoch with a near-total warm-up moves the dense layer less than
     # the same epoch at full learning rate
@@ -453,14 +470,6 @@ def test_warmup_shrinks_early_updates():
 
 
 # -- persistence -------------------------------------------------------------
-
-def test_export_is_layer_copy():
-    m = small_model()
-    out = export_triple_embeddings(m)
-    assert np.array_equal(out, m.triple_embeddings)
-    out[0, 0] = 99.0
-    assert m.triple_embeddings[0, 0] != 99.0
-
 
 def test_checkpoint_round_trip(tmp_path):
     m = small_model(seed=21)
