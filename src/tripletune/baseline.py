@@ -25,7 +25,6 @@ from itertools import chain
 import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import LinearOperator, eigsh
-from scipy.special import expit
 
 from .graph import KnowledgeGraph
 from .optim import TrainingDiverged, scatter_rows
@@ -256,7 +255,11 @@ def sgns_walk_update(w_in: np.ndarray, w_out: np.ndarray, centers: np.ndarray,
     hits' worth. Without the cap, a token that fills the walks of a tiny
     vocabulary collects hundreds of hits per walk, and the feedback between
     w_in and w_out diverges.
+
+    `scipy.special` is imported here, not with the module: only the
+    `train_skipgram` reference calls this, and `train_baseline` does not.
     """
+    from scipy.special import expit
     n_pairs, k = targets.shape
     v = w_in[centers]                                              # (p, d)
     u = w_out[targets]                                             # (p, k, d)

@@ -9,7 +9,6 @@ from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
 import numpy as np
-from scipy import stats as sp_stats
 
 from .graph import KnowledgeGraph, multi_predicate_triple_ids
 from .optim import Adam, dense_row_sums, packed
@@ -36,16 +35,44 @@ class EvalReport:
 
     @classmethod
     def load(cls, path: str | Path) -> "EvalReport":
-        """Read a saved report; a file that is not a JSON object of the report's
-        fields raises ValueError naming it."""
-        fields = json.loads(Path(path).read_text(encoding="utf-8"))
+        """Read a saved report; a file that is not JSON, not a JSON object of the
+        report's fields, or holds a field of another JSON type raises ValueError
+        naming it."""
+        try:
+            fields = json.loads(Path(path).read_text(encoding="utf-8"))
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ValueError(f"{path}: not JSON ({exc})") from None
         if not isinstance(fields, dict):
             raise ValueError(f"{path}: a report must be a JSON object")
         fields.pop("correlations", None)   # older reports carry this unused field, always {}
+        for name, (what, valid) in _REPORT_FIELD_TYPES.items():
+            if name in fields and not valid(fields[name]):
+                raise ValueError(f"{path}: {name} must be {what}, "
+                                 f"got {json.dumps(fields[name])[:40]}")
         try:
             return cls(**fields)
         except TypeError as exc:   # a missing or an unknown field
             raise ValueError(f"{path}: {exc}") from None
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+# what `EvalReport.load` accepts for each field, as JSON types; the metadata
+# entries `compare_report` tabulates must be strings
+_REPORT_FIELD_TYPES = {
+    "micro_f1_per_fold": ("an object of number lists", lambda v: isinstance(v, dict) and all(
+        isinstance(f, list) and all(map(_is_number, f)) for f in v.values())),
+    "micro_f1_mean": ("an object of numbers",
+                      lambda v: isinstance(v, dict) and all(map(_is_number, v.values()))),
+    "ch_index": ("a number or null", lambda v: v is None or _is_number(v)),
+    "ch_degenerate": ("true or false", lambda v: isinstance(v, bool)),
+    "restricted_to_multi_predicate": ("true or false", lambda v: isinstance(v, bool)),
+    "metadata": ("an object with string dataset, method, seed_model and aggregation",
+                 lambda v: isinstance(v, dict) and all(isinstance(v.get(k, ""), str) for k in (
+                     "dataset", "method", "seed_model", "aggregation"))),
+}
 
 
 def _reject_non_finite(x: np.ndarray, what: str) -> None:
@@ -91,8 +118,13 @@ def pearson(x, y) -> float:
 
 
 def spearman(x, y) -> float:
-    rho = sp_stats.spearmanr(x, y).statistic
-    return float(rho)
+    """Spearman's rank correlation (`scipy.stats.spearmanr`).
+
+    `scipy.stats` is imported here, not with the module: it costs ~35 MiB of
+    resident memory, and only `compare_report` calls this, never a run.
+    """
+    from scipy.stats import spearmanr
+    return float(spearmanr(x, y).statistic)
 
 
 def calinski_harabasz(features: np.ndarray, assignment: np.ndarray, k: int) -> float:

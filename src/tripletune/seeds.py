@@ -8,6 +8,7 @@ is just its two matrices and downstream cosines treat every row as real.
 from __future__ import annotations
 
 import math
+from array import array
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from pathlib import Path
@@ -490,11 +491,18 @@ def export_embeddings(es: EmbeddingSet, g: KnowledgeGraph,
 
 
 def read_rows(path: str | Path, key: Callable[[str], object] = str,
-              what: str = "name") -> dict:
-    """The rows of a `key<TAB>value...` file by `key(first field)`. A row with a key
-    that `key` rejects, a non-numeric value, no values, another length than the
-    first row or a repeated key raises EmbeddingError naming its file and line."""
-    rows: dict = {}
+              what: str = "name") -> tuple[dict, np.ndarray]:
+    """The rows of a `key<TAB>value...` file: a dict from `key(first field)` to its
+    row, and the values as a float64 matrix in file order. A row with a key that
+    `key` rejects, a non-numeric value, no values, another length than the first
+    row or a repeated key raises EmbeddingError naming its file and line.
+
+    Each row's values go into one flat buffer of C doubles as they are read, so
+    the file costs 8 bytes per value, not a Python float and a list slot each.
+    """
+    index: dict = {}
+    values = array("d")
+    dim = 0
     with Path(path).open("r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -504,23 +512,24 @@ def read_rows(path: str | Path, key: Callable[[str], object] = str,
                 k, vec = key(fields[0]), [float(x) for x in fields[1:]]
             except ValueError as exc:
                 raise EmbeddingError(f"{path}:{lineno}: non-numeric field ({exc})") from None
-            dim = len(next(iter(rows.values()), vec))
-            if not vec or len(vec) != dim:
+            if not vec or (dim and len(vec) != dim):
                 raise EmbeddingError(f"{path}:{lineno}: ragged row ({len(vec)} values, "
                                      f"expected {dim or 'at least 1'})")
-            if k in rows:
+            if k in index:
                 raise EmbeddingError(f"{path}:{lineno}: duplicate {what} {k}")
-            rows[k] = vec
-    return rows
+            index[k] = len(index)
+            values.extend(vec)
+            dim = len(vec)
+    return index, np.frombuffer(values, dtype=np.float64).reshape(len(index), dim)
 
 
 def _read_matrix(path: str | Path, names: list[str], what: str) -> np.ndarray:
-    rows = read_rows(path, what=what)
-    missing = [n for n in names if n not in rows]
+    index, mat = read_rows(path, what=what)
+    missing = [n for n in names if n not in index]
     if missing:
         raise EmbeddingError(f"{what} file {path} missing vocabulary items: "
                              + ", ".join(repr(m) for m in missing[:5]))
-    return np.array([rows[n] for n in names])
+    return mat[[index[n] for n in names]]
 
 
 def import_embeddings(entity_path: str | Path, predicate_path: str | Path,

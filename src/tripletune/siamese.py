@@ -248,11 +248,11 @@ def write_triple_embedding_tsv(matrix: np.ndarray, path: str | Path) -> None:
 def read_triple_embedding_tsv(path: str | Path) -> np.ndarray:
     """Rows keyed by triple id; ids must be 0..n-1, each once, in any order. A
     malformed row raises ValueError naming its file and line (`seeds.read_rows`)."""
-    rows = read_rows(path, key=int, what="triple id")
-    if not rows:
+    index, mat = read_rows(path, key=int, what="triple id")
+    if not index:
         raise ValueError(f"{path}: no rows")
-    missing = next((i for i in range(len(rows)) if i not in rows), None)
+    missing = next((i for i in range(len(index)) if i not in index), None)
     if missing is not None:
         raise ValueError(f"{path}: no row for triple id {missing} "
-                         f"(ids must be 0..{len(rows) - 1})")
-    return np.array([rows[i] for i in range(len(rows))])
+                         f"(ids must be 0..{len(index) - 1})")
+    return mat[[index[i] for i in range(len(index))]]

@@ -1,6 +1,9 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -488,15 +491,39 @@ def test_cli_baseline_and_compare(tmp_path, capsys):
     assert csvf.read_text().startswith("method,")
 
 
+def report_text_with(**fields):
+    return json.dumps({**json.loads(make_report("finetuned", 0.9, 50.0).to_json()), **fields})
+
+
 @pytest.mark.parametrize("text, message", [
     ("[1, 2]", "a report must be a JSON object"),
     ('{"micro_f1_mean": {}}', "missing 4 required positional arguments"),
     ('{"bogus": 1}', "unexpected keyword argument 'bogus'"),
+    *(pytest.param(text, message, id=name) for name, text, message in [
+        ("not-json", "{bad", "not JSON"),
+        ("not-utf8", b"\xff{}", "not JSON"),
+        ("mean-list", report_text_with(micro_f1_mean=[]),
+         "micro_f1_mean must be an object of numbers"),
+        ("mean-string", report_text_with(micro_f1_mean={"mlp": "0.5"}),
+         "micro_f1_mean must be an object of numbers"),
+        ("folds-number", report_text_with(micro_f1_per_fold={"mlp": 0.5}),
+         "micro_f1_per_fold must be an object of number lists"),
+        ("folds-bool", report_text_with(micro_f1_per_fold={"mlp": [True]}),
+         "micro_f1_per_fold must be an object of number lists"),
+        ("ch-string", report_text_with(ch_index="50"), "ch_index must be a number or null"),
+        ("degenerate-int", report_text_with(ch_degenerate=0),
+         "ch_degenerate must be true or false"),
+        ("restricted-null", report_text_with(restricted_to_multi_predicate=None),
+         "restricted_to_multi_predicate must be true or false"),
+        ("metadata-list", report_text_with(metadata=[]), "metadata must be an object"),
+        ("dataset-list", report_text_with(metadata={"dataset": ["toy"]}),
+         "metadata must be an object with string"),
+    ]),
 ])
 def test_cli_compare_malformed_report_exits_one(tmp_path, capsys, text, message):
     good, bad = tmp_path / "good.json", tmp_path / "bad.json"
     make_report("finetuned", 0.9, 50.0).save(good)
-    bad.write_text(text)
+    bad.write_bytes(text if isinstance(text, bytes) else text.encode())
     with pytest.raises(ValueError, match=message):
         EvalReport.load(bad)
     capsys.readouterr()
@@ -504,6 +531,35 @@ def test_cli_compare_malformed_report_exits_one(tmp_path, capsys, text, message)
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad}: ") and message in err
     assert "Traceback" not in err and err.count("\n") == 1
+
+
+# Run in a fresh interpreter: importing the package and a run with the baseline
+# on must leave scipy.stats and scipy.special out (~35 and ~4 MiB resident), and
+# `compare` still imports scipy.stats for the Spearman correlation.
+IMPORT_FLOOR_SCRIPT = """
+import sys
+import tripletune, tripletune.cli
+from tripletune.pipeline import ExperimentConfig, run_pipeline
+run_pipeline(ExperimentConfig.from_file(sys.argv[1]))
+loaded = [m for m in ("scipy.stats", "scipy.special") if m in sys.modules]
+if loaded:
+    sys.exit(f"importing tripletune and a run-all loaded {loaded}")
+sys.exit(tripletune.cli.main(["compare", *sys.argv[2:]]))
+"""
+
+
+def test_import_floor_run_all_loads_no_scipy_stats_or_special(tmp_path):
+    gf, _ = write_graph(tmp_path)
+    cfgf = small_config(tmp_path, gf, eval={"classifier": "both", "folds": 5})
+    out = tmp_path / "out"
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", IMPORT_FLOOR_SCRIPT, str(cfgf),
+                           str(out / "report_finetuned.json"), str(out / "report_baseline.json")],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert "spearman_f1_ch" in json.loads(proc.stdout)["correlations"]
 
 
 def test_cli_run_all(tmp_path, capsys):
