@@ -1,4 +1,5 @@
-"""End-to-end experiment driver: stats -> seeds -> pairs -> fine-tune -> eval -> baseline.
+"""End-to-end experiment driver: stats, then two independent branches, seeds ->
+pairs -> fine-tune -> eval and the Triple2vec baseline, run side by side.
 
 Every stage persists its artifact under the experiment output directory and is
 recorded in a manifest with input/output checksums, so re-running an unchanged
@@ -23,6 +24,7 @@ import numpy as np
 
 from . import baseline as t2v
 from . import pairs as pairmod
+from . import parallel
 from . import seeds as seedmod
 from . import siamese
 from .evaluation import CLASSIFIERS, EvalReport, evaluate, pearson, spearman
@@ -31,9 +33,15 @@ from .optim import check_count
 
 
 class PipelineError(RuntimeError):
+    """Stage `stage` failed. The stage and the message are the exception's args,
+    so it pickles, and crosses a `fork_map` pipe, with its type and `.stage`."""
+
     def __init__(self, stage: str, message: str):
-        super().__init__(f"stage {stage!r} failed: {message}")
+        super().__init__(stage, message)
         self.stage = stage
+
+    def __str__(self) -> str:
+        return f"stage {self.args[0]!r} failed: {self.args[1]}"
 
 
 class StaleArtifactError(PipelineError):
@@ -230,11 +238,17 @@ class RunManifest:
         return cls(config=raw["config"], stages=raw["stages"])
 
 
+# the stages of the fine-tune branch, in order
+FINETUNE_BRANCH = ("seed", "sample", "finetune", "eval")
+
+
 class Pipeline:
-    """Runs the stages in order. Each stage method returns a function that gives
-    the stage's object (seed embeddings, pair dataset, fine-tuned matrix) to the
-    stages that consume it: the object itself when the stage ran in this process,
-    or its artifacts read back, once and only if asked for, when it was skipped."""
+    """Runs stats, then the fine-tune branch (seed -> sample -> finetune -> eval)
+    and the baseline side by side (`run`). Each fine-tune branch stage method
+    returns a function that gives the stage's object (seed embeddings, pair
+    dataset, fine-tuned matrix) to the stages that consume it: the object itself
+    when the stage ran in this process, or its artifacts read back, once and only
+    if asked for, when it was skipped."""
 
     def __init__(self, cfg: ExperimentConfig):
         cfg.validate()
@@ -246,23 +260,53 @@ class Pipeline:
             self.manifest = RunManifest.load(self.manifest_path)
         else:
             self.manifest = RunManifest(config=asdict(cfg))
-        self.seed_dim = seed_width(cfg.seed)
+        # the baseline is as wide as the fine-tuned matrix
+        self.baseline_dim = siamese.aggregated_dim(seed_width(cfg.seed),
+                                                   cfg.finetune["aggregation"])
 
     # -- stage bookkeeping ---------------------------------------------------
 
-    def _run_stage(self, name: str, input_key: str, artifacts: list[str], fn, load=None):
-        """Run `fn` unless the manifest shows the stage complete for `input_key`, and
-        return the function that gives its object: `fn`'s result, or else `load`."""
+    def _key(self, name: str) -> str:
+        """Stage `name`'s input key: a hash of everything its artifacts depend on.
+        Sample, finetune and eval hash the artifact checksums of the stage before
+        them, so their keys exist only once that stage is recorded."""
+        cfg = self.cfg
+        if name == "stats":
+            return _sha256_obj(["stats", self._input_hash])
+        if name == "seed":
+            sc = cfg.seed   # an import's key holds its files' contents too
+            imported = [_sha256_file(Path(sc[f])) for f in ("entity_file", "predicate_file")
+                        if sc["mode"] == "import"]
+            return _sha256_obj(["seed", self._input_hash, sc, cfg.rng_seed, *imported])
+        if name == "baseline":
+            return _sha256_obj(["baseline", self._input_hash, cfg.baseline, self.baseline_dim,
+                                cfg.eval, cfg.rng_seed])
+        upstream, section = {"sample": ("seed", cfg.pairs), "finetune": ("sample", cfg.finetune),
+                             "eval": ("finetune", cfg.eval)}[name]
+        return _sha256_obj([name, self.manifest.stages[upstream]["artifact_sha256"],
+                            section, cfg.rng_seed])
+
+    def _complete(self, name: str, key: str) -> bool:
+        """Whether the manifest records stage `name` for `key` and every artifact of
+        the record exists; their checksums are not read."""
         rec = self.manifest.stages.get(name)
-        paths = [self.out / a for a in artifacts]
-        if rec is not None and rec["input_key"] == input_key:
-            if all(p.exists() for p in paths):
-                actual = {a: _sha256_file(p) for a, p in zip(artifacts, paths)}
-                if actual != rec["artifact_sha256"]:
-                    raise StaleArtifactError(
-                        name, "artifact checksum mismatch; refusing stale resume "
-                              f"(delete {self.out} to rebuild)")
-                return cache(load) if load else None  # stage complete, skip
+        return (rec is not None and rec["input_key"] == key
+                and all((self.out / a).exists() for a in rec["artifacts"]))
+
+    def _skip(self, name: str, key: str) -> bool:
+        """Whether stage `name` is complete for `key`; a complete stage whose
+        artifacts no longer match their checksums raises StaleArtifactError."""
+        if not self._complete(name, key):
+            return False
+        rec = self.manifest.stages[name]
+        if {a: _sha256_file(self.out / a) for a in rec["artifacts"]} != rec["artifact_sha256"]:
+            raise StaleArtifactError(name, "artifact checksum mismatch; refusing stale resume "
+                                           f"(delete {self.out} to rebuild)")
+        return True
+
+    def _execute(self, name: str, key: str, artifacts: list[str], fn):
+        """`fn`'s result and the manifest record of stage `name`, which `fn` runs;
+        any other exception than a PipelineError is raised as one naming the stage."""
         t0 = time.monotonic()
         try:
             result = fn()
@@ -271,19 +315,27 @@ class Pipeline:
         except Exception as exc:
             raise PipelineError(name, str(exc)) from exc
         elapsed = time.monotonic() - t0
-        self.manifest.stages[name] = {
-            "input_key": input_key,
+        return result, {
+            "input_key": key,
             "artifacts": artifacts,
-            "artifact_sha256": {a: _sha256_file(p) for a, p in zip(artifacts, paths)},
+            "artifact_sha256": {a: _sha256_file(self.out / a) for a in artifacts},
             "wall_seconds": round(elapsed, 4),
         }
+
+    def _record(self, name: str, rec: dict) -> None:
+        self.manifest.stages[name] = rec
         self.manifest.config = asdict(self.cfg)
         self.manifest.save(self.manifest_path)
-        return lambda: result
 
-    def _key(self, name: str, upstream: str, section: dict) -> str:
-        return _sha256_obj([name, self.manifest.stages[upstream]["artifact_sha256"],
-                            section, self.cfg.rng_seed])
+    def _run_stage(self, name: str, artifacts: list[str], fn, load=None):
+        """Run `fn` and record the stage unless the manifest shows it complete, and
+        return the function that gives its object: `fn`'s result, or else `load`."""
+        key = self._key(name)
+        if self._skip(name, key):
+            return cache(load) if load else None
+        result, rec = self._execute(name, key, artifacts, fn)
+        self._record(name, rec)
+        return lambda: result
 
     # -- inputs --------------------------------------------------------------
 
@@ -291,25 +343,20 @@ class Pipeline:
     def graph(self) -> KnowledgeGraph:
         return load_triples(self.cfg.triple_files)
 
+    @cached_property
     def _input_hash(self) -> str:
         return _sha256_obj([_sha256_file(Path(f)) for f in self.cfg.triple_files])
 
     # -- stages --------------------------------------------------------------
 
     def stage_stats(self):
-        key = _sha256_obj(["stats", self._input_hash()])
-
         def run():
             stats = compute_stats(self.graph)
             (self.out / "stats.json").write_text(stats.to_json(), encoding="utf-8")
 
-        self._run_stage("stats", key, ["stats.json"], run)
+        self._run_stage("stats", ["stats.json"], run)
 
     def stage_seed(self):
-        sc = self.cfg.seed   # an import's key holds its files' contents too
-        imported = [_sha256_file(Path(sc[f])) for f in ("entity_file", "predicate_file")
-                    if sc["mode"] == "import"]
-        key = _sha256_obj(["seed", self._input_hash(), sc, self.cfg.rng_seed, *imported])
         files = (self.out / "seed_entities.tsv", self.out / "seed_predicates.tsv")
 
         def run():
@@ -317,7 +364,7 @@ class Pipeline:
             seedmod.export_embeddings(es, self.graph, *files)
             return es
 
-        return self._run_stage("seed", key, [f.name for f in files], run, load=lambda:
+        return self._run_stage("seed", [f.name for f in files], run, load=lambda:
                                seed_stage(self.graph, self.cfg.seed, self.cfg.rng_seed, files))
 
     def stage_sample(self, seed):
@@ -326,8 +373,7 @@ class Pipeline:
             pairmod.save_dataset(ds, self.out / "pairs.tsv")
             return ds
 
-        return self._run_stage("sample", self._key("sample", "seed", self.cfg.pairs),
-                               ["pairs.tsv"], run,
+        return self._run_stage("sample", ["pairs.tsv"], run,
                                load=lambda: pairmod.load_dataset(self.out / "pairs.tsv"))
 
     def stage_finetune(self, seed, pairs):
@@ -339,8 +385,7 @@ class Pipeline:
             return model.triple_embeddings
 
         return self._run_stage(
-            "finetune", self._key("finetune", "sample", self.cfg.finetune),
-            ["siamese.npz", "triple_embeddings.tsv"], run,
+            "finetune", ["siamese.npz", "triple_embeddings.tsv"], run,
             load=lambda: siamese.read_triple_embedding_tsv(self.out / "triple_embeddings.tsv"))
 
     def _evaluate_matrix(self, matrix: np.ndarray, method: str, out_name: str):
@@ -353,32 +398,50 @@ class Pipeline:
         def run():
             self._evaluate_matrix(matrix(), "finetuned", "report_finetuned.json")
 
-        self._run_stage("eval", self._key("eval", "finetune", self.cfg.eval),
-                        ["report_finetuned.json"], run)
+        self._run_stage("eval", ["report_finetuned.json"], run)
 
-    def stage_baseline(self):
-        dim = siamese.aggregated_dim(self.seed_dim, self.cfg.finetune["aggregation"])
-        key = _sha256_obj(["baseline", self._input_hash(), self.cfg.baseline, dim,
-                           self.cfg.eval, self.cfg.rng_seed])
+    def stage_baseline(self) -> dict | None:
+        """Train and evaluate the baseline and write its two artifacts. Returns the
+        stage's manifest record for the caller to save, or None when the stage is
+        complete: it may run in a forked child, which writes no manifest."""
+        key = self._key("baseline")
+        if self._skip("baseline", key):
+            return None
 
         def run():
-            vectors = baseline_stage(self.graph, self.cfg.baseline, dim, self.cfg.rng_seed)
+            vectors = baseline_stage(self.graph, self.cfg.baseline, self.baseline_dim,
+                                     self.cfg.rng_seed)
             siamese.write_triple_embedding_tsv(vectors, self.out / "baseline_embeddings.tsv")
             self._evaluate_matrix(vectors, "triple2vec", "report_baseline.json")
 
-        self._run_stage("baseline", key,
-                        ["baseline_embeddings.tsv", "report_baseline.json"], run)
+        return self._execute("baseline", key,
+                             ["baseline_embeddings.tsv", "report_baseline.json"], run)[1]
 
-    def run(self) -> RunManifest:
-        self.stage_stats()
+    def _finetune_branch(self) -> None:
         seed = self.stage_seed()
         pairs = self.stage_sample(seed)
         matrix = self.stage_finetune(seed, pairs)
         del seed, pairs   # release the seed embeddings and pairs before evaluation
         self.stage_eval(matrix)
-        del matrix
-        if self.cfg.baseline.get("enabled", True):
-            self.stage_baseline()
+
+    def run(self) -> RunManifest:
+        """Stats, then the fine-tune branch in this process and the baseline beside
+        it: one `parallel.fork_map` over the two, so the baseline runs in a forked
+        child when there is a second worker, and after the fine-tune branch when
+        there is not. Nothing forks unless both branches have a stage to run. Only
+        this process writes the manifest; it records the baseline last."""
+        self.stage_stats()
+        if not self.cfg.baseline.get("enabled", True):
+            self._finetune_branch()
+            return self.manifest
+        branches = (self._finetune_branch, self.stage_baseline)
+        if (not self._complete("baseline", self._key("baseline"))
+                and not all(self._complete(s, self._key(s)) for s in FINETUNE_BRANCH)):
+            _, record = parallel.fork_map(lambda j: branches[j](), 2)
+        else:
+            _, record = [branch() for branch in branches]
+        if record is not None:
+            self._record("baseline", record)
         return self.manifest
 
 

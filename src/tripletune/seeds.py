@@ -523,13 +523,22 @@ def read_rows(path: str | Path, key: Callable[[str], object] = str,
     return index, np.frombuffer(values, dtype=np.float64).reshape(len(index), dim)
 
 
+def take_rows(mat: np.ndarray, rows: list[int]) -> np.ndarray:
+    """`mat[rows]`, without the copy when `rows` is 0, 1, ..., len(mat) - 1: a
+    file already in the order asked for, as every file the package writes is,
+    is returned as read."""
+    if len(rows) == len(mat) and all(i == r for i, r in enumerate(rows)):
+        return mat
+    return mat[rows]
+
+
 def _read_matrix(path: str | Path, names: list[str], what: str) -> np.ndarray:
     index, mat = read_rows(path, what=what)
     missing = [n for n in names if n not in index]
     if missing:
         raise EmbeddingError(f"{what} file {path} missing vocabulary items: "
                              + ", ".join(repr(m) for m in missing[:5]))
-    return mat[[index[n] for n in names]]
+    return take_rows(mat, [index[n] for n in names])
 
 
 def import_embeddings(entity_path: str | Path, predicate_path: str | Path,

@@ -19,7 +19,7 @@ from .graph import KnowledgeGraph
 from .optim import (PLAN_BATCHES, Adam, RowSums, TrainingDiverged, check_training_config,
                     plan_row_sums)
 from .pairs import PtssDataset
-from .seeds import EmbeddingSet, read_rows, write_rows
+from .seeds import EmbeddingSet, read_rows, take_rows, write_rows
 
 AGG_OPS = ("avg", "had", "l1", "l2", "ht")
 
@@ -255,4 +255,4 @@ def read_triple_embedding_tsv(path: str | Path) -> np.ndarray:
     if missing is not None:
         raise ValueError(f"{path}: no row for triple id {missing} "
                          f"(ids must be 0..{len(index) - 1})")
-    return mat[[index[i] for i in range(len(index))]]
+    return take_rows(mat, [index[i] for i in range(len(index))])

@@ -2,8 +2,10 @@ import csv
 import io
 import json
 import os
+import pickle
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +14,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from tripletune import pairs as pairmod
+from tripletune import parallel, pipeline
 from tripletune import seeds as seedmod
 from tripletune import siamese
 from tripletune.cli import build_parser, main as cli_main
@@ -712,3 +715,210 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     assert cli_main(["run-all", "--config", str(cfgf)]) == 2
     err = capsys.readouterr().err
     assert "validate" in err
+
+
+# -- the fine-tune branch and the baseline side by side (`Pipeline.run`)
+
+def test_pipeline_errors_pickle_with_type_message_and_stage():
+    for cls in (PipelineError, StaleArtifactError):
+        exc = cls("baseline", "boom")
+        back = pickle.loads(pickle.dumps(exc))
+        assert type(back) is cls
+        assert str(back) == str(exc) == "stage 'baseline' failed: boom"
+        assert back.stage == "baseline"
+
+
+@pytest.fixture
+def two_workers(monkeypatch):
+    """Two fork_map workers even on one CPU, and after the test no child left."""
+    monkeypatch.setattr(parallel, "workers", lambda: 2)
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def baseline_pid_file(tmp_path, monkeypatch, fail: bool = False) -> Path:
+    """The file that `baseline_stage` writes the pid of its process to; with
+    `fail` it then raises ValueError."""
+    pid_file = tmp_path / "baseline.pid"
+
+    def recorded(*args, _stage=pipeline.baseline_stage, **kwargs):
+        pid_file.write_text(str(os.getpid()))
+        if fail:
+            raise ValueError("no walks today")
+        return _stage(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "baseline_stage", recorded)
+    return pid_file
+
+
+def count_forks(monkeypatch) -> list[int]:
+    """A list that each `os.fork` in this process appends its child's pid to."""
+    pids: list[int] = []
+
+    def fork(_fork=os.fork):
+        pid = _fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
+
+
+# The tests set the worker count by hand, so they fork also where BLAS has idle
+# threads, which Python 3.12+ warns about; the jobs forked here do not wait on them.
+forks = pytest.mark.filterwarnings(
+    "ignore:This process .* is multi-threaded, use of fork:DeprecationWarning")
+
+
+@forks
+@pytest.mark.parametrize("cls", [PipelineError, StaleArtifactError])
+def test_fork_map_reraises_pipeline_errors_with_their_stage(two_workers, cls):
+    def job(j):
+        if j == 1:
+            raise cls("baseline", "from the child")
+        return j
+
+    with pytest.raises(cls, match="^stage 'baseline' failed: from the child$") as info:
+        parallel.fork_map(job, 2)
+    assert type(info.value) is cls and info.value.stage == "baseline"
+
+
+def run_files(out: Path) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"}
+
+
+def stage_records(out: Path) -> dict:
+    """The manifest's stages, in order, without their wall times."""
+    stages = RunManifest.load(out / "manifest.json").stages
+    return {s: {k: v for k, v in rec.items() if k != "wall_seconds"}
+            for s, rec in stages.items()}
+
+
+@forks
+def test_branches_side_by_side_give_the_bytes_of_one_at_a_time(tmp_path, monkeypatch,
+                                                               two_workers):
+    gf, _ = write_graph(tmp_path)
+    pid_file = baseline_pid_file(tmp_path, monkeypatch)
+    outs = {}
+    for w in (1, 2):
+        monkeypatch.setattr(parallel, "workers", lambda w=w: w)
+        outs[w] = tmp_path / f"out{w}"
+        run_pipeline(ExperimentConfig.from_file(
+            small_config(tmp_path, gf, output_dir=str(outs[w]))))
+        # the baseline runs in a child only when there is a second worker
+        assert (int(pid_file.read_text()) == os.getpid()) == (w == 1)
+        # no temporary manifest left behind by either process
+        assert sorted(p.name for p in outs[w].iterdir()) == sorted(EXPECTED_ARTIFACTS)
+    assert run_files(outs[1]) == run_files(outs[2])
+    assert stage_records(outs[1]) == stage_records(outs[2])
+    assert list(stage_records(outs[2])) == ["stats", "seed", "sample", "finetune", "eval",
+                                            "baseline"]
+
+
+@forks
+def test_baseline_failure_is_its_stage_after_the_finetune_branch_is_saved(
+        tmp_path, monkeypatch, two_workers, capsys):
+    gf, _ = write_graph(tmp_path)
+    cfgf = small_config(tmp_path, gf)
+    pid_file = baseline_pid_file(tmp_path, monkeypatch, fail=True)
+    with pytest.raises(PipelineError) as info:
+        run_pipeline(ExperimentConfig.from_file(cfgf))
+    assert type(info.value) is PipelineError and info.value.stage == "baseline"
+    assert "no walks today" in str(info.value)
+    assert int(pid_file.read_text()) != os.getpid()
+    out = tmp_path / "out"
+    assert list(stage_records(out)) == ["stats", "seed", "sample", "finetune", "eval"]
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        set(EXPECTED_ARTIFACTS) - {"baseline_embeddings.tsv", "report_baseline.json"})
+    # the CLI names the stage and exits 2, without a traceback
+    (out / "manifest.json").unlink()
+    capsys.readouterr()
+    assert cli_main(["run-all", "--config", str(cfgf)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: stage 'baseline' failed: no walks today")
+    assert "Traceback" not in err
+
+
+@forks
+def test_finetune_branch_failure_kills_the_baseline_child(tmp_path, monkeypatch,
+                                                          two_workers):
+    gf, _ = write_graph(tmp_path)
+    reference = tmp_path / "reference"
+    run_pipeline(ExperimentConfig.from_file(
+        small_config(tmp_path, gf, output_dir=str(reference))))
+    cfgf = small_config(tmp_path, gf)
+    pid_file = tmp_path / "baseline.pid"
+
+    def slow_baseline(*args, **kwargs):
+        pid_file.write_text(str(os.getpid()))
+        time.sleep(60)
+
+    def failing_finetune(*args, **kwargs):   # fails once the baseline child is running
+        deadline = time.monotonic() + 30
+        while not pid_file.exists() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        raise ValueError("fine-tuning failed")
+
+    monkeypatch.setattr(pipeline, "baseline_stage", slow_baseline)
+    monkeypatch.setattr(pipeline, "finetune_stage", failing_finetune)
+    t0 = time.monotonic()
+    with pytest.raises(PipelineError, match="fine-tuning failed") as info:
+        run_pipeline(ExperimentConfig.from_file(cfgf))
+    assert info.value.stage == "finetune"
+    assert time.monotonic() - t0 < 30
+    with pytest.raises(ProcessLookupError):   # killed and reaped
+        os.kill(int(pid_file.read_text()), 0)
+    out = tmp_path / "out"
+    assert list(stage_records(out)) == ["stats", "seed", "sample"]
+    monkeypatch.undo()
+    monkeypatch.setattr(parallel, "workers", lambda: 2)
+    run_pipeline(ExperimentConfig.from_file(cfgf))
+    assert run_files(out) == run_files(reference)
+    assert stage_records(out) == stage_records(reference)
+
+
+@forks
+def test_tampered_baseline_report_is_a_stale_artifact(tmp_path, two_workers):
+    gf, _ = write_graph(tmp_path)
+    cfgf = small_config(tmp_path, gf)
+    run_pipeline(ExperimentConfig.from_file(cfgf))
+    report = tmp_path / "out" / "report_baseline.json"
+    report.write_text(report.read_text().replace("triple2vec", "triple2veg"),
+                      encoding="utf-8")
+    with pytest.raises(StaleArtifactError) as info:
+        run_pipeline(ExperimentConfig.from_file(cfgf))
+    assert info.value.stage == "baseline"
+
+
+@forks
+def test_only_a_stale_baseline_reruns(tmp_path, monkeypatch, two_workers):
+    gf, _ = write_graph(tmp_path)
+    run_pipeline(ExperimentConfig.from_file(small_config(tmp_path, gf)))
+    out = tmp_path / "out"
+    before = {p.name: p.stat().st_mtime_ns for p in out.iterdir()}
+    records = stage_records(out)
+    calls = []
+    real_fork_map = parallel.fork_map
+    monkeypatch.setattr(parallel, "fork_map",
+                        lambda fn, n: calls.append(n) or real_fork_map(fn, n))
+    run_pipeline(ExperimentConfig.from_file(small_config(
+        tmp_path, gf, baseline={"walks_per_node": 2, "walk_length": 6})))
+    assert calls == []   # the pipeline forks no branch; evaluation's own maps may
+    after = {p.name: p.stat().st_mtime_ns for p in out.iterdir()}
+    changed = {name for name in before if after[name] != before[name]}
+    assert changed == {"baseline_embeddings.tsv", "report_baseline.json", "manifest.json"}
+    again = stage_records(out)
+    assert list(again) == list(records)
+    assert {s for s in records if again[s] != records[s]} == {"baseline"}
+
+
+@forks
+def test_complete_resume_forks_nothing(tmp_path, monkeypatch, two_workers):
+    gf, _ = write_graph(tmp_path)
+    cfgf = small_config(tmp_path, gf)
+    run_pipeline(ExperimentConfig.from_file(cfgf))
+    forked = count_forks(monkeypatch)
+    run_pipeline(ExperimentConfig.from_file(cfgf))
+    assert forked == []
