@@ -5,7 +5,9 @@ from __future__ import annotations
 import json
 import math
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass, field, asdict
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -304,14 +306,10 @@ CLASSIFIERS = {"logreg": (LogisticOvR,), "mlp": (MlpClassifier,),
                "both": (LogisticOvR, MlpClassifier)}
 
 
-def train_classify(features: np.ndarray, labels: np.ndarray, spec, folds,
-                   rng_seed: int = 0) -> list[float]:
-    """Micro-F1 on each (train, test) fold of a classifier that `spec(rng_seed=s)`
-    builds, with s = rng_seed * 1000 + the fold's index.
-
-    The folds are checked and their classifiers built here; the fits run in
-    `fork_map` jobs, one per fold.
-    """
+def _fold_jobs(features: np.ndarray, labels: np.ndarray, spec, folds,
+               rng_seed: int) -> list[Callable[[], float]]:
+    """`train_classify`'s jobs, one per fold, each returning its micro-F1.
+    The folds are checked, and warned about, here, in the calling process."""
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels)
     if features.shape[0] != len(labels):
@@ -321,10 +319,11 @@ def train_classify(features: np.ndarray, labels: np.ndarray, spec, folds,
         train_classes = np.unique(labels[train_idx])
         if len(train_classes) < 2:
             raise ValueError("need at least 2 classes in every training fold")
+        # stacklevel 3 names the caller of train_classify or evaluate
         if len(train_classes) < len(all_classes):
             warnings.warn(
                 f"fold {fold_idx}: {len(all_classes) - len(train_classes)} classes absent "
-                "from the training split and cannot be predicted", stacklevel=2)
+                "from the training split and cannot be predicted", stacklevel=3)
     classifiers = [spec(rng_seed=rng_seed * 1000 + fold_idx) for fold_idx in range(len(folds))]
 
     def fold_score(fold_idx: int) -> float:
@@ -333,7 +332,24 @@ def train_classify(features: np.ndarray, labels: np.ndarray, spec, folds,
         clf.fit(features[train_idx], labels[train_idx])
         return micro_f1(labels[test_idx], clf.predict(features[test_idx]))
 
-    return fork_map(fold_score, len(folds))
+    return [partial(fold_score, fold_idx) for fold_idx in range(len(folds))]
+
+
+def _run(jobs: list[Callable]) -> list:
+    """The results of `jobs`, in order, from one `fork_map`."""
+    return fork_map(lambda j: jobs[j](), len(jobs))
+
+
+def train_classify(features: np.ndarray, labels: np.ndarray, spec, folds,
+                   rng_seed: int = 0) -> list[float]:
+    """Micro-F1 on each (train, test) fold of a classifier that `spec(rng_seed=s)`
+    builds, with s = rng_seed * 1000 + the fold's index.
+
+    The folds are checked and their classifiers built here; the fits run in
+    one `fork_map`, one job per fold (`evaluate` runs the same jobs in its
+    own map).
+    """
+    return _run(_fold_jobs(features, labels, spec, folds, rng_seed))
 
 
 # ---------------------------------------------------------------------------
@@ -419,15 +435,11 @@ def _nearest_centers(x: np.ndarray, xx: np.ndarray, centers: np.ndarray,
     return labels, nearest
 
 
-def kmeans(features: np.ndarray, k: int, rng_seed: int = 0, restarts: int = 10,
-           max_iter: int = 300, tol: float = 1e-6) -> KMeansResult:
-    """Lloyd iterations with k-means++ seeding, best of `restarts` by inertia.
-
-    Each centre moves to the mean of its members, summed in row order; an
-    empty cluster is re-seeded at the point farthest from its centre. The
-    restarts run as `fork_map` jobs; each returns its centres, inertia and
-    history, and the first restart of least inertia is kept.
-    """
+def _restart_jobs(features: np.ndarray, k: int, rng_seed: int = 0, restarts: int = 10,
+                  max_iter: int = 300, tol: float = 1e-6):
+    """`kmeans`'s jobs, one per restart, each returning its centres, inertia
+    and history, and the function that picks the best of their results. The
+    input is checked here, in the calling process."""
     x = np.asarray(features, dtype=np.float64)
     n = x.shape[0]
     if n < k:
@@ -460,11 +472,28 @@ def kmeans(features: np.ndarray, k: int, rng_seed: int = 0, restarts: int = 10,
         history.append(inertia)
         return centers, inertia, history
 
-    # min keeps the first of equal inertias: restart order, strict <
-    centers, inertia, history = min(fork_map(restart, restarts), key=lambda run: run[1])
-    # the kept restart's labels, from the pass that gave its inertia
-    labels = _nearest_centers(x, xx, centers, xn)[0]
-    return KMeansResult(labels, centers, inertia, history)
+    def best(runs: list[tuple[np.ndarray, float, list[float]]]) -> KMeansResult:
+        # min keeps the first of equal inertias: restart order, strict <
+        centers, inertia, history = min(runs, key=lambda run: run[1])
+        # the kept restart's labels, from the pass that gave its inertia
+        labels = _nearest_centers(x, xx, centers, xn)[0]
+        return KMeansResult(labels, centers, inertia, history)
+
+    return [partial(restart, r) for r in range(restarts)], best
+
+
+def kmeans(features: np.ndarray, k: int, rng_seed: int = 0, restarts: int = 10,
+           max_iter: int = 300, tol: float = 1e-6) -> KMeansResult:
+    """Lloyd iterations with k-means++ seeding, best of `restarts` by inertia.
+
+    Each centre moves to the mean of its members, summed in row order; an
+    empty cluster is re-seeded at the point farthest from its centre. The
+    restarts run in one `fork_map`, one job each (`evaluate` runs the same
+    jobs in its own map); each returns its centres, inertia and history, and
+    the first restart of least inertia is kept.
+    """
+    jobs, best = _restart_jobs(features, k, rng_seed, restarts, max_iter, tol)
+    return best(_run(jobs))
 
 
 # ---------------------------------------------------------------------------
@@ -483,6 +512,13 @@ def evaluate(triple_emb: np.ndarray, g: KnowledgeGraph,
     k-means take their seeds from `rng_seed`. k-means uses one cluster per
     predicate label among the triples evaluated: all predicates of the graph,
     or with `restrict_multi_predicate` only those that label a kept triple.
+
+    Every fit and restart is a job of one `fork_map`, in the order [folds of
+    each classifier in turn, k-means restarts]; the folds are checked, and
+    warned about, before it forks. At W = 2 with `both`, the caller fits 3
+    logreg and 2 MLP folds and the child 2 and 3, which cost about the same,
+    and each runs 5 restarts; one map per classifier gave the caller 3 of
+    each while the child idled.
     """
     triple_emb = np.asarray(triple_emb, dtype=np.float64)
     if triple_emb.shape[0] != g.num_triples:
@@ -499,22 +535,26 @@ def evaluate(triple_emb: np.ndarray, g: KnowledgeGraph,
         triple_emb = triple_emb[keep]
         labels = labels[keep]
 
-    per_fold: dict[str, list[float]] = {}
-    means: dict[str, float] = {}
+    jobs: list[Callable] = []
+    kinds: list[str] = []
     if "classify" in tasks:
         split = kfold_split(len(labels), folds=folds, rng_seed=rng_seed)
         for cls in CLASSIFIERS[classifier]:
-            scores = train_classify(triple_emb, labels, cls, split, rng_seed)
-            per_fold[cls.kind] = scores
-            means[cls.kind] = float(np.mean(scores))
-
-    ch, ch_degenerate = None, False
+            jobs += _fold_jobs(triple_emb, labels, cls, split, rng_seed)
+            kinds.append(cls.kind)
+    fits, best = len(jobs), None
     if "cluster" in tasks:
         k = len(np.unique(labels))
         if k >= 2 and len(labels) > k:
-            km = kmeans(triple_emb, k, rng_seed=rng_seed)
-            ch = calinski_harabasz(triple_emb, km.assignment, k)
-        ch_degenerate = ch is None or not math.isfinite(ch)
+            restarts, best = _restart_jobs(triple_emb, k, rng_seed)
+            jobs += restarts
+    results = _run(jobs)
+
+    per_fold = {kind: results[i * folds:(i + 1) * folds] for i, kind in enumerate(kinds)}
+    means = {kind: float(np.mean(scores)) for kind, scores in per_fold.items()}
+    ch = None if best is None else calinski_harabasz(
+        triple_emb, best(results[fits:]).assignment, k)
+    ch_degenerate = "cluster" in tasks and (ch is None or not math.isfinite(ch))
 
     meta = dict(metadata or {})
     meta.setdefault("dim", int(triple_emb.shape[1]))

@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+import warnings
 from functools import partial
 from unittest import mock
 
@@ -10,12 +11,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import _AllocatingAdam, standardized, strict_json
-from tripletune import evaluation
+from tripletune import evaluation, parallel
 from tripletune.evaluation import (CLASSIFIERS, EvalReport, LogisticOvR, MlpClassifier,
                                    _kmeans_pp_init, _nearest_centers, calinski_harabasz,
                                    evaluate, kfold_split, kmeans, micro_f1, pearson, spearman,
                                    train_classify)
 from tripletune.graph import KnowledgeGraph, multi_predicate_triple_ids
+from tripletune.parallel import fork_map
 from tripletune.pipeline import DEFAULTS, compare_report, eval_stage
 
 
@@ -228,12 +230,45 @@ def test_classifier_table_names_report_keys():
     assert CLASSIFIERS["logreg"] + CLASSIFIERS["mlp"] == CLASSIFIERS["both"]
 
 
-def test_absent_class_warns():
+def test_absent_class_warns(monkeypatch):
     x = np.vstack([np.zeros((10, 2)), np.ones((10, 2)), 5 * np.ones((1, 2))])
     y = np.array([0] * 10 + [1] * 10 + [2])
     folds = kfold_split(21, folds=5, rng_seed=0)
     with pytest.warns(UserWarning, match="absent"):
         train_classify(x, y, partial(LogisticOvR, iters=5), folds)
+
+    # evaluate checks its folds before it forks: a warning raised in a child
+    # would reach only the child's stderr, so W = 2 must record what W = 1 does
+    g = KnowledgeGraph.from_named_triples(
+        [(f"e{i}", f"p{c}", f"e{i + 1}") for i, c in enumerate(y)])
+
+    def absent_warnings(w):
+        monkeypatch.setattr(parallel, "workers", lambda: w)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            evaluate(x, g, classifier="both")
+        return [str(c.message) for c in caught
+                if issubclass(c.category, UserWarning) and "absent" in str(c.message)]
+
+    want = absent_warnings(1)
+    assert len(want) == 2 * sum(2 not in y[train] for train, _ in folds)
+    assert absent_warnings(2) == want
+
+
+def test_evaluate_is_one_map(monkeypatch):
+    x, y = blobs(np.random.default_rng(2), per=12)
+    g = KnowledgeGraph.from_named_triples(
+        [(f"e{i}", f"p{c}", f"e{i + 1}") for i, c in enumerate(y)])
+    calls = []
+
+    def counting_fork_map(fn, n_jobs):
+        calls.append(n_jobs)
+        return fork_map(fn, n_jobs)
+    monkeypatch.setattr(evaluation, "fork_map", counting_fork_map)
+    for tasks, n_jobs in [(("classify",), 10), (("cluster",), 10), (("classify", "cluster"), 20)]:
+        calls.clear()
+        evaluate(x, g, classifier="both", tasks=tasks)
+        assert calls == [n_jobs], tasks
 
 
 class _AllocatingLogisticOvR(LogisticOvR):

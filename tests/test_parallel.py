@@ -1,3 +1,4 @@
+import json
 import os
 import signal
 import threading
@@ -7,10 +8,10 @@ from functools import partial
 import numpy as np
 import pytest
 
-from tripletune import parallel
-from tripletune.evaluation import (LogisticOvR, MlpClassifier, kfold_split, kmeans,
-                                   train_classify)
-from tripletune.graph import KnowledgeGraph
+from tripletune import evaluation, parallel
+from tripletune.evaluation import (CLASSIFIERS, LogisticOvR, MlpClassifier, calinski_harabasz,
+                                   evaluate, kfold_split, kmeans, train_classify)
+from tripletune.graph import KnowledgeGraph, multi_predicate_triple_ids
 from tripletune.pairs import build_dataset
 from tripletune.parallel import RemoteTraceback, fork_map
 from tripletune.seeds import EmbeddingSet
@@ -136,7 +137,14 @@ def test_workers_are_the_cpus_only_with_one_thread():
     assert parallel.workers() == want
 
 
-def test_call_sites_give_the_same_bits_at_any_worker_count(set_workers):
+def _multi_predicate_graph(rng):
+    """70 random triples plus 12 (head, tail) pairs that carry two predicates each."""
+    rows = random_named_triples(rng, 20, 4, 70)
+    rows += [(f"m{i}", p, f"m{i + 1}") for i in range(12) for p in ("p0", f"p{1 + i % 3}")]
+    return KnowledgeGraph.from_named_triples(rows)
+
+
+def test_call_sites_give_the_same_bits_at_any_worker_count(set_workers, monkeypatch):
     rng = np.random.default_rng(8)
     x = np.vstack([c + rng.normal(size=(30, 4)) for c in rng.normal(size=(5, 4)) * 4])
     y = np.repeat(np.arange(5), 30)
@@ -144,6 +152,15 @@ def test_call_sites_give_the_same_bits_at_any_worker_count(set_workers):
     g = KnowledgeGraph.from_named_triples(random_named_triples(rng, 20, 4, 70))
     emb = EmbeddingSet(rng.normal(size=(g.num_entities, 6)),
                        rng.normal(size=(g.num_predicates, 6)))
+    g_eval = _multi_predicate_graph(rng)
+    x_eval = rng.normal(size=(g_eval.num_triples, 6))
+    cases = [(c, r) for c in CLASSIFIERS for r in (False, True)]
+    assignments = []   # what evaluate's k-means handed to the CH index, per call
+
+    def recording_ch(features, assignment, k):
+        assignments.append(assignment.tolist())
+        return calinski_harabasz(features, assignment, k)
+    monkeypatch.setattr(evaluation, "calinski_harabasz", recording_ch)
 
     def run():
         km = kmeans(x, 5, rng_seed=2, restarts=10)
@@ -151,12 +168,30 @@ def test_call_sites_give_the_same_bits_at_any_worker_count(set_workers):
                   for spec in (partial(LogisticOvR, iters=20),
                                partial(MlpClassifier, hidden=8, epochs=2))]
         ds = build_dataset(g, emb, n=3, rng_seed=4)
+        reports = [evaluate(x_eval, g_eval, classifier=c, restrict_multi_predicate=r,
+                            rng_seed=5).to_json() for c, r in cases]
         return (km.assignment.tolist(), km.centers.tobytes(), km.inertia, km.inertia_history,
                 scores, ds.a.tolist(), ds.b.tolist(), ds.score.tobytes(),
-                ds.provenance.tolist(), ds.negative_deficit_anchors)
+                ds.provenance.tolist(), ds.negative_deficit_anchors, reports)
 
     set_workers(1)
     want = run()
     for w in (2, 3):
         set_workers(w)
         assert run() == want, w
+    assert assignments == assignments[:len(cases)] * 3
+
+    # evaluate's one map gives what the two entry points give alone on the same rows
+    set_workers(1)
+    for (classifier, restrict), report, assignment in zip(cases, want[-1], assignments):
+        keep = (multi_predicate_triple_ids(g_eval) if restrict
+                else np.arange(g_eval.num_triples))
+        labels = g_eval.ids[keep, 1]
+        per_fold = json.loads(report)["micro_f1_per_fold"]
+        split = kfold_split(len(keep), rng_seed=5)
+        assert list(per_fold) == [cls.kind for cls in CLASSIFIERS[classifier]]
+        for cls in CLASSIFIERS[classifier]:
+            assert per_fold[cls.kind] == train_classify(x_eval[keep], labels, cls, split,
+                                                        rng_seed=5)
+        k = len(np.unique(labels))
+        assert kmeans(x_eval[keep], k, rng_seed=5).assignment.tolist() == assignment
