@@ -140,20 +140,21 @@ class Adam:
         self.v = np.zeros_like(params)
 
     def step(self, grad: np.ndarray, lr: float | None = None) -> None:
-        self._update(slice(None), grad, lr)
+        self._update(self.m, self.v, self.params, grad, lr)
 
     def step_rows(self, rows: np.ndarray, grad_rows: np.ndarray,
                   lr: float | None = None) -> np.ndarray:
         """Step the given distinct rows; returns their updated values."""
-        m, v, p = self._update(rows, grad_rows, lr)
+        m, v, p = (a.take(rows, axis=0) for a in (self.m, self.v, self.params))
+        self._update(m, v, p, grad_rows, lr)
         self.m[rows], self.v[rows], self.params[rows] = m, v, p
         return p
 
-    def _update(self, index, grad: np.ndarray, lr: float | None):
-        """Update m, v and the parameters at `index`: views for a slice, copies for rows."""
+    def _update(self, m: np.ndarray, v: np.ndarray, p: np.ndarray, grad: np.ndarray,
+                lr: float | None) -> None:
+        """Update m, v and p in place: the whole arrays, or gathered copies of rows."""
         self.t += 1
         lr = self.lr if lr is None else lr
-        m, v, p = self.m[index], self.v[index], self.params[index]
         upd = np.multiply(grad, 1 - self.beta1)
         m *= self.beta1
         m += upd
@@ -168,4 +169,3 @@ class Adam:
         den += self.eps
         upd /= den
         p -= upd
-        return m, v, p

@@ -189,12 +189,13 @@ def row_dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (u[:, None, :] @ v[:, :, None])[:, 0, 0]
 
 
-def _batch_terms(model_tag, params, tri, is_pos, margin):
+def _batch_terms(model_tag, params, tri, is_pos, margin, with_terms=True):
     """Loss terms and gradient rows of every scored triple in a batch.
 
     `tri` is (N, 3) ids, `is_pos` marks the positives. Returns (terms, keep,
-    d_head, d_tail, d_pred): the loss term of each row, the rows that carry a
-    gradient, and the signed gradient rows for the head, tail and predicate.
+    d_head, d_tail, d_pred): the loss term of each row (None unless
+    `with_terms`), the rows that carry a gradient, and the signed gradient rows
+    for the head, tail and predicate.
     Each row is computed with the same element-wise operations as one triple
     at a time would be, so the values match that bit for bit.
     """
@@ -219,7 +220,7 @@ def _batch_terms(model_tag, params, tri, is_pos, margin):
             d_tail = 2.0 * _interleave(-r)
             d_pred = 2.0 * (cr * hc * 1j * pc).real   # d||r||^2 / d theta
         keep = is_pos | (margin - d2 > 0)
-        terms = np.where(is_pos, d2, np.where(keep, margin - d2, 0.0))
+        terms = np.where(is_pos, d2, np.where(keep, margin - d2, 0.0)) if with_terms else None
         sign = np.where(is_pos, 1.0, -1.0)[:, None]
         return terms, keep, sign * d_head, sign * d_tail, sign * d_pred
 
@@ -237,7 +238,7 @@ def _batch_terms(model_tag, params, tri, is_pos, margin):
         d_tail = _interleave(hc * pc)
     sig = np.array([1.0 / (1.0 + math.exp(-max(-500.0, min(500.0, s)))) for s in score.tolist()])
     terms = np.array([-math.log(max(q if y else 1 - q, 1e-300))
-                      for q, y in zip(sig.tolist(), is_pos.tolist())])
+                      for q, y in zip(sig.tolist(), is_pos.tolist())]) if with_terms else None
     coeff = (sig - is_pos)[:, None]
     return terms, np.ones(len(tri), dtype=bool), coeff * d_head, coeff * d_tail, coeff * d_pred
 
@@ -400,7 +401,8 @@ def train_seed(g: KnowledgeGraph, model_tag: str, cfg: SeedTrainConfig,
     parameters, and each parameter row gets the sum of its gradient rows in
     example order (h, t, then nh, nt of each negative; negatives outside the
     margin add zero rows), so the result equals an example-at-a-time
-    accumulation bit for bit. Deterministic under cfg.rng_seed.
+    accumulation bit for bit. Deterministic under cfg.rng_seed. The loss terms
+    shape no parameter, so they are computed only for a `loss_history`.
     """
     if model_tag not in TRAINABLE_MODELS:
         raise ValueError(f"cannot train model {model_tag!r}; import it instead")
@@ -439,15 +441,17 @@ def train_seed(g: KnowledgeGraph, model_tag: str, cfg: SeedTrainConfig,
                 tri = ahead[start:start + per_batch]
                 m = len(tri) // (1 + k)
                 terms, keep, d_head, d_tail, d_pred = _batch_terms(
-                    model_tag, params, tri, is_pos[:len(tri)], cfg.margin)
+                    model_tag, params, tri, is_pos[:len(tri)], cfg.margin,
+                    with_terms=loss_history is not None)
 
-                # each example's loss summed from 0.0 in order, then the batch in
-                # order, as a running float sum would (0.0 + -0.0 is 0.0)
-                terms = terms.reshape(m, 1 + k)
-                example_loss = 0.0 + terms[:, 0]
-                for j in range(1, 1 + k):
-                    example_loss = example_loss + terms[:, j]
-                epoch_loss += float(np.add.accumulate(example_loss)[-1])
+                if terms is not None:
+                    # each example's loss summed from 0.0 in order, then the batch
+                    # in order, as a running float sum would (0.0 + -0.0 is 0.0)
+                    terms = terms.reshape(m, 1 + k)
+                    example_loss = 0.0 + terms[:, 0]
+                    for j in range(1, 1 + k):
+                        example_loss = example_loss + terms[:, j]
+                    epoch_loss += float(np.add.accumulate(example_loss)[-1])
 
                 # gradient rows (head, tail, predicate) of every scored triple; a
                 # negative outside the margin has zero rows, which change no sum

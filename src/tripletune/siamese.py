@@ -127,46 +127,62 @@ def batch_loss_and_grads(model: SiameseModel, a_ids: np.ndarray, b_ids: np.ndarr
     aligns with the deduplicated, sorted touched_rows. Each touched row sums
     its gradient rows in the order a0, b0, a1, b1, ...; `rows` is that sum,
     planned ahead (`train` plans many batches at once), else it is planned here.
+    """
+    if rows is None:
+        rows = plan_row_sums(np.stack([a_ids, b_ids], axis=1), 2 * len(a_ids))[0]
+    residual, *grads = _residual_and_grads(model, a_ids, b_ids, targets, rows)
+    return (float(np.mean(residual ** 2)), *grads)
 
-    Both branches run as one (2m, d) array, a rows first, except for the
-    products with w1: BLAS may sum a row of a (2m, d) product in another order
-    than the same row of an (m, d) one, so each branch has its own product.
+
+def _kept(ok: np.ndarray | None, values: np.ndarray, fill: float) -> np.ndarray:
+    """`values` where `ok`, else `fill`; `values` itself when `ok` is None (every pair)."""
+    return values if ok is None else np.where(ok, values, fill)
+
+
+def _residual_and_grads(model: SiameseModel, a_ids: np.ndarray, b_ids: np.ndarray,
+                        targets: np.ndarray, rows: RowSums):
+    """`batch_loss_and_grads` with the residuals s - targets in place of the loss.
+
+    Both branches run as one (2, m, d) array, a rows first. Each product with
+    w1 is one stacked `np.matmul` over it, which NumPy computes as one (m, d)
+    BLAS product per branch: BLAS may sum a row of a (2m, d) product in another
+    order than the same row of an (m, d) one, so the branches are not merged
+    into one taller product. A pair with a zero-norm (or NaN) branch scores 0
+    and adds no gradient; the selections that say so run only for a batch
+    that has one.
     """
     m = len(a_ids)
-    if rows is None:
-        rows = plan_row_sums(np.stack([a_ids, b_ids], axis=1), 2 * m)[0]
-    e = model.triple_embeddings[np.concatenate([a_ids, b_ids])]
+    e = model.triple_embeddings.take(np.concatenate([a_ids, b_ids]), axis=0).reshape(2, m, -1)
     w1 = model.w1
-    o = np.empty_like(e)
-    np.matmul(e[:m], w1.T, out=o[:m])
-    np.matmul(e[m:], w1.T, out=o[m:])
+    o = np.matmul(e, w1.T)
     o += model.b1
     np.tanh(o, out=o)
-    e, o = e.reshape(2, m, -1), o.reshape(2, m, -1)
-    sq = o * o   # o ** 2, and the terms of np.linalg.norm
-    norms = np.sqrt(sq.sum(axis=2))
-    ok = (norms[0] > 0) & (norms[1] > 0)
+    dtanh = o * o   # o ** 2, the terms of np.linalg.norm; 1 - o ** 2 below
+    norms = np.sqrt(dtanh.sum(axis=2))
+    np.subtract(1.0, dtanh, out=dtanh)
     dots = np.einsum("ij,ij->i", o[0], o[1])
-    denom = np.where(ok, norms[0] * norms[1], 1.0)
-    s = np.where(ok, dots / denom, 0.0)
+    ok = None if (norms > 0).all() else (norms[0] > 0) & (norms[1] > 0)   # NaN fails > 0
+    denom = _kept(ok, norms[0] * norms[1], 1.0)
+    s = _kept(ok, dots / denom, 0.0)
 
     residual = s - targets
-    loss = float(np.mean(residual ** 2))
-    ds = np.where(ok, 2.0 * residual / m, 0.0)
+    ds = _kept(ok, 2.0 * residual / m, 0.0)
 
     # d cos / d o_a = o_b/(na*nb) - s * o_a / na^2, and symmetrically for o_b:
     # o[::-1] is each row's partner in the other branch
-    n_safe = np.where(ok, norms, 1.0)
-    dz = (o[::-1] / denom[:, None] - (s / n_safe**2)[..., None] * o) * ds[:, None]
-    dz *= 1.0 - sq
+    dz = np.divide(o[::-1], denom[:, None])
+    o *= (s / _kept(ok, norms, 1.0) ** 2)[..., None]
+    dz -= o
+    dz *= ds[:, None]
+    dz *= dtanh
 
-    grad_w1 = dz[0].T @ e[0] + dz[1].T @ e[1]
+    grad_w1 = np.matmul(dz.transpose(0, 2, 1), e)
+    grad_w1[0] += grad_w1[1]
     branch_sums = dz.sum(axis=1)
     grad_b1 = branch_sums[0] + branch_sums[1]
     de = np.empty((m, 2, w1.shape[1]))   # rows a0, b0, a1, b1, ...: the summation order
-    np.matmul(dz[0], w1, out=de[:, 0])
-    np.matmul(dz[1], w1, out=de[:, 1])
-    return loss, grad_w1, grad_b1, rows.rows, rows(de.reshape(2 * m, -1))
+    np.matmul(dz, w1, out=de.transpose(1, 0, 2))
+    return residual, grad_w1[0], grad_b1, rows.rows, rows(de.reshape(2 * m, -1))
 
 
 def train(model: SiameseModel, dataset: PtssDataset, cfg: FineTuneConfig,
@@ -177,7 +193,8 @@ def train(model: SiameseModel, dataset: PtssDataset, cfg: FineTuneConfig,
     rows and the d + 1 dense rows; Adam treats every element alike, so this is
     the dense step of w1 and b1 plus the row step of the triple layer, bit for
     bit. The row sums of every PLAN_BATCHES batches of an epoch's permutation
-    are planned at once (`optim.plan_row_sums`).
+    are planned at once (`optim.plan_row_sums`). The batch loss shapes no
+    parameter, so it is computed only for a `loss_history`.
 
     Raises ValueError for an empty dataset, a pair id outside the layer's rows,
     or a score that is not a PTSS value: one outside [-1, 1], NaN included.
@@ -211,14 +228,15 @@ def train(model: SiameseModel, dataset: PtssDataset, cfg: FineTuneConfig,
             plan = plan_row_sums(np.stack([a, b], axis=1), 2 * cfg.batch_size)
             for start, rows in zip(range(0, len(ahead), cfg.batch_size), plan):
                 batch = slice(start, start + cfg.batch_size)
-                loss, gw, gb, touched, grows = batch_loss_and_grads(
+                residual, gw, gb, touched, grows = _residual_and_grads(
                     model, a[batch], b[batch], score[batch], rows)
                 step += 1
                 lr = (cfg.learning_rate * min(1.0, step / warmup_steps) if warmup_steps
                       else cfg.learning_rate)
                 updated = opt.step_rows(np.concatenate([touched, dense_rows]),
                                         np.concatenate([grows, gw, gb[None]]), lr=lr)
-                epoch_loss += loss * len(score[batch])
+                if loss_history is not None:
+                    epoch_loss += float(np.mean(residual ** 2)) * len(residual)
                 if not np.all(np.isfinite(updated)):
                     raise TrainingDiverged(
                         f"NaN/Inf parameter at epoch {epoch}, step {step}")

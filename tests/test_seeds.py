@@ -429,6 +429,24 @@ def test_train_seed_equals_example_loop(model, negatives):
         assert hinges.min() > 0, hinges
 
 
+@pytest.mark.parametrize("model", seedmod.TRAINABLE_MODELS)
+def test_train_seed_without_history_equals_with_one(model):
+    # the loss terms are computed only for a history and shape no parameter
+    rng = np.random.default_rng(4)
+    rows = {(f"e{rng.integers(8)}", f"r{rng.integers(3)}", f"e{rng.integers(8)}")
+            for _ in range(50)}
+    g = KnowledgeGraph.from_named_triples(sorted(rows)[:35])
+    cfg = SeedTrainConfig(dim=6, epochs=3, batch_size=6, negatives=2, margin=12.0,
+                          learning_rate=0.5, rng_seed=5)
+    history = []
+    with_history = train_seed(g, model, cfg, loss_history=history)
+    without = train_seed(g, model, cfg)
+    assert np.array_equal(without.entity_vectors, with_history.entity_vectors)
+    assert np.array_equal(without.predicate_vectors, with_history.predicate_vectors)
+    _, ref_history = _reference_train_seed(g, model, cfg, np.zeros(2, dtype=np.int64))
+    assert len(history) == 3 and history == ref_history
+
+
 @pytest.mark.parametrize("model", ["transe", "rotate"])
 def test_train_seed_negatives_outside_the_margin_equal_example_loop(monkeypatch, model):
     # with a zero margin no negative carries a gradient, so the corrupted

@@ -279,6 +279,34 @@ def test_batch_loss_and_grads_equal_frozen_reference(m, d):
         assert np.array_equal(np.signbit(g), np.signbit(w))
 
 
+@pytest.mark.parametrize("bad", [0.0, np.nan])
+def test_batch_loss_and_grads_equal_frozen_reference_with_a_degenerate_row(bad):
+    # with b1 = 0 a zero triple row encodes to exactly zero, and a NaN row to
+    # NaN: either fails the norm check, so the batch takes the selections that
+    # give its pairs score 0 and no gradient, which batches whose norms are all
+    # positive skip. The row is on both sides, and once paired with itself
+    rng = np.random.default_rng([31, int(np.isnan(bad))])
+    d, m = 5, 12
+    model = SiameseModel(rng.normal(size=(7, d)), rng.normal(size=(d, d)) * 0.4, np.zeros(d))
+    model.triple_embeddings[3] = bad
+    a_ids, b_ids = rng.integers(0, 7, size=m), rng.integers(0, 7, size=m)
+    a_ids[[0, 2]], b_ids[[1, 2]] = 3, 3
+    targets = rng.uniform(-1, 1, size=m)
+    got = batch_loss_and_grads(model, a_ids, b_ids, targets)
+    want = _reference_batch_loss_and_grads(model, a_ids, b_ids, targets)
+    assert np.isfinite(got[0])
+    for g, w in zip(got, want):
+        g, w = np.asarray(g), np.asarray(w)
+        assert g.shape == w.shape and np.array_equal(g, w, equal_nan=True)
+        assert np.array_equal(np.isnan(g), np.isnan(w))
+        real = ~np.isnan(w)
+        assert np.array_equal(np.signbit(g[real]), np.signbit(w[real]))
+    if np.isnan(bad):
+        assert np.isnan(got[1]).any()
+    else:
+        assert np.isfinite(got[4]).all()
+
+
 def test_batch_gradient_zero_at_perfect_fit():
     m = small_model(seed=17)
     a_ids = np.array([0, 1])
@@ -376,6 +404,36 @@ def test_train_equals_frozen_train(monkeypatch, op, n_pairs, cfg):
         assert np.array_equal(moments[n:-1], ref_moments["w1"])
         assert np.array_equal(moments[-1], ref_moments["b1"])
     assert opt.t == ref_opt.t
+
+
+@pytest.mark.parametrize("op, n_pairs, cfg", [
+    ("avg", 70, FineTuneConfig(batch_size=16, epochs=4, rng_seed=3)),
+    ("ht", 23, FineTuneConfig(batch_size=64, epochs=5, rng_seed=2)),
+    ("avg", 200, FineTuneConfig(batch_size=128, epochs=3, rng_seed=0)),
+])
+def test_train_without_history_equals_train_with_one(monkeypatch, op, n_pairs, cfg):
+    # the batch loss is computed only for a history and shapes no parameter,
+    # no moment and no step count
+    made = []
+
+    class RecordingAdam(Adam):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(siamese, "Adam", RecordingAdam)
+    model, ds = frozen_case(op, n_pairs)
+    without, ref = copy_model(model), copy_model(model)
+    history, ref_history = [], []
+    train(model, ds, cfg, loss_history=history)
+    train(without, ds, cfg)
+    _reference_train(ref, ds, cfg, loss_history=ref_history)
+    assert len(history) == cfg.epochs and history == ref_history
+    assert np.array_equal(without.slab, model.slab)
+    opt_with, opt_without = made
+    assert np.array_equal(opt_without.m, opt_with.m)
+    assert np.array_equal(opt_without.v, opt_with.v)
+    assert opt_without.t == opt_with.t
 
 
 def test_training_divergence_at_the_frozen_step():
