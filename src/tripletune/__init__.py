@@ -6,10 +6,9 @@ fine-tuning a Siamese encoder; evaluation covers predicate classification
 and clusterability against a line-graph random-walk baseline.
 """
 
-from .graph import (GraphParseError, GraphStats, KnowledgeGraph, Triple,
-                    compute_stats, load_triples, multi_predicate_triple_ids, save_triples)
+from .graph import (GraphParseError, GraphStats, KnowledgeGraph, compute_stats,
+                    load_triples, multi_predicate_triple_ids, save_triples)
 from .seeds import (EmbeddingSet, SeedTrainConfig, import_embeddings, export_embeddings,
-                    score_complex, score_distmult, score_rotate, score_transe,
                     train_seed)
 from .pairs import (PtssDataset, build_dataset, compute_ptss, cosine_sim,
                     sample_candidates)

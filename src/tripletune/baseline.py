@@ -58,10 +58,6 @@ def _pairs_within_groups(group: np.ndarray, member: np.ndarray
     return np.repeat(member, size), member[first + offset]
 
 
-def tf_weight(i: int, j: int, c: np.ndarray) -> float:
-    return math.log1p(float(c[i, j]))
-
-
 def itf_weight(j: int, n_edges: int, c: np.ndarray) -> float:
     if n_edges < 1:
         raise ValueError("need at least one edge")

@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-import functools
 import json
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -16,13 +15,6 @@ from scipy.sparse.csgraph import connected_components
 
 class GraphParseError(ValueError):
     """Raised for malformed triple files."""
-
-
-class Triple(NamedTuple):
-    """One row of `KnowledgeGraph.ids`."""
-    head: int
-    predicate: int
-    tail: int
 
 
 class Postings:
@@ -60,11 +52,6 @@ class KnowledgeGraph:
         self.by_head = Postings(self.ids[:, 0], len(entities))
         self.by_tail = Postings(self.ids[:, 2], len(entities))
         self.by_predicate = Postings(self.ids[:, 1], len(predicates))
-
-    @functools.cached_property
-    def triples(self) -> list[Triple]:
-        """The rows of `ids` as `Triple` tuples."""
-        return [Triple(*row) for row in self.ids.tolist()]
 
     @property
     def num_entities(self) -> int:

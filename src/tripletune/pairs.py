@@ -13,11 +13,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .graph import KnowledgeGraph, Triple
+from .graph import KnowledgeGraph
 from . import parallel
 from .seeds import EmbeddingSet, row_dot
 
 PROVENANCES = ("shared-head", "shared-tail", "shared-predicate", "negative")
+_CODES = np.arange(len(PROVENANCES), dtype=np.int8)
 
 # Rejection-sampling budget for negatives, per anchor, as a multiple of N.
 NEGATIVE_RETRY_FACTOR = 100
@@ -69,18 +70,16 @@ def cosine_sim(u: np.ndarray, v: np.ndarray) -> float:
     return max(-1.0, min(1.0, c))
 
 
-def compute_ptss(a: Triple, b: Triple, emb: EmbeddingSet) -> float:
-    """Arithmetic mean of head/predicate/tail cosine similarities; the scalar
-    reference for `ptss_scores`."""
+def compute_ptss(a, b, emb: EmbeddingSet) -> float:
+    """Arithmetic mean of the head/predicate/tail cosine similarities of two
+    triples, each a (head, predicate, tail) row of ids; the scalar reference
+    for `ptss_scores`."""
+    (head_a, pred_a, tail_a), (head_b, pred_b, tail_b) = a, b
     ent = emb.entity_vectors
     pred = emb.predicate_vectors
-    return (cosine_sim(ent[a.head], ent[b.head])
-            + cosine_sim(pred[a.predicate], pred[b.predicate])
-            + cosine_sim(ent[a.tail], ent[b.tail])) / 3.0
-
-
-def shares_slot(a: Triple, b: Triple) -> bool:
-    return a.head == b.head or a.tail == b.tail or a.predicate == b.predicate
+    return (cosine_sim(ent[head_a], ent[head_b])
+            + cosine_sim(pred[pred_a], pred[pred_b])
+            + cosine_sim(ent[tail_a], ent[tail_b])) / 3.0
 
 
 def anchor_rng(rng_seed: int, triple_id: int) -> np.random.Generator:
@@ -124,28 +123,25 @@ def ptss_scores(g: KnowledgeGraph, emb: EmbeddingSet, a: np.ndarray,
 
 
 def sample_candidates(g: KnowledgeGraph, triple_id: int, n: int,
-                      rng: np.random.Generator) -> tuple[list[tuple[int, str]], bool]:
-    """Draw up to 4N labeled candidates for one anchor.
+                      rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Draw up to 4N labeled candidates for one anchor, as (ids, codes, deficit):
+    int64 triple ids and their int8 PROVENANCES codes, in PROVENANCES order.
 
     Per shared slot: N distinct triples uniformly without replacement from the
     slot's posting list minus the anchor, or the entire set when it is smaller
-    than N. Negatives are drawn by rejection over all triples; if the retry
-    budget runs out the anchor gets fewer negatives and the deficit flag is set.
+    than N. Negatives are drawn by rejection over all triples, in ascending id
+    order; if the retry budget runs out the anchor gets fewer negatives and the
+    deficit flag is set.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     h, p, t = g.ids[triple_id].tolist()
-    out: list[tuple[int, str]] = []
-
-    for posting, provenance in (
-        (g.by_head[h], "shared-head"),
-        (g.by_tail[t], "shared-tail"),
-        (g.by_predicate[p], "shared-predicate"),
-    ):
+    parts = []
+    for posting in (g.by_head[h], g.by_tail[t], g.by_predicate[p]):
         eligible = posting[posting != triple_id]
         if len(eligible) > n:
             eligible = eligible[rng.choice(len(eligible), size=n, replace=False)]
-        out.extend((c, provenance) for c in eligible.tolist())
+        parts.append(eligible)
 
     negatives: set[int] = set()
     budget = NEGATIVE_RETRY_FACTOR * n
@@ -158,9 +154,9 @@ def sample_candidates(g: KnowledgeGraph, triple_id: int, n: int,
         hc, pc, tc = g.ids[cand].tolist()
         if hc != h and pc != p and tc != t:
             negatives.add(cand)
-    out.extend((c, "negative") for c in sorted(negatives))
-    deficit = len(negatives) < n
-    return out, deficit
+    parts.append(np.array(sorted(negatives), dtype=np.int64))
+    codes = np.repeat(_CODES, [len(part) for part in parts])
+    return np.concatenate(parts), codes, len(negatives) < n
 
 
 def _sample_anchors(g: KnowledgeGraph, emb: EmbeddingSet, n: int, rng_seed: int,
@@ -168,22 +164,20 @@ def _sample_anchors(g: KnowledgeGraph, emb: EmbeddingSet, n: int, rng_seed: int,
     """The scored pairs of anchors start .. stop - 1 as (a, b, score, provenance,
     deficit anchors). Candidates go straight into arrays of 4N slots per anchor,
     trimmed once."""
-    code = {name: i for i, name in enumerate(PROVENANCES)}
     b = np.empty(4 * n * (stop - start), dtype=np.int64)
     provenance = np.empty(len(b), dtype=np.int8)
     per_anchor = np.empty(stop - start, dtype=np.int64)
     deficits: list[int] = []
     filled = 0
     for anchor_id in range(start, stop):
-        candidates, deficit = sample_candidates(g, anchor_id, n,
+        ids, codes, deficit = sample_candidates(g, anchor_id, n,
                                                 anchor_rng(rng_seed, anchor_id))
         if deficit:
             deficits.append(anchor_id)
-        per_anchor[anchor_id - start] = len(candidates)
-        for cand_id, name in candidates:
-            b[filled] = cand_id
-            provenance[filled] = code[name]
-            filled += 1
+        per_anchor[anchor_id - start] = len(ids)
+        b[filled:filled + len(ids)] = ids
+        provenance[filled:filled + len(ids)] = codes
+        filled += len(ids)
     b, provenance = b[:filled].copy(), provenance[:filled].copy()
     a = np.repeat(np.arange(start, stop, dtype=np.int64), per_anchor)
     return a, b, ptss_scores(g, emb, a, b), provenance, deficits

@@ -119,7 +119,10 @@ class ExperimentConfig:
             check(Path(f).is_file(), f"triple file not found: {f}")
         check(isinstance(self.output_dir, str),
               f"output_dir must be a path, got {self.output_dir!r}")
+        check(isinstance(self.dataset_tag, str),
+              f"dataset_tag must be a string, got {self.dataset_tag!r}")
         check(sc["mode"] in ("train", "import"), f"unknown seed.mode {sc['mode']!r}")
+        check(isinstance(sc["model"], str), f"seed.model must be a string, got {sc['model']!r}")
         for key in ("entity_file", "predicate_file") if sc["mode"] == "import" else ():
             check(key in sc, f"seed.mode=import requires seed.{key}")
             check(isinstance(sc[key], str) and Path(sc[key]).is_file(),
@@ -141,8 +144,12 @@ class ExperimentConfig:
             section = "eval: "
             check(ec["classifier"] in CLASSIFIERS, f"unknown classifier {ec['classifier']!r}")
             check_count("folds", ec["folds"], 2)
+            restrict, enabled = ec["restrict_multi_predicate"], bc["enabled"]
+            check(isinstance(restrict, bool),
+                  f"restrict_multi_predicate must be true or false, got {restrict!r}")
             section = "baseline: "
-            if bc["enabled"]:
+            check(isinstance(enabled, bool), f"enabled must be true or false, got {enabled!r}")
+            if enabled:
                 for key in ("walks_per_node", "walk_length", "window", "negatives"):
                     check_count(key, bc[key])
         except (TypeError, ValueError, OverflowError) as exc:

@@ -1,4 +1,4 @@
-"""Seed entity/predicate embeddings: scoring functions, in-repo training, import/export.
+"""Seed entity/predicate embeddings: the batch scorer, in-repo training, import/export.
 
 Complex-valued models (ComplEx, RotatE) store their vectors interleaved in
 real arrays as [re0, im0, re1, im1, ...]; the layout is the model's, so a seed
@@ -8,6 +8,7 @@ is just its two matrices and downstream cosines treat every row as real.
 from __future__ import annotations
 
 import math
+import numbers
 from array import array
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
@@ -62,6 +63,10 @@ class SeedTrainConfig:
         check_count("dim", self.dim, 2)
         check_count("negatives", self.negatives)
         check_training_config(self)
+        margin = self.margin
+        if (isinstance(margin, bool) or not isinstance(margin, numbers.Real)
+                or not (math.isfinite(margin) and margin >= 0)):
+            raise ValueError(f"margin must be a finite number >= 0, got {margin!r}")
 
 
 def check_width(model: str, dim: int) -> None:
@@ -71,46 +76,8 @@ def check_width(model: str, dim: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# scoring functions and their analytic gradients
+# the batch scorer: loss terms and analytic gradients of every scored triple
 # ---------------------------------------------------------------------------
-
-def _check_dims(*vecs: np.ndarray) -> None:
-    d = len(vecs[0])
-    if any(len(v) != d for v in vecs):
-        raise EmbeddingError("dimension mismatch between h, p, t")
-
-
-def score_transe(h: np.ndarray, p: np.ndarray, t: np.ndarray, norm: int = 2) -> float:
-    _check_dims(h, p, t)
-    r = h + p - t
-    if norm == 1:
-        return -float(np.sum(np.abs(r)))
-    return -float(np.linalg.norm(r))
-
-
-def score_transe_grad(h, p, t, norm: int = 2):
-    """Returns (score, dh, dp, dt)."""
-    _check_dims(h, p, t)
-    r = h + p - t
-    if norm == 1:
-        s = -float(np.sum(np.abs(r)))
-        g = -np.sign(r)
-    else:
-        n = float(np.linalg.norm(r))
-        s = -n
-        g = -r / n if n > 0 else np.zeros_like(r)
-    return s, g, g.copy(), -g
-
-
-def score_distmult(h: np.ndarray, p: np.ndarray, t: np.ndarray) -> float:
-    _check_dims(h, p, t)
-    return float(np.sum(h * p * t))
-
-
-def score_distmult_grad(h, p, t):
-    _check_dims(h, p, t)
-    return float(np.sum(h * p * t)), p * t, h * t, h * p
-
 
 def _as_complex(v: np.ndarray) -> np.ndarray:
     """Complex slots of an interleaved vector, or of each row of a matrix."""
@@ -123,63 +90,6 @@ def _interleave(c: np.ndarray) -> np.ndarray:
     out = np.empty(c.shape[:-1] + (2 * c.shape[-1],))
     out[..., 0::2] = c.real
     out[..., 1::2] = c.imag
-    return out
-
-
-def score_complex(h: np.ndarray, p: np.ndarray, t: np.ndarray) -> float:
-    """Re(sum_i h_i * p_i * conj(t_i)) over the d/2 complex slots."""
-    _check_dims(h, p, t)
-    hc, pc, tc = _as_complex(h), _as_complex(p), _as_complex(t)
-    return float(np.real(np.sum(hc * pc * np.conj(tc))))
-
-
-def score_complex_grad(h, p, t):
-    _check_dims(h, p, t)
-    hc, pc, tc = _as_complex(h), _as_complex(p), _as_complex(t)
-    s = float(np.real(np.sum(hc * pc * np.conj(tc))))
-    # d Re(h p conj(t)) / d(h) as a complex Wirtinger-free pair of real partials
-    dh = _interleave(np.conj(pc * np.conj(tc)))
-    dp = _interleave(np.conj(hc * np.conj(tc)))
-    dt = _interleave(hc * pc)          # d/d(tr) = Re(hp), d/d(ti) = Im(hp)
-    return s, dh, dp, dt
-
-
-def score_rotate(h: np.ndarray, p: np.ndarray, t: np.ndarray) -> float:
-    """-||h o p - t||_2 with o the slotwise complex product; p must be unit-modulus."""
-    _check_dims(h, p, t)
-    pc = _as_complex(p)
-    if not np.allclose(np.abs(pc), 1.0, atol=1e-6):
-        raise EmbeddingError("rotation predicate slots must have unit modulus")
-    hc, tc = _as_complex(h), _as_complex(t)
-    return -float(np.linalg.norm(hc * pc - tc))
-
-
-def score_rotate_grad(h, p, t):
-    _check_dims(h, p, t)
-    hc, pc, tc = _as_complex(h), _as_complex(p), _as_complex(t)
-    if not np.allclose(np.abs(pc), 1.0, atol=1e-6):
-        raise EmbeddingError("rotation predicate slots must have unit modulus")
-    r = hc * pc - tc
-    n = float(np.linalg.norm(r))
-    s = -n
-    if n == 0:
-        z = np.zeros_like(h)
-        return s, z, z.copy(), z.copy()
-    # d||r||/d(x_re, x_im) = [Re(w), -Im(w)]/||r|| with w = conj(r) * dr/dx_re
-    dh = -_interleave(np.conj(np.conj(r) * pc)) / n
-    dp = -_interleave(np.conj(np.conj(r) * hc)) / n
-    dt = _interleave(r) / n
-    return s, dh, dp, dt
-
-
-# ---------------------------------------------------------------------------
-# in-repo seed training (desk-scale; full-scale seeds come from imports)
-# ---------------------------------------------------------------------------
-
-def _phases_to_interleaved(phases: np.ndarray) -> np.ndarray:
-    out = np.empty((phases.shape[0], 2 * phases.shape[1]))
-    out[:, 0::2] = np.cos(phases)
-    out[:, 1::2] = np.sin(phases)
     return out
 
 
@@ -241,6 +151,17 @@ def _batch_terms(model_tag, params, tri, is_pos, margin, with_terms=True):
                       for q, y in zip(sig.tolist(), is_pos.tolist())]) if with_terms else None
     coeff = (sig - is_pos)[:, None]
     return terms, np.ones(len(tri), dtype=bool), coeff * d_head, coeff * d_tail, coeff * d_pred
+
+
+# ---------------------------------------------------------------------------
+# in-repo seed training (desk-scale; full-scale seeds come from imports)
+# ---------------------------------------------------------------------------
+
+def _phases_to_interleaved(phases: np.ndarray) -> np.ndarray:
+    out = np.empty((phases.shape[0], 2 * phases.shape[1]))
+    out[:, 0::2] = np.cos(phases)
+    out[:, 1::2] = np.sin(phases)
+    return out
 
 
 _LOW32 = np.uint64(0xFFFFFFFF)

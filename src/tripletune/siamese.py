@@ -99,25 +99,6 @@ class SiameseModel:
         b1 = np.zeros(d)
         return cls(layer, w1, b1)
 
-    def encode(self, ids: np.ndarray) -> np.ndarray:
-        e = self.triple_embeddings[ids]
-        return np.tanh(e @ self.w1.T + self.b1)
-
-    def forward_pair(self, a_id: int, b_id: int) -> tuple[np.ndarray, np.ndarray, float]:
-        o = self.encode(np.array([a_id, b_id]))
-        o_a, o_b = o[0], o[1]
-        na, nb = float(np.linalg.norm(o_a)), float(np.linalg.norm(o_b))
-        if na == 0.0 or nb == 0.0:
-            return o_a, o_b, 0.0
-        if a_id == b_id:
-            return o_a, o_b, 1.0   # identical branches share all parameters
-        s = float(np.dot(o_a, o_b) / (na * nb))
-        return o_a, o_b, max(-1.0, min(1.0, s))
-
-
-def pair_loss(s_hat: float, s_target: float) -> float:
-    return (s_hat - s_target) ** 2
-
 
 def batch_loss_and_grads(model: SiameseModel, a_ids: np.ndarray, b_ids: np.ndarray,
                          targets: np.ndarray, rows: RowSums | None = None):

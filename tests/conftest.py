@@ -7,6 +7,7 @@ import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
+from tripletune import seeds as seedmod
 from tripletune.graph import KnowledgeGraph
 from tripletune.optim import TrainingDiverged, scatter_rows
 
@@ -74,6 +75,31 @@ def standardized(x: np.ndarray) -> np.ndarray:
     sd = x.std(axis=0)
     sd[sd == 0] = 1.0
     return (x - mu) / sd
+
+
+def batch_terms_case(model, seed, n=12):
+    """Parameters and a batch of n scored triples (every third a positive,
+    head and tail distinct) for `seeds._batch_terms`; for the margin models, a
+    margin that leaves some negatives' hinges active and some inactive, none
+    near the kink."""
+    rng = np.random.default_rng([seedmod.TRAINABLE_MODELS.index(model), seed])
+    d, n_ent, n_pred = 6, 7, 3
+    params = {"ent": rng.normal(size=(n_ent, d))}
+    if model == "rotate":
+        params["phases"] = rng.uniform(0.0, 2.0 * np.pi, size=(n_pred, d // 2))
+    else:
+        params["pred"] = rng.normal(size=(n_pred, d))
+    heads = rng.integers(n_ent, size=n)
+    tails = (heads + rng.integers(1, n_ent, size=n)) % n_ent
+    tri = np.stack([heads, rng.integers(n_pred, size=n), tails], axis=1)
+    is_pos = np.arange(n) % 3 == 0
+    margin = 1.0
+    if model in ("transe", "rotate"):
+        # every row as a positive: its term is its squared distance
+        d2 = np.sort(seedmod._batch_terms(model, params, tri, np.ones(n, bool), 0.0)[0][~is_pos])
+        gap = np.argmax(np.diff(d2))
+        margin = (d2[gap] + d2[gap + 1]) / 2
+    return params, tri, is_pos, margin
 
 
 class _AllocatingAdam:

@@ -14,26 +14,22 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from tripletune import seeds as seedmod
 from tripletune.baseline import (build_cm, build_line_graph, cooccurrence_counts,
-                                 itf_weight, tf_weight, train_baseline)
+                                 itf_weight, train_baseline)
 from tripletune.evaluation import (LogisticOvR, calinski_harabasz, evaluate, kfold_split,
                                    micro_f1, pearson, train_classify)
 from tripletune.graph import (KnowledgeGraph, compute_stats, load_triples,
                               multi_predicate_triple_ids)
 from tripletune.pairs import (PROVENANCES, anchor_rng, build_dataset, compute_ptss,
-                              sample_candidates, shares_slot)
-from tripletune.seeds import (EmbeddingSet, SeedTrainConfig, score_complex_grad,
-                              score_distmult_grad, score_rotate,
-                              score_rotate_grad, score_transe, score_transe_grad,
-                              train_seed)
+                              sample_candidates)
+from tripletune.seeds import EmbeddingSet, SeedTrainConfig, train_seed
 from tripletune.siamese import (FineTuneConfig, SiameseModel, batch_loss_and_grads,
                                 init_embedding_layer, train)
 from tripletune.synthetic import (cross_linked_clustered_graph, exact_translation_graph,
                                   random_graph)
-from conftest import random_named_triples, standardized
-
-
-from conftest import record_acceptance_line
+from conftest import batch_terms_case, random_named_triples, record_acceptance_line, standardized
+from oracles import shares_slot, tf_weight
 
 
 def announce(criterion: int, ok: bool, detail: str = ""):
@@ -108,8 +104,8 @@ def test_criterion_2_pair_score_invariants():
     ok = True
     detail = []
     for _ in range(n_pairs):
-        a = g.triples[int(rng.integers(g.num_triples))]
-        b = g.triples[int(rng.integers(g.num_triples))]
+        a = g.ids[int(rng.integers(g.num_triples))]
+        b = g.ids[int(rng.integers(g.num_triples))]
         s_ab = compute_ptss(a, b, emb)
         if s_ab != compute_ptss(b, a, emb):
             ok = False
@@ -119,7 +115,7 @@ def test_criterion_2_pair_score_invariants():
             ok = False
             detail.append("range")
             break
-    t = g.triples[0]
+    t = g.ids[0]
     if abs(compute_ptss(t, t, emb) - 1.0) > 1e-12:
         ok = False
         detail.append("self-score")
@@ -130,11 +126,11 @@ def test_criterion_2_pair_score_invariants():
         ok = False
         detail.append("size-bound")
     for a, b, code in zip(ds.a, ds.b, ds.provenance):
-        ta, tb, provenance = g.triples[a], g.triples[b], PROVENANCES[code]
-        derived = ("shared-head" if provenance == "shared-head" and ta.head == tb.head
-                   else "shared-tail" if provenance == "shared-tail" and ta.tail == tb.tail
+        ta, tb, provenance = g.ids[a], g.ids[b], PROVENANCES[code]
+        derived = ("shared-head" if provenance == "shared-head" and ta[0] == tb[0]
+                   else "shared-tail" if provenance == "shared-tail" and ta[2] == tb[2]
                    else "shared-predicate" if provenance == "shared-predicate"
-                   and ta.predicate == tb.predicate
+                   and ta[1] == tb[1]
                    else "negative" if provenance == "negative" and not shares_slot(ta, tb)
                    else None)
         if derived != provenance:
@@ -167,7 +163,6 @@ def central_diff(f, x, eps=1e-6):
 
 def test_criterion_3_gradient_checks():
     tol = 1e-4
-    d = 6
     instances = 0
     worst = 0.0
 
@@ -175,58 +170,35 @@ def test_criterion_3_gradient_checks():
         nonlocal worst
         worst = max(worst, rel_err(analytic, fd))
 
-    for seed in range(20):
-        rng = np.random.default_rng([3, seed])
-        h = rng.normal(size=d)
-        p = rng.normal(size=d)
-        t = rng.normal(size=d)
+    # the seed batch scorer that train_seed runs, 25 scored triples per model in
+    # five batches of two positives and three negatives; each instance checks the
+    # gradients of one triple's loss term in its head, predicate and tail rows
+    scored = {}   # (model, label, whether the row carries a gradient) -> triples
+    for model in seedmod.TRAINABLE_MODELS:
+        pred_key = "phases" if model == "rotate" else "pred"
+        for seed in range(5):
+            params, tri, is_pos, margin = batch_terms_case(model, 100 + seed, n=5)
+            _, keep, d_head, d_tail, d_pred = seedmod._batch_terms(model, params, tri,
+                                                                   is_pos, margin)
+            for i, (h, p, t) in enumerate(tri):
+                def term_i():
+                    return seedmod._batch_terms(model, params, tri, is_pos, margin)[0][i]
 
-        # TransE L2
-        s, gh, gp, gt = score_transe_grad(h, p, t, norm=2)
-        for vec, grad in ((h, gh), (p, gp), (t, gt)):
-            check(grad, central_diff(lambda: score_transe(h, p, t, norm=2), vec))
-        instances += 1
-
-        # TransE L1, keeping residual components away from the kinks
-        r = h + p - t
-        t_l1 = t - np.sign(r) * 0.5
-        s, gh, gp, gt = score_transe_grad(h, p, t_l1, norm=1)
-        for vec, grad in ((h, gh), (p, gp), (t_l1, gt)):
-            check(grad, central_diff(lambda: score_transe(h, p, t_l1, norm=1), vec))
-        instances += 1
-
-        # DistMult
-        s, gh, gp, gt = score_distmult_grad(h, p, t)
-        from tripletune.seeds import score_distmult
-        for vec, grad in ((h, gh), (p, gp), (t, gt)):
-            check(grad, central_diff(lambda: score_distmult(h, p, t), vec))
-        instances += 1
-
-        # ComplEx (interleaved complex vectors)
-        from tripletune.seeds import score_complex
-        s, gh, gp, gt = score_complex_grad(h, p, t)
-        for vec, grad in ((h, gh), (p, gp), (t, gt)):
-            check(grad, central_diff(lambda: score_complex(h, p, t), vec))
-        instances += 1
-
-        # RotatE: h/t free, predicate via its phase parameterization
-        theta = rng.uniform(0, 2 * np.pi, size=d // 2)
-        pr = np.empty(d)
-        pr[0::2] = np.cos(theta)
-        pr[1::2] = np.sin(theta)
-        s, gh, gp, gt = score_rotate_grad(h, pr, t)
-        for vec, grad in ((h, gh), (t, gt)):
-            check(grad, central_diff(lambda: score_rotate(h, pr, t), vec))
-        dtheta = gp[0::2] * (-np.sin(theta)) + gp[1::2] * np.cos(theta)
-
-        def rotate_of_theta():
-            q = np.empty(d)
-            q[0::2] = np.cos(theta)
-            q[1::2] = np.sin(theta)
-            return score_rotate(h, q, t)
-
-        check(dtheta, central_diff(rotate_of_theta, theta))
-        instances += 1
+                for key, row, grad in (("ent", h, d_head), (pred_key, p, d_pred),
+                                       ("ent", t, d_tail)):
+                    # a negative outside the margin adds no gradient row
+                    analytic = grad[i] if keep[i] else np.zeros_like(grad[i])
+                    check(analytic, central_diff(term_i, params[key][row]))
+                kind = (model, "positive" if is_pos[i] else "negative", bool(keep[i]))
+                scored[kind] = scored.get(kind, 0) + 1
+                instances += 1
+    seed_instances = instances
+    # every model scores positives and negatives; TransE and RotatE score
+    # negatives with the hinge active and inactive
+    needed = [(m, label, True) for m in seedmod.TRAINABLE_MODELS
+              for label in ("positive", "negative")]
+    needed += [(m, "negative", False) for m in ("transe", "rotate")]
+    missing = [kind for kind in needed if not scored.get(kind)]
 
     # Siamese batch loss gradients
     for seed in range(20):
@@ -248,8 +220,11 @@ def test_criterion_3_gradient_checks():
         check(dense, central_diff(loss_only, model.triple_embeddings))
         instances += 1
 
-    announce(3, instances >= 100 and worst < tol,
-             f"{instances} instances, worst relative error {worst:.2e} < {tol}")
+    announce(3, instances >= 120 and not missing and worst < tol,
+             f"{instances} instances ({seed_instances} of seeds._batch_terms over "
+             f"{len(seedmod.TRAINABLE_MODELS)} models, {instances - seed_instances} of "
+             f"batch_loss_and_grads), worst relative error {worst:.2e} < {tol}"
+             + (f"; no instance of {missing}" if missing else ""))
 
 
 # ---------------------------------------------------------------------------
@@ -299,22 +274,22 @@ def test_criterion_4_oracle_equivalence():
 
     # candidate sampling vs brute-force eligibility (sets exact)
     sample_ok = True
-    for anchor_id in range(g.num_triples):
-        anchor = g.triples[anchor_id]
-        out, _ = sample_candidates(g, anchor_id, 3, anchor_rng(4, anchor_id))
+    rows = g.ids.tolist()
+    for anchor_id, anchor in enumerate(rows):
+        ids, codes, _ = sample_candidates(g, anchor_id, 3, anchor_rng(4, anchor_id))
         eligible = {
-            "shared-head": {i for i, t in enumerate(g.triples)
-                            if i != anchor_id and t.head == anchor.head},
-            "shared-tail": {i for i, t in enumerate(g.triples)
-                            if i != anchor_id and t.tail == anchor.tail},
-            "shared-predicate": {i for i, t in enumerate(g.triples)
-                                 if i != anchor_id and t.predicate == anchor.predicate},
-            "negative": {i for i, t in enumerate(g.triples)
+            "shared-head": {i for i, t in enumerate(rows)
+                            if i != anchor_id and t[0] == anchor[0]},
+            "shared-tail": {i for i, t in enumerate(rows)
+                            if i != anchor_id and t[2] == anchor[2]},
+            "shared-predicate": {i for i, t in enumerate(rows)
+                                 if i != anchor_id and t[1] == anchor[1]},
+            "negative": {i for i, t in enumerate(rows)
                          if i != anchor_id and not shares_slot(anchor, t)},
         }
         got: dict[str, list[int]] = {}
-        for cid, prov in out:
-            got.setdefault(prov, []).append(cid)
+        for cid, code in zip(ids.tolist(), codes.tolist()):
+            got.setdefault(PROVENANCES[code], []).append(cid)
         for prov in ("shared-head", "shared-tail", "shared-predicate"):
             ids = got.get(prov, [])
             if len(ids) != len(set(ids)) or not set(ids) <= eligible[prov] \
@@ -339,12 +314,12 @@ def test_criterion_5_sum_degeneracy():
 
     # on exactly-translational (single-label) triples, h + p + t collapses to 2t
     layer_sum = init_embedding_layer(g, emb, "sum")
-    worst = max(np.abs(layer_sum[i] - 2.0 * emb.entity_vectors[t.tail]).max()
-                for i, t in enumerate(g.triples) if i not in mp)
+    worst = max(np.abs(layer_sum[i] - 2.0 * emb.entity_vectors[t]).max()
+                for i, t in enumerate(g.ids[:, 2]) if i not in mp)
     collapse_ok = worst <= 1e-12
 
     keep = np.array(sorted(mp))
-    labels = np.array([t.predicate for t in g.triples])[keep]
+    labels = g.ids[keep, 1]
     k = g.num_predicates
     folds = kfold_split(len(keep), rng_seed=0)
     f1_sum = float(np.mean(train_classify(standardized(layer_sum[keep]), labels,
@@ -401,8 +376,8 @@ def test_criterion_6_benchmark_subsample():
     g_full = load_triples(files)
     rng = np.random.default_rng(0)
     keep = rng.choice(g_full.num_triples, size=2000, replace=False)
-    rows = [(g_full.entities[t.head], g_full.predicates[t.predicate],
-             g_full.entities[t.tail]) for t in (g_full.triples[i] for i in keep)]
+    rows = [(g_full.entities[h], g_full.predicates[p], g_full.entities[t])
+            for h, p, t in g_full.ids[keep].tolist()]
     run_desk_scale(KnowledgeGraph.from_named_triples(rows), "fb15k237-2000")
 
 

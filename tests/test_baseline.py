@@ -10,11 +10,12 @@ from tripletune import baseline
 from tripletune.baseline import (LineGraph, build_cm, build_line_graph,
                                  cooccurrence_counts, factorise, itf_weight,
                                  predicate_similarity, random_walks, sgns_walk_update,
-                                 sppmi_matrix, tf_weight, train_baseline, train_skipgram,
+                                 sppmi_matrix, train_baseline, train_skipgram,
                                  train_sppmi, window_counts, window_pairs)
 from tripletune.graph import KnowledgeGraph
 from tripletune.optim import TrainingDiverged
 from conftest import random_named_triples
+from oracles import tf_weight
 
 
 def two_predicate_graph():

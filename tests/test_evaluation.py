@@ -668,7 +668,7 @@ def labeled_graph_and_features(rng, k=3, per=30, dim=4):
     x, y = blobs(rng, k=k, per=per, dim=dim)
     rows = [(f"h{i}", f"p{y[i]}", f"t{i}") for i in range(len(y))]
     g = KnowledgeGraph.from_named_triples(rows)
-    labels = np.array([t.predicate for t in g.triples])
+    labels = g.ids[:, 1].copy()
     # from_named_triples may renumber; regroup features by predicate id
     order = np.argsort(np.argsort(labels, kind="stable"), kind="stable")
     return g, x, labels

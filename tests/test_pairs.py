@@ -6,13 +6,14 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from tripletune import pairs
-from tripletune.graph import KnowledgeGraph, Triple
+from tripletune.graph import KnowledgeGraph
 from tripletune.pairs import (PROVENANCES, PtssDataset, anchor_rng, build_dataset,
                               compute_ptss, cosine_sim, load_dataset, ptss_scores,
-                              sample_candidates, save_dataset, shares_slot)
+                              sample_candidates, save_dataset)
 from tripletune.seeds import EmbeddingSet, row_dot
 from tripletune.synthetic import random_graph
 from conftest import FLOAT_TEXT, INT_TEXT, random_named_triples, tsv_text
+from oracles import shares_slot
 
 
 def make_embeddings(g, dim, seed=0):
@@ -82,7 +83,7 @@ def test_scaled_rows_leave_rows_in_range_alone():
 def test_ptss_identical_triples_is_one():
     g = KnowledgeGraph.from_named_triples([("a", "r", "b")])
     emb = make_embeddings(g, 4)
-    t = g.triples[0]
+    t = g.ids[0]
     assert compute_ptss(t, t, emb) == pytest.approx(1.0)
 
 
@@ -91,8 +92,8 @@ def test_ptss_hand_example():
     ent = np.array([[1.0, 0.0], [0.0, 1.0], [2.0, 0.0], [-1.0, 0.0]])
     pred = np.array([[1.0, 1.0]])
     emb = EmbeddingSet(ent, pred)
-    a = Triple(0, 0, 2)
-    b = Triple(1, 0, 3)
+    a = (0, 0, 2)
+    b = (1, 0, 3)
     expect = (0.0 + 1.0 + cosine_sim(ent[2], ent[3])) / 3.0
     assert compute_ptss(a, b, emb) == pytest.approx(expect)
     assert compute_ptss(a, b, emb) == pytest.approx(0.0, abs=1e-12)
@@ -103,8 +104,8 @@ def test_ptss_symmetric_and_bounded(rng):
     g = KnowledgeGraph.from_named_triples(rows)
     emb = make_embeddings(g, 6)
     for _ in range(50):
-        a = g.triples[int(rng.integers(g.num_triples))]
-        b = g.triples[int(rng.integers(g.num_triples))]
+        a = g.ids[int(rng.integers(g.num_triples))]
+        b = g.ids[int(rng.integers(g.num_triples))]
         s_ab = compute_ptss(a, b, emb)
         s_ba = compute_ptss(b, a, emb)
         assert s_ab == pytest.approx(s_ba, abs=1e-12)
@@ -116,11 +117,12 @@ def test_ptss_oracle_mean_of_cosines(rng):
     g = KnowledgeGraph.from_named_triples(rows)
     emb = make_embeddings(g, 5)
     for _ in range(30):
-        a = g.triples[int(rng.integers(g.num_triples))]
-        b = g.triples[int(rng.integers(g.num_triples))]
-        parts = [cosine_sim(emb.entity_vectors[a.head], emb.entity_vectors[b.head]),
-                 cosine_sim(emb.predicate_vectors[a.predicate], emb.predicate_vectors[b.predicate]),
-                 cosine_sim(emb.entity_vectors[a.tail], emb.entity_vectors[b.tail])]
+        a = g.ids[int(rng.integers(g.num_triples))]
+        b = g.ids[int(rng.integers(g.num_triples))]
+        (ha, pa, ta), (hb, pb, tb) = a, b
+        parts = [cosine_sim(emb.entity_vectors[ha], emb.entity_vectors[hb]),
+                 cosine_sim(emb.predicate_vectors[pa], emb.predicate_vectors[pb]),
+                 cosine_sim(emb.entity_vectors[ta], emb.entity_vectors[tb])]
         assert compute_ptss(a, b, emb) == pytest.approx(sum(parts) / 3.0, abs=1e-12)
 
 
@@ -133,13 +135,17 @@ def star_graph():
     return KnowledgeGraph.from_named_triples(rows)
 
 
+def by_provenance(ids, codes):
+    """The candidate ids of each provenance that `sample_candidates` drew, in order."""
+    return {PROVENANCES[c]: ids[codes == c].tolist() for c in np.unique(codes).tolist()}
+
+
 def test_sample_counts_and_labels():
     g = star_graph()
-    out, deficit = sample_candidates(g, 0, 3, anchor_rng(0, 0))
-    by_label = {}
-    for cid, prov in out:
-        by_label.setdefault(prov, []).append(cid)
-    assert set(by_label) <= set(PROVENANCES)
+    ids, codes, deficit = sample_candidates(g, 0, 3, anchor_rng(0, 0))
+    assert ids.dtype == np.int64 and codes.dtype == np.int8 and len(ids) == len(codes)
+    assert (np.diff(codes) >= 0).all()   # in PROVENANCES order
+    by_label = by_provenance(ids, codes)
     assert len(by_label["shared-head"]) == 3
     assert len(by_label["shared-predicate"]) == 3
     # tail t0 is unique to the anchor
@@ -151,26 +157,25 @@ def test_sample_counts_and_labels():
 def test_sample_small_posting_takes_all():
     g = KnowledgeGraph.from_named_triples([
         ("a", "r", "b"), ("a", "r", "c"), ("d", "s", "e")])
-    out, _ = sample_candidates(g, 0, 5, anchor_rng(0, 0))
-    shared_head = [c for c, prov in out if prov == "shared-head"]
-    assert shared_head == [1]
+    ids, codes, _ = sample_candidates(g, 0, 5, anchor_rng(0, 0))
+    assert by_provenance(ids, codes)["shared-head"] == [1]
 
 
 def test_sample_excludes_anchor_and_eligibility(rng):
     rows = random_named_triples(rng, 12, 3, 40)
     g = KnowledgeGraph.from_named_triples(rows)
     for anchor_id in range(0, g.num_triples, 5):
-        anchor = g.triples[anchor_id]
-        out, _ = sample_candidates(g, anchor_id, 4, anchor_rng(7, anchor_id))
-        for cid, prov in out:
+        anchor = g.ids[anchor_id]
+        ids, codes, _ = sample_candidates(g, anchor_id, 4, anchor_rng(7, anchor_id))
+        for cid, code in zip(ids.tolist(), codes.tolist()):
             assert cid != anchor_id
-            cand = g.triples[cid]
+            cand, prov = g.ids[cid], PROVENANCES[code]
             if prov == "shared-head":
-                assert cand.head == anchor.head
+                assert cand[0] == anchor[0]
             elif prov == "shared-tail":
-                assert cand.tail == anchor.tail
+                assert cand[2] == anchor[2]
             elif prov == "shared-predicate":
-                assert cand.predicate == anchor.predicate
+                assert cand[1] == anchor[1]
             else:
                 assert not shares_slot(anchor, cand)
 
@@ -180,21 +185,19 @@ def test_sample_matches_brute_force_eligibility(rng):
     rows = random_named_triples(rng, 10, 3, 30)
     g = KnowledgeGraph.from_named_triples(rows)
     for anchor_id in range(g.num_triples):
-        anchor = g.triples[anchor_id]
+        rows = g.ids.tolist()
+        anchor = rows[anchor_id]
         eligible = {
-            "shared-head": {i for i, t in enumerate(g.triples)
-                            if i != anchor_id and t.head == anchor.head},
-            "shared-tail": {i for i, t in enumerate(g.triples)
-                            if i != anchor_id and t.tail == anchor.tail},
-            "shared-predicate": {i for i, t in enumerate(g.triples)
-                                 if i != anchor_id and t.predicate == anchor.predicate},
-            "negative": {i for i, t in enumerate(g.triples)
+            "shared-head": {i for i, t in enumerate(rows)
+                            if i != anchor_id and t[0] == anchor[0]},
+            "shared-tail": {i for i, t in enumerate(rows)
+                            if i != anchor_id and t[2] == anchor[2]},
+            "shared-predicate": {i for i, t in enumerate(rows)
+                                 if i != anchor_id and t[1] == anchor[1]},
+            "negative": {i for i, t in enumerate(rows)
                          if i != anchor_id and not shares_slot(anchor, t)},
         }
-        out, _ = sample_candidates(g, anchor_id, 3, anchor_rng(3, anchor_id))
-        got = {}
-        for cid, prov in out:
-            got.setdefault(prov, []).append(cid)
+        got = by_provenance(*sample_candidates(g, anchor_id, 3, anchor_rng(3, anchor_id))[:2])
         for prov, ids in got.items():
             assert len(ids) == len(set(ids))   # without replacement
             assert set(ids) <= eligible[prov]
@@ -208,9 +211,9 @@ def test_negative_deficit_flag():
     # every triple shares predicate p, so no valid negatives exist
     g = KnowledgeGraph.from_named_triples([
         ("a", "p", "b"), ("c", "p", "d"), ("e", "p", "f")])
-    out, deficit = sample_candidates(g, 0, 2, anchor_rng(0, 0))
+    ids, codes, deficit = sample_candidates(g, 0, 2, anchor_rng(0, 0))
     assert deficit
-    assert all(prov != "negative" for _, prov in out)
+    assert "negative" not in by_provenance(ids, codes)
 
 
 def test_sample_n_validation():
@@ -231,7 +234,7 @@ def test_build_dataset_counts(rng):
         assert 0 <= provenance < len(PROVENANCES)
         assert -1.0 <= score <= 1.0
         # stored score is exactly the recomputed one
-        assert score == compute_ptss(g.triples[a], g.triples[b], emb)
+        assert score == compute_ptss(g.ids[a], g.ids[b], emb)
 
 
 def test_build_dataset_deterministic(tmp_path, rng):
@@ -300,17 +303,15 @@ def _reference_slot_cosines(table, i, j):
 def _reference_build_dataset(g, emb, n, rng_seed=0):
     """Frozen list-based build_dataset: per-pair Python lists, every pair's rows
     gathered at once."""
-    code = {name: i for i, name in enumerate(PROVENANCES)}
     a, b, provenance, deficits = [], [], [], []
     for anchor_id in range(g.num_triples):
-        candidates, deficit = sample_candidates(g, anchor_id, n,
+        ids, codes, deficit = sample_candidates(g, anchor_id, n,
                                                 anchor_rng(rng_seed, anchor_id))
         if deficit:
             deficits.append(anchor_id)
-        a.extend([anchor_id] * len(candidates))
-        for cand_id, name in candidates:
-            b.append(cand_id)
-            provenance.append(code[name])
+        a.extend([anchor_id] * len(ids))
+        b.extend(ids.tolist())
+        provenance.extend(codes.tolist())
     a_ids = np.array(a, dtype=np.int64)
     b_ids = np.array(b, dtype=np.int64)
     ta, tb = g.ids[a_ids], g.ids[b_ids]
@@ -365,7 +366,7 @@ def test_ptss_scores_equal_compute_ptss_at_any_block(monkeypatch, rng, block):
     a = rng.integers(g.num_triples, size=101)
     b = rng.integers(g.num_triples, size=101)
     monkeypatch.setattr(pairs, "SCORE_BLOCK", block)
-    want = [compute_ptss(g.triples[i], g.triples[j], emb) for i, j in zip(a, b)]
+    want = [compute_ptss(g.ids[i], g.ids[j], emb) for i, j in zip(a, b)]
     assert ptss_scores(g, emb, a, b).tolist() == want
 
 

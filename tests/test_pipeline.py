@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import os
 import pickle
 import subprocess
@@ -198,11 +199,11 @@ JSON = st.recursive(
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
                                                                  max_size=3),
     max_leaves=6)
-SECTION = st.dictionaries(st.sampled_from(["model", "dim", "n", "epochs", "enabled"]), JSON,
-                          max_size=3)
+SECTION = st.dictionaries(st.sampled_from(["model", "dim", "n", "epochs", "enabled",
+                                           "restrict_multi_predicate"]), JSON, max_size=3)
 SEED_SECTION = JSON | st.fixed_dictionaries(
     {"mode": st.sampled_from(["train", "import"]) | JSON},
-    optional=dict.fromkeys(["entity_file", "predicate_file", "model"], JSON))
+    optional=dict.fromkeys(["entity_file", "predicate_file", "model", "margin"], JSON))
 RAW_CONFIG = st.fixed_dictionaries(
     {"triple_files": st.just(["GRAPH"]) | JSON, "output_dir": st.just("OUT") | JSON},
     optional={"rng_seed": JSON, "dataset_tag": JSON, **dict.fromkeys(DEFAULTS, SECTION),
@@ -229,6 +230,13 @@ def test_config_parses_or_raises_pipeline_error(tmp_path, raw):
     for section in DEFAULTS:
         assert set(DEFAULTS[section]) <= set(getattr(cfg, section))
     assert cfg.seed["mode"] in ("train", "import")
+    # the values that reports and stages read as they are
+    assert isinstance(cfg.dataset_tag, str) and isinstance(cfg.seed["model"], str)
+    assert isinstance(cfg.eval["restrict_multi_predicate"], bool)
+    assert isinstance(cfg.baseline["enabled"], bool)
+    if cfg.seed["mode"] == "train":   # an import trains nothing, so has no margin
+        margin = cfg.seed["margin"]
+        assert not isinstance(margin, bool) and math.isfinite(margin) and margin >= 0
 
 
 def test_cli_defaults_are_the_run_all_defaults():
@@ -669,6 +677,18 @@ BAD_VALUES = {
     "baseline-walk-length-0": ({"baseline": {"walk_length": 0}},
                                "baseline: walk_length must be >= 1, got 0"),
     "baseline-window-0": ({"baseline": {"window": 0}}, "baseline: window must be >= 1, got 0"),
+    # values that a run would carry into its reports or read by truthiness
+    "dataset-tag-int": ({"dataset_tag": 5}, "dataset_tag must be a string, got 5"),
+    "import-seed-model-int": ({"seed": {"mode": "import", "model": 5}},
+                              "seed.model must be a string, got 5"),
+    "eval-restrict-string": ({"eval": {"restrict_multi_predicate": "no"}},
+                             "eval: restrict_multi_predicate must be true or false, got 'no'"),
+    "baseline-enabled-string": ({"baseline": {"enabled": "false"}},
+                                "baseline: enabled must be true or false, got 'false'"),
+    "seed-margin-nan": ({"seed": {"margin": float("nan")}},
+                        "seed: margin must be a finite number >= 0, got nan"),
+    "seed-margin-string": ({"seed": {"margin": "x"}},
+                           "seed: margin must be a finite number >= 0, got 'x'"),
 }
 
 

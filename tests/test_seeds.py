@@ -11,16 +11,16 @@ from tripletune import siamese
 from tripletune.graph import KnowledgeGraph
 from tripletune.seeds import (EmbeddingError, EmbeddingSet, SeedTrainConfig, check_width,
                               export_embeddings, import_embeddings,
-                              load_checkpoint, save_checkpoint,
-                              score_complex, score_complex_grad, score_distmult,
-                              score_distmult_grad, score_rotate, score_rotate_grad,
-                              score_transe, score_transe_grad, train_seed)
-from conftest import FLOAT_TEXT, tsv_text
+                              load_checkpoint, save_checkpoint, train_seed)
+from conftest import FLOAT_TEXT, batch_terms_case, tsv_text
+from oracles import (_reference_train_seed, score_complex, score_complex_grad, score_distmult,
+                     score_distmult_grad, score_rotate, score_rotate_grad, score_transe,
+                     score_transe_grad)
 
 A = np.array
 
 
-# -- scoring examples --------------------------------------------------------
+# -- the scalar scoring oracles: examples --------------------------------------
 
 def test_transe_examples():
     assert score_transe(A([1., 0]), A([0., 1]), A([1., 1])) == 0.0
@@ -63,7 +63,7 @@ def test_rotate_requires_unit_modulus():
         score_rotate(A([1., 0]), A([2., 0]), A([1., 0]))
 
 
-# -- properties --------------------------------------------------------------
+# -- the scalar scoring oracles: properties ------------------------------------
 
 def test_transe_nonpositive_and_zero_iff_translation(rng):
     for _ in range(50):
@@ -137,30 +137,6 @@ def test_rotate_gradients_match_finite_differences(seed):
         tc = t[0::2] + 1j * t[1::2]
         return -float(np.linalg.norm(hc * pc - tc))
     assert rel_err(dp, central_diff(free_score, p)) < 1e-4
-
-
-def batch_terms_case(model, seed):
-    """Parameters and a batch of 12 scored triples (every third a positive,
-    head and tail distinct); for the margin models, a margin that leaves some
-    negatives' hinges active and some inactive, none near the kink."""
-    rng = np.random.default_rng([seedmod.TRAINABLE_MODELS.index(model), seed])
-    d, n_ent, n_pred, n = 6, 7, 3, 12
-    params = {"ent": rng.normal(size=(n_ent, d))}
-    if model == "rotate":
-        params["phases"] = rng.uniform(0.0, 2.0 * np.pi, size=(n_pred, d // 2))
-    else:
-        params["pred"] = rng.normal(size=(n_pred, d))
-    heads = rng.integers(n_ent, size=n)
-    tails = (heads + rng.integers(1, n_ent, size=n)) % n_ent
-    tri = np.stack([heads, rng.integers(n_pred, size=n), tails], axis=1)
-    is_pos = np.arange(n) % 3 == 0
-    margin = 1.0
-    if model in ("transe", "rotate"):
-        # every row as a positive: its term is its squared distance
-        d2 = np.sort(seedmod._batch_terms(model, params, tri, np.ones(n, bool), 0.0)[0][~is_pos])
-        gap = np.argmax(np.diff(d2))
-        margin = (d2[gap] + d2[gap + 1]) / 2
-    return params, tri, is_pos, margin
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -269,136 +245,7 @@ def test_train_seed_separates_clusters():
     assert intra > inter
 
 
-# -- exact oracle: the example-at-a-time training loop -----------------------
-
-def _reference_interleave(c):
-    out = np.empty(2 * len(c))
-    out[0::2] = c.real
-    out[1::2] = c.imag
-    return out
-
-
-def _reference_example(model_tag, params, margin, pos, negs, g_ent, g_pred, hinges):
-    """One example's loss, its gradients added row by row (the scalar reference)."""
-    ent = params["ent"]
-    if model_tag == "rotate":
-        phases = params["phases"]
-        cos_p, sin_p = np.cos(phases), np.sin(phases)
-
-        def dist_grad(h_i, p_i, t_i):
-            hc = ent[h_i, 0::2] + 1j * ent[h_i, 1::2]
-            tc = ent[t_i, 0::2] + 1j * ent[t_i, 1::2]
-            pc = cos_p[p_i] + 1j * sin_p[p_i]
-            r = hc * pc - tc
-            d2 = float(np.sum(r.real ** 2 + r.imag ** 2))
-            cr = np.conj(r)
-            grads = (
-                2.0 * _reference_interleave(np.conj(cr * pc)),   # d||r||^2 / d h components
-                2.0 * _reference_interleave(-r),                 # d||r||^2 / d t components
-                2.0 * (cr * hc * 1j * pc).real,                  # d||r||^2 / d theta
-            )
-            return d2, grads
-
-        loss = 0.0
-        d_pos, gp = dist_grad(*pos)
-        loss += d_pos
-        g_ent[pos[0]] += gp[0]
-        g_ent[pos[2]] += gp[1]
-        g_pred[pos[1]] += gp[2]
-        for neg in negs:
-            d_neg, gn = dist_grad(*neg)
-            hinges[int(margin - d_neg > 0)] += 1
-            if margin - d_neg > 0:
-                loss += margin - d_neg
-                g_ent[neg[0]] -= gn[0]
-                g_ent[neg[2]] -= gn[1]
-                g_pred[neg[1]] -= gn[2]
-        return loss
-
-    pred = params["pred"]
-    if model_tag == "transe":
-        def dist_grad(h_i, p_i, t_i):
-            r = ent[h_i] + pred[p_i] - ent[t_i]
-            return float(r @ r), 2.0 * r
-
-        loss = 0.0
-        d_pos, gr = dist_grad(*pos)
-        loss += d_pos
-        g_ent[pos[0]] += gr
-        g_pred[pos[1]] += gr
-        g_ent[pos[2]] -= gr
-        for neg in negs:
-            d_neg, gr = dist_grad(*neg)
-            hinges[int(margin - d_neg > 0)] += 1
-            if margin - d_neg > 0:
-                loss += margin - d_neg
-                g_ent[neg[0]] -= gr
-                g_pred[neg[1]] -= gr
-                g_ent[neg[2]] += gr
-        return loss
-
-    # distmult / complex: BCE with sigmoid scores
-    if model_tag == "distmult":
-        grad_fn = score_distmult_grad
-    else:
-        grad_fn = score_complex_grad
-
-    loss = 0.0
-    for (h_i, p_i, t_i), y in [(pos, 1.0)] + [(n_, 0.0) for n_ in negs]:
-        s, dh, dp, dt = grad_fn(ent[h_i], pred[p_i], ent[t_i])
-        sig = 1.0 / (1.0 + math.exp(-max(-500.0, min(500.0, s))))
-        loss += -math.log(max(sig if y else 1 - sig, 1e-300))
-        coeff = sig - y
-        g_ent[h_i] += coeff * dh
-        g_pred[p_i] += coeff * dp
-        g_ent[t_i] += coeff * dt
-    return loss
-
-
-def _reference_train_seed(g, model_tag, cfg, hinges):
-    """train_seed as one Python iteration per example, with dense gradient buffers."""
-    d = cfg.dim
-    rng = np.random.default_rng(cfg.rng_seed)
-    bound = 6.0 / math.sqrt(d)
-    ent = rng.uniform(-bound, bound, size=(g.num_entities, d))
-    pred_key = "phases" if model_tag == "rotate" else "pred"
-    if model_tag == "rotate":
-        params = {"ent": ent, "phases": rng.uniform(0.0, 2.0 * math.pi,
-                                                    size=(g.num_predicates, d // 2))}
-    else:
-        params = {"ent": ent, "pred": rng.uniform(-bound, bound, size=(g.num_predicates, d))}
-    known = set(map(tuple, g.ids.tolist()))
-    n = g.num_triples
-    history = []
-    for epoch in range(cfg.epochs):
-        lr = cfg.learning_rate * max(0.01, 1.0 - epoch / cfg.epochs)
-        order = rng.permutation(n)
-        epoch_loss = 0.0
-        for start in range(0, n, cfg.batch_size):
-            batch = g.ids[order[start:start + cfg.batch_size]]
-            g_ent = np.zeros_like(params["ent"])
-            g_pred = np.zeros_like(params[pred_key])
-            batch_loss = 0.0
-            for h_i, p_i, t_i in batch:
-                negs = []
-                for _ in range(cfg.negatives):
-                    for _retry in range(10):
-                        e_new = int(rng.integers(g.num_entities))
-                        if rng.random() < 0.5:
-                            neg = (e_new, p_i, t_i)
-                        else:
-                            neg = (h_i, p_i, e_new)
-                        if neg not in known:
-                            break
-                    negs.append(neg)
-                batch_loss += _reference_example(model_tag, params, cfg.margin,
-                                                 (h_i, p_i, t_i), negs, g_ent, g_pred, hinges)
-            params["ent"] -= lr * g_ent / len(batch)
-            params[pred_key] -= lr * g_pred / len(batch)
-            epoch_loss += batch_loss
-        history.append(epoch_loss / n)
-    return params, history
-
+# -- exact oracle: the example-at-a-time training loop (`oracles`) ------------
 
 @pytest.mark.parametrize("negatives", [1, 3])
 @pytest.mark.parametrize("model", ["transe", "distmult", "complex", "rotate"])
@@ -612,6 +459,12 @@ def test_seed_config_takes_numpy_integers_and_an_int_learning_rate():
 def test_seed_config_rejects_learning_rate_not_finite_and_positive(lr):
     with pytest.raises(ValueError, match="learning_rate must be finite and > 0"):
         SeedTrainConfig(learning_rate=lr)
+
+
+@pytest.mark.parametrize("margin", [-0.5, float("nan"), float("inf"), True, "1"])
+def test_seed_config_rejects_margin_not_finite_and_non_negative(margin):
+    with pytest.raises(ValueError, match=f"margin must be a finite number >= 0, got {margin!r}"):
+        SeedTrainConfig(margin=margin)
 
 
 # -- import / export ---------------------------------------------------------

@@ -8,13 +8,14 @@ from tripletune.pairs import PtssDataset, build_dataset
 from tripletune.seeds import EmbeddingSet
 from tripletune.siamese import (AGG_OPS, FineTuneConfig, SiameseModel, TrainingDiverged,
                                 aggregate, aggregated_dim, batch_loss_and_grads,
-                                init_embedding_layer, load_checkpoint, pair_loss,
+                                init_embedding_layer, load_checkpoint,
                                 read_triple_embedding_tsv, save_checkpoint, train,
                                 write_triple_embedding_tsv)
 from tripletune import siamese
 from tripletune.optim import Adam
 from conftest import (FLOAT_TEXT, _reference_batch_loss_and_grads, _reference_train,
                       random_named_triples, tsv_text)
+from oracles import forward_pair, pair_loss
 
 
 def make_embeddings(g, dim, seed=0):
@@ -59,12 +60,12 @@ def test_sum_init_collapses_for_exact_translation():
     pred = np.zeros((1, 6))
     # force t = h + p per triple
     pred[0] = rng.normal(size=6)
-    for t in g.triples:
-        ent[t.tail] = ent[t.head] + pred[t.predicate]
+    for h, p, t in g.ids:
+        ent[t] = ent[h] + pred[p]
     emb = EmbeddingSet(ent, pred)
     layer = init_embedding_layer(g, emb, "sum")
-    for i, t in enumerate(g.triples):
-        assert np.allclose(layer[i], 2.0 * ent[t.tail], atol=1e-12)
+    for i, t in enumerate(g.ids[:, 2]):
+        assert np.allclose(layer[i], 2.0 * ent[t], atol=1e-12)
 
 
 def test_init_layer_rows_align(tiny_graph):
@@ -72,12 +73,12 @@ def test_init_layer_rows_align(tiny_graph):
     emb = make_embeddings(g, 4)
     layer = init_embedding_layer(g, emb, "avg")
     assert layer.shape == (g.num_triples, 4)
-    t = g.triples[2]
-    expect = (emb.entity_vectors[t.head] + emb.entity_vectors[t.tail]) / 2.0
+    h, _, t = g.ids[2]
+    expect = (emb.entity_vectors[h] + emb.entity_vectors[t]) / 2.0
     assert np.allclose(layer[2], expect)
 
 
-# -- model forward -----------------------------------------------------------
+# -- model forward: the scalar oracle `forward_pair` ---------------------------
 
 def small_model(n=6, d=4, seed=0):
     rng = np.random.default_rng(seed)
@@ -87,7 +88,7 @@ def small_model(n=6, d=4, seed=0):
 
 def test_forward_identical_ids_score_exactly_one():
     m = small_model()
-    _, _, s = m.forward_pair(3, 3)
+    _, _, s = forward_pair(m, 3, 3)
     assert s == 1.0
 
 
@@ -95,7 +96,7 @@ def test_forward_zero_rows_score_zero():
     m = small_model()
     m.triple_embeddings[1] = 0.0
     m.b1[:] = 0.0
-    _, _, s = m.forward_pair(1, 2)
+    _, _, s = forward_pair(m, 1, 2)
     assert s == 0.0
 
 
@@ -103,21 +104,21 @@ def test_forward_score_in_range():
     m = small_model(seed=3)
     for a in range(6):
         for b in range(6):
-            _, _, s = m.forward_pair(a, b)
+            _, _, s = forward_pair(m, a, b)
             assert -1.0 <= s <= 1.0
 
 
 def test_forward_symmetric():
     m = small_model(seed=5)
     for a, b in [(0, 1), (2, 5), (4, 3)]:
-        _, _, s_ab = m.forward_pair(a, b)
-        _, _, s_ba = m.forward_pair(b, a)
+        _, _, s_ab = forward_pair(m, a, b)
+        _, _, s_ba = forward_pair(m, b, a)
         assert s_ab == pytest.approx(s_ba, abs=1e-12)
 
 
 def test_encode_outputs_bounded_by_tanh():
     m = small_model(seed=7)
-    out = m.encode(np.arange(6))
+    out = np.array([forward_pair(m, i, i)[0] for i in range(6)])
     assert np.all(np.abs(out) < 1.0)
 
 
@@ -170,7 +171,7 @@ def test_batch_loss_matches_pairwise():
     b_ids = np.array([3, 4, 5])
     targets = np.array([0.2, -0.3, 0.8])
     loss, *_ = batch_loss_and_grads(m, a_ids, b_ids, targets)
-    expect = np.mean([pair_loss(m.forward_pair(a, b)[2], t)
+    expect = np.mean([pair_loss(forward_pair(m, a, b)[2], t)
                       for a, b, t in zip(a_ids, b_ids, targets)])
     assert loss == pytest.approx(expect, abs=1e-12)
 
@@ -311,7 +312,7 @@ def test_batch_gradient_zero_at_perfect_fit():
     m = small_model(seed=17)
     a_ids = np.array([0, 1])
     b_ids = np.array([2, 3])
-    targets = np.array([m.forward_pair(0, 2)[2], m.forward_pair(1, 3)[2]])
+    targets = np.array([forward_pair(m, 0, 2)[2], forward_pair(m, 1, 3)[2]])
     loss, gw, gb, rows, grows = batch_loss_and_grads(m, a_ids, b_ids, targets)
     assert loss == pytest.approx(0.0, abs=1e-15)
     assert np.allclose(gw, 0.0, atol=1e-12)
