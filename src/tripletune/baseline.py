@@ -459,7 +459,11 @@ def train_sppmi(walks: np.ndarray, n_tokens: int, dim: int, window: int = 5,
 def train_baseline(g: KnowledgeGraph, dim: int, walks_per_node: int = 10,
                    walk_length: int = 20, rng_seed: int = 0, window: int = 5,
                    negatives: int = 5) -> SkipgramResult:
-    """End-to-end baseline: line graph -> lockstep walks -> SPPMI triple vectors."""
+    """End-to-end baseline: line graph -> lockstep walks -> SPPMI triple vectors.
+
+    A walk of one triple has no context, so `walk_length` must be >= 2."""
+    if walk_length < 2:
+        raise ValueError(f"walk_length must be >= 2, got {walk_length}")
     lg = build_line_graph(g)
     walks = random_walks(lg, walks_per_node=walks_per_node, walk_length=walk_length,
                          rng_seed=rng_seed)

@@ -552,8 +552,11 @@ def evaluate(triple_emb: np.ndarray, g: KnowledgeGraph,
 
     per_fold = {kind: results[i * folds:(i + 1) * folds] for i, kind in enumerate(kinds)}
     means = {kind: float(np.mean(scores)) for kind, scores in per_fold.items()}
-    ch = None if best is None else calinski_harabasz(
-        triple_emb, best(results[fits:]).assignment, k)
+    ch = None
+    if best is not None:
+        assignment = best(results[fits:]).assignment
+        if len(np.unique(assignment)) == k:   # else k-means left a cluster empty
+            ch = calinski_harabasz(triple_emb, assignment, k)
     ch_degenerate = "cluster" in tasks and (ch is None or not math.isfinite(ch))
 
     meta = dict(metadata or {})

@@ -5,6 +5,15 @@ job j runs on worker j mod W: worker 0 is the calling process, the others are
 `os.fork()` children that inherit `fn` and its data, send their results back
 pickled over a pipe and leave by `os._exit`. Results come back in job order, so
 a caller whose jobs are deterministic gets the same bits at any W.
+
+Each process of a map runs on one CPU of the caller's affinity mask: worker 0,
+the caller, on the CPU it is running on, and worker i on the i-th CPU after it
+in the mask, wrapping when W exceeds the CPU count. Left alone, the scheduler
+can keep a freshly forked child on its parent's CPU for a while, and the two
+then share one core. The caller gets its own mask back once its share is done.
+A map nested in a job sees one CPU, so `workers()` is 1 there and the nested
+jobs run in that job's process. Where the OS refuses a mask, the job runs
+unpinned. Placement changes no result.
 """
 
 from __future__ import annotations
@@ -54,13 +63,43 @@ def _flush_std_streams() -> None:
             stream.flush()
 
 
-def _serve(fn: Callable[[int], T], jobs: range, fd: int) -> None:
-    """A worker's life: run `jobs`, send (True, results, None) or (False,
-    exception, traceback text) down `fd`, and exit without returning into the
-    caller."""
+def _current_cpu() -> int | None:
+    """The CPU this process last ran on: field 39 (`processor`) of /proc/self/stat."""
+    try:
+        with open("/proc/self/stat", "rb") as fh:
+            # the command name, field 2, may hold spaces; fields 3... follow its ")"
+            return int(fh.read().rsplit(b")", 1)[1].split()[36])
+    except OSError:
+        return None
+
+
+def _placement(w: int) -> tuple[set[int], list[int]]:
+    """The caller's affinity mask, and the CPU of each of `w` workers: worker 0
+    keeps the CPU the caller is on, worker i takes the i-th CPU after it in the
+    mask, wrapping."""
+    mask = os.sched_getaffinity(0)
+    cpus = sorted(mask)
+    here = _current_cpu()
+    start = cpus.index(here) if here in mask else 0
+    return mask, [cpus[(start + i) % len(cpus)] for i in range(w)]
+
+
+def _pin(cpus: set[int]) -> None:
+    """Run this process on `cpus` from now on; where the OS refuses, as before."""
+    try:
+        os.sched_setaffinity(0, cpus)
+    except OSError:
+        pass
+
+
+def _serve(fn: Callable[[int], T], jobs: range, fd: int, cpu: int) -> None:
+    """A worker's life: move to `cpu`, run `jobs`, send (True, results, None) or
+    (False, exception, traceback text) down `fd`, and exit without returning into
+    the caller."""
     status = 1
     try:
         try:
+            _pin({cpu})
             payload = pickle.dumps((True, [fn(j) for j in jobs], None), pickle.HIGHEST_PROTOCOL)
         except BaseException as exc:
             tb = traceback.format_exc()
@@ -100,15 +139,18 @@ def _collect(index: int, children: dict[int, tuple[int, int | None]]) -> list:
 def fork_map(fn: Callable[[int], T], n_jobs: int) -> list[T]:
     """`[fn(j) for j in range(n_jobs)]`, with job j run by worker j mod `workers()`.
 
-    The calling process runs its share first, then collects each child's in
-    turn. A job that raises in a child is re-raised here with its type and
-    message (its traceback is the `__cause__`); a child that dies before
-    sending raises ChildProcessError naming its exit status. If the calling
-    process raises, every child still running is killed and reaped first.
+    Each worker runs on its own CPU of the caller's mask (see the module
+    docstring). The calling process runs its share first, with its mask
+    restored after it, then collects each child's in turn. A job that raises
+    in a child is re-raised here with its type and message (its traceback is
+    the `__cause__`); a child that dies before sending raises ChildProcessError
+    naming its exit status. If the calling process raises, every child still
+    running is killed and reaped first.
     """
     w = min(workers(), n_jobs)
     if w <= 1:
         return [fn(j) for j in range(n_jobs)]
+    mask, cpus = _placement(w)
     _flush_std_streams()   # or a child would write the parent's buffered output again
     children: dict[int, tuple[int, int | None]] = {}   # worker index -> (pid, read fd)
     try:
@@ -122,11 +164,15 @@ def fork_map(fn: Callable[[int], T], n_jobs: int) -> list[T]:
                 raise
             if pid == 0:
                 os.close(read_fd)
-                _serve(fn, range(i, n_jobs, w), write_fd)
+                _serve(fn, range(i, n_jobs, w), write_fd, cpus[i])
             os.close(write_fd)
             children[i] = (pid, read_fd)
         results: list = [None] * n_jobs
-        results[0::w] = [fn(j) for j in range(0, n_jobs, w)]
+        _pin({cpus[0]})
+        try:
+            results[0::w] = [fn(j) for j in range(0, n_jobs, w)]
+        finally:
+            _pin(mask)
         for i in range(1, w):
             results[i::w] = _collect(i, children)
         return results

@@ -151,7 +151,8 @@ class ExperimentConfig:
             check(isinstance(enabled, bool), f"enabled must be true or false, got {enabled!r}")
             if enabled:
                 for key in ("walks_per_node", "walk_length", "window", "negatives"):
-                    check_count(key, bc[key])
+                    # a walk of one triple has no context
+                    check_count(key, bc[key], 2 if key == "walk_length" else 1)
         except (TypeError, ValueError, OverflowError) as exc:
             raise PipelineError("validate", f"{section}{exc}") from None
 
@@ -435,8 +436,10 @@ class Pipeline:
         """Stats, then the fine-tune branch in this process and the baseline beside
         it: one `parallel.fork_map` over the two, so the baseline runs in a forked
         child when there is a second worker, and after the fine-tune branch when
-        there is not. Nothing forks unless both branches have a stage to run. Only
-        this process writes the manifest; it records the baseline last."""
+        there is not. Nothing forks unless both branches have a stage to run. Each
+        branch is then held to its own CPU, so its sampling and evaluation maps run
+        in its own process. Only this process writes the manifest; it records the
+        baseline last."""
         self.stage_stats()
         if not self.cfg.baseline.get("enabled", True):
             self._finetune_branch()

@@ -335,6 +335,13 @@ def test_train_baseline_shapes(rng):
     assert np.array_equal(res.vectors, train_sppmi(walks, g.num_triples, 6).vectors)
 
 
+@pytest.mark.parametrize("walk_length", [0, 1])
+def test_train_baseline_rejects_walks_without_context(rng, walk_length):
+    g = KnowledgeGraph.from_named_triples(random_named_triples(rng, 12, 3, 30))
+    with pytest.raises(ValueError, match=f"^walk_length must be >= 2, got {walk_length}$"):
+        train_baseline(g, dim=6, walk_length=walk_length)
+
+
 # -- skip-gram in closed form ---------------------------------------------------
 
 def sppmi_oracle(walks, n_tokens, window, negatives):

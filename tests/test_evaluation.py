@@ -753,6 +753,22 @@ def test_reports_without_ch_are_strict_json(rng, tmp_path):
         assert EvalReport.load(tmp_path / "report.json") == rep
 
 
+@pytest.mark.parametrize("distinct_rows", [1, 2])
+def test_kmeans_that_leaves_a_cluster_empty_gives_a_degenerate_report(rng, tmp_path,
+                                                                       distinct_rows):
+    # fewer distinct rows than predicates: every restart leaves a cluster empty
+    g, *_ = labeled_graph_and_features(rng, k=4)
+    feat = np.zeros((g.num_triples, 8))
+    feat[::2, 0] = distinct_rows - 1
+    assert len(np.unique(kmeans(feat, 4, rng_seed=0).assignment)) < 4
+    rep = evaluate(feat, g, rng_seed=0)
+    assert rep.ch_index is None and rep.ch_degenerate is True
+    assert set(rep.micro_f1_mean) == {"logreg-ovr", "mlp"}
+    assert all(math.isfinite(v) for v in rep.micro_f1_mean.values())
+    rep.save(tmp_path / "report.json")
+    assert strict_json((tmp_path / "report.json").read_text())["ch_index"] is None
+
+
 def test_report_with_the_old_correlations_field_loads_and_compares(rng, tmp_path):
     # reports written before the unused `correlations` field was dropped carry
     # it as {} between `restricted_to_multi_predicate` and `metadata`

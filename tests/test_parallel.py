@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import signal
@@ -21,6 +22,14 @@ from conftest import random_named_triples
 # threads, which Python 3.12+ warns about; the jobs forked here do not wait on them.
 pytestmark = pytest.mark.filterwarnings(
     "ignore:This process .* is multi-threaded, use of fork:DeprecationWarning")
+
+
+@pytest.fixture(autouse=True)
+def callers_mask_is_restored():
+    """Every map leaves the test process on the CPUs it had before."""
+    before = os.sched_getaffinity(0)
+    yield
+    assert os.sched_getaffinity(0) == before
 
 
 @pytest.fixture
@@ -135,6 +144,77 @@ def test_workers_are_the_cpus_only_with_one_thread():
     threads = len(os.listdir("/proc/self/task"))
     want = len(os.sched_getaffinity(0)) if threads == 1 else 1
     assert parallel.workers() == want
+
+
+@pytest.mark.parametrize("start", ["last", "unknown"])
+@pytest.mark.parametrize("w", [2, 3])
+def test_each_worker_runs_on_its_own_cpu_of_the_callers_mask(set_workers, monkeypatch,
+                                                             w, start):
+    set_workers(w)
+    mask = os.sched_getaffinity(0)
+    order = sorted(mask)
+    assert parallel._current_cpu() in mask
+    # the caller keeps the CPU it runs on; where that is unknown, the mask's first
+    here = order[-1] if start == "last" else None
+    monkeypatch.setattr(parallel, "_current_cpu", lambda: here)
+    got = fork_map(lambda j: (os.getpid(), os.sched_getaffinity(0)), w)
+    assert len({pid for pid, _ in got}) == w
+    assert all(len(cpus) == 1 and cpus <= mask for _, cpus in got)
+    first = order.index(here) if start == "last" else 0
+    assert [min(cpus) for _, cpus in got] == [order[(first + i) % len(order)]
+                                              for i in range(w)]
+    if w <= len(mask):
+        assert len({min(cpus) for _, cpus in got}) == w
+    else:   # more workers than CPUs: worker len(mask) is back on the caller's CPU
+        assert got[len(mask)][1] == got[0][1]
+
+
+@pytest.mark.parametrize("failing", [0, 1], ids=["caller", "child"])
+def test_callers_mask_is_restored_when_a_job_raises(set_workers, failing):
+    set_workers(2)
+    mask = os.sched_getaffinity(0)
+    seen = []
+
+    def job(j):
+        seen.append(os.sched_getaffinity(0))   # a child appends to its own copy
+        if j == failing:
+            raise ValueError(f"job {j} failed")
+        return j
+
+    with pytest.raises(ValueError, match=f"^job {failing} failed$"):
+        fork_map(job, 2)
+    assert os.sched_getaffinity(0) == mask
+    assert len(seen) == 1 and len(seen[0]) == 1 and seen[0] <= mask
+
+
+def test_a_map_inside_a_job_runs_in_that_jobs_process(monkeypatch):
+    real_workers = parallel.workers
+    # W from the mask alone, also where BLAS threads would make it 1
+    monkeypatch.setattr(parallel, "workers", lambda: len(os.sched_getaffinity(0)))
+
+    def job(j):
+        return (os.getpid(), parallel.workers(), real_workers(),
+                fork_map(lambda i: os.getpid(), 4))
+
+    got = fork_map(job, len(os.sched_getaffinity(0)))
+    assert len({pid for pid, *_ in got}) == len(got)
+    for pid, w, real_w, inner in got:
+        assert (w, real_w, inner) == (1, 1, [pid] * 4)
+
+
+def test_results_are_unchanged_where_the_os_refuses_a_mask(set_workers, monkeypatch):
+    set_workers(2)
+    want = [j * j for j in range(5)]
+    assert [r for r, _ in fork_map(lambda j: (j * j, os.getpid()), 5)] == want
+
+    def refuse(pid, cpus):
+        raise OSError(errno.EINVAL, "Invalid argument")
+    monkeypatch.setattr(os, "sched_setaffinity", refuse)
+    mask = os.sched_getaffinity(0)
+    got = fork_map(lambda j: (j * j, os.getpid(), os.sched_getaffinity(0)), 5)
+    assert [r[0] for r in got] == want
+    assert len({r[1] for r in got}) == 2
+    assert all(r[2] == mask for r in got)
 
 
 def _multi_predicate_graph(rng):

@@ -485,6 +485,16 @@ def test_cli_seed_sample_finetune_eval(tmp_path, capsys):
         assert (payload["ch_index"] is None) == (task == "classify")
 
 
+def test_cli_baseline_rejects_a_walk_of_one_triple(tmp_path, capsys):
+    gf, _ = write_graph(tmp_path)
+    embf = tmp_path / "baseline.tsv"
+    rc = cli_main(["baseline", "--graph", str(gf), "--dim", "8", "--walk-length", "1",
+                   "--out", str(embf)])
+    err = capsys.readouterr().err
+    assert rc == 1 and err == "error: walk_length must be >= 2, got 1\n"
+    assert not embf.exists()
+
+
 def test_cli_baseline_and_compare(tmp_path, capsys):
     gf, _ = write_graph(tmp_path)
     embf = tmp_path / "baseline.tsv"
@@ -675,7 +685,9 @@ BAD_VALUES = {
     "eval-classifier": ({"eval": {"classifier": "svm"}}, "eval: unknown classifier 'svm'"),
     "eval-folds-1": ({"eval": {"folds": 1}}, "eval: folds must be >= 2, got 1"),
     "baseline-walk-length-0": ({"baseline": {"walk_length": 0}},
-                               "baseline: walk_length must be >= 1, got 0"),
+                               "baseline: walk_length must be >= 2, got 0"),
+    "baseline-walk-length-1": ({"baseline": {"walk_length": 1}},
+                               "baseline: walk_length must be >= 2, got 1"),
     "baseline-window-0": ({"baseline": {"window": 0}}, "baseline: window must be >= 1, got 0"),
     # values that a run would carry into its reports or read by truthiness
     "dataset-tag-int": ({"dataset_tag": 5}, "dataset_tag must be a string, got 5"),
