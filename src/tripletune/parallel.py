@@ -6,14 +6,18 @@ job j runs on worker j mod W: worker 0 is the calling process, the others are
 pickled over a pipe and leave by `os._exit`. Results come back in job order, so
 a caller whose jobs are deterministic gets the same bits at any W.
 
-Each process of a map runs on one CPU of the caller's affinity mask: worker 0,
-the caller, on the CPU it is running on, and worker i on the i-th CPU after it
-in the mask, wrapping when W exceeds the CPU count. Left alone, the scheduler
-can keep a freshly forked child on its parent's CPU for a while, and the two
-then share one core. The caller gets its own mask back once its share is done.
-A map nested in a job sees one CPU, so `workers()` is 1 there and the nested
-jobs run in that job's process. Where the OS refuses a mask, the job runs
-unpinned. Placement changes no result.
+Each child of a map runs on its own CPU of the caller's affinity mask, one that
+no running child of an enclosing map holds: child i on the i-th of those CPUs in
+ascending order, wrapping when W exceeds their count. The caller moves once to
+the first of them and gets its whole mask back at once, so it stays there
+without being held. Left alone, the scheduler can keep a freshly forked child,
+or the caller, on the other's CPU for a while, and the two then share one core.
+A map nested in a child sees that child's one CPU, so `workers()` is 1 there
+and the nested jobs run in the child's process. A map nested in the caller's
+own share counts only the CPUs that the enclosing map's running children leave:
+one that starts beside them runs in the caller's process, and one that starts
+after they have exited forks onto their CPUs again. Where the OS refuses a mask,
+the job runs unpinned. Placement changes no result.
 """
 
 from __future__ import annotations
@@ -28,11 +32,16 @@ from typing import TypeVar
 
 T = TypeVar("T")
 
+# the children of this process's maps not yet collected: pid -> the CPU it runs on;
+# kept per process, not per map, because a map nested anywhere in the caller's
+# share must see the CPUs its enclosing maps' children hold
+_held: dict[int, int] = {}
+
 
 def workers() -> int:
-    """How many processes `fork_map` uses: the CPUs this process may run on when it
-    has exactly one OS thread, can fork and is not a multiprocessing daemon;
-    otherwise 1.
+    """How many processes `fork_map` uses: the CPUs this process may run on that
+    no running child of its maps holds, when it has exactly one OS thread, can
+    fork and is not a multiprocessing daemon; otherwise 1.
 
     One thread means BLAS is not already spreading its products over the CPUs
     (perfbench and `OPENBLAS_NUM_THREADS=1` run it so), and that no other thread
@@ -46,7 +55,7 @@ def workers() -> int:
     mp = sys.modules.get("multiprocessing")
     if threads != 1 or not hasattr(os, "fork") or (mp and mp.current_process().daemon):
         return 1
-    return len(os.sched_getaffinity(0))
+    return len(_free_cpus(os.sched_getaffinity(0)))
 
 
 class RemoteTraceback(Exception):
@@ -63,25 +72,15 @@ def _flush_std_streams() -> None:
             stream.flush()
 
 
-def _current_cpu() -> int | None:
-    """The CPU this process last ran on: field 39 (`processor`) of /proc/self/stat."""
-    try:
-        with open("/proc/self/stat", "rb") as fh:
-            # the command name, field 2, may hold spaces; fields 3... follow its ")"
-            return int(fh.read().rsplit(b")", 1)[1].split()[36])
-    except OSError:
-        return None
+def _running(pid: int) -> bool:
+    """Whether child `pid` has yet to exit; an exited child is left to be reaped."""
+    return os.waitid(os.P_PID, pid, os.WEXITED | os.WNOHANG | os.WNOWAIT) is None
 
 
-def _placement(w: int) -> tuple[set[int], list[int]]:
-    """The caller's affinity mask, and the CPU of each of `w` workers: worker 0
-    keeps the CPU the caller is on, worker i takes the i-th CPU after it in the
-    mask, wrapping."""
-    mask = os.sched_getaffinity(0)
-    cpus = sorted(mask)
-    here = _current_cpu()
-    start = cpus.index(here) if here in mask else 0
-    return mask, [cpus[(start + i) % len(cpus)] for i in range(w)]
+def _free_cpus(mask: set[int]) -> list[int]:
+    """The CPUs of `mask` that no running child of this process's maps holds,
+    ascending."""
+    return sorted(mask - {cpu for pid, cpu in _held.items() if _running(pid)})
 
 
 def _pin(cpus: set[int]) -> None:
@@ -99,6 +98,7 @@ def _serve(fn: Callable[[int], T], jobs: range, fd: int, cpu: int) -> None:
     status = 1
     try:
         try:
+            _held.clear()   # the caller's children, not this process's
             _pin({cpu})
             payload = pickle.dumps((True, [fn(j) for j in jobs], None), pickle.HIGHEST_PROTOCOL)
         except BaseException as exc:
@@ -125,7 +125,7 @@ def _collect(index: int, children: dict[int, tuple[int, int | None]]) -> list:
     with open(fd, "rb") as fh:
         payload = fh.read()
     code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    del children[index]
+    del children[index], _held[pid]
     if code != 0 or not payload:
         how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
         raise ChildProcessError(f"fork_map worker {index} (pid {pid}) {how} "
@@ -139,18 +139,19 @@ def _collect(index: int, children: dict[int, tuple[int, int | None]]) -> list:
 def fork_map(fn: Callable[[int], T], n_jobs: int) -> list[T]:
     """`[fn(j) for j in range(n_jobs)]`, with job j run by worker j mod `workers()`.
 
-    Each worker runs on its own CPU of the caller's mask (see the module
-    docstring). The calling process runs its share first, with its mask
-    restored after it, then collects each child's in turn. A job that raises
-    in a child is re-raised here with its type and message (its traceback is
-    the `__cause__`); a child that dies before sending raises ChildProcessError
-    naming its exit status. If the calling process raises, every child still
-    running is killed and reaped first.
+    Each child runs on its own CPU of the caller's mask (see the module
+    docstring). The calling process runs its share first, then collects each
+    child's in turn. A job that raises in a child is re-raised here with its
+    type and message (its traceback is the `__cause__`); a child that dies
+    before sending raises ChildProcessError naming its exit status. If the
+    calling process raises, every child still running is killed and reaped
+    first.
     """
     w = min(workers(), n_jobs)
     if w <= 1:
         return [fn(j) for j in range(n_jobs)]
-    mask, cpus = _placement(w)
+    mask = os.sched_getaffinity(0)
+    cpus = _free_cpus(mask)
     _flush_std_streams()   # or a child would write the parent's buffered output again
     children: dict[int, tuple[int, int | None]] = {}   # worker index -> (pid, read fd)
     try:
@@ -164,15 +165,14 @@ def fork_map(fn: Callable[[int], T], n_jobs: int) -> list[T]:
                 raise
             if pid == 0:
                 os.close(read_fd)
-                _serve(fn, range(i, n_jobs, w), write_fd, cpus[i])
+                _serve(fn, range(i, n_jobs, w), write_fd, cpus[i % len(cpus)])
             os.close(write_fd)
             children[i] = (pid, read_fd)
+            _held[pid] = cpus[i % len(cpus)]
+        _pin({cpus[0]})   # moves the caller off its children's CPUs ...
+        _pin(mask)        # ... without holding it there
         results: list = [None] * n_jobs
-        _pin({cpus[0]})
-        try:
-            results[0::w] = [fn(j) for j in range(0, n_jobs, w)]
-        finally:
-            _pin(mask)
+        results[0::w] = [fn(j) for j in range(0, n_jobs, w)]
         for i in range(1, w):
             results[i::w] = _collect(i, children)
         return results
@@ -182,3 +182,4 @@ def fork_map(fn: Callable[[int], T], n_jobs: int) -> list[T]:
                 os.close(read_fd)
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
+            del _held[pid]

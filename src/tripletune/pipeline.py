@@ -436,10 +436,11 @@ class Pipeline:
         """Stats, then the fine-tune branch in this process and the baseline beside
         it: one `parallel.fork_map` over the two, so the baseline runs in a forked
         child when there is a second worker, and after the fine-tune branch when
-        there is not. Nothing forks unless both branches have a stage to run. Each
-        branch is then held to its own CPU, so its sampling and evaluation maps run
-        in its own process. Only this process writes the manifest; it records the
-        baseline last."""
+        there is not. Nothing forks unless both branches have a stage to run. The
+        baseline child is held to its own CPU, so its maps run in its process; the
+        fine-tune branch's sampling and evaluation maps run in this process while
+        the baseline runs, and those that start after it has exited fork onto its
+        CPU. Only this process writes the manifest; it records the baseline last."""
         self.stage_stats()
         if not self.cfg.baseline.get("enabled", True):
             self._finetune_branch()

@@ -146,27 +146,22 @@ def test_workers_are_the_cpus_only_with_one_thread():
     assert parallel.workers() == want
 
 
-@pytest.mark.parametrize("start", ["last", "unknown"])
 @pytest.mark.parametrize("w", [2, 3])
-def test_each_worker_runs_on_its_own_cpu_of_the_callers_mask(set_workers, monkeypatch,
-                                                             w, start):
+def test_each_child_runs_on_its_own_cpu_of_the_callers_mask(set_workers, monkeypatch, w):
     set_workers(w)
     mask = os.sched_getaffinity(0)
     order = sorted(mask)
-    assert parallel._current_cpu() in mask
-    # the caller keeps the CPU it runs on; where that is unknown, the mask's first
-    here = order[-1] if start == "last" else None
-    monkeypatch.setattr(parallel, "_current_cpu", lambda: here)
+    calls = []   # the caller's own; a child records into its copy
+    real_setaffinity = os.sched_setaffinity
+    monkeypatch.setattr(os, "sched_setaffinity",
+                        lambda pid, cpus: calls.append(set(cpus)) or real_setaffinity(pid, cpus))
     got = fork_map(lambda j: (os.getpid(), os.sched_getaffinity(0)), w)
     assert len({pid for pid, _ in got}) == w
-    assert all(len(cpus) == 1 and cpus <= mask for _, cpus in got)
-    first = order.index(here) if start == "last" else 0
-    assert [min(cpus) for _, cpus in got] == [order[(first + i) % len(order)]
-                                              for i in range(w)]
-    if w <= len(mask):
-        assert len({min(cpus) for _, cpus in got}) == w
-    else:   # more workers than CPUs: worker len(mask) is back on the caller's CPU
-        assert got[len(mask)][1] == got[0][1]
+    # child i on the i-th CPU of the mask: distinct while W <= CPUs, then wrapping
+    assert [cpus for _, cpus in got[1:]] == [{order[i % len(order)]} for i in range(1, w)]
+    # the caller moves to the first CPU and runs its share on its whole mask
+    assert calls == [{order[0]}, mask]
+    assert got[0][1] == mask
 
 
 @pytest.mark.parametrize("failing", [0, 1], ids=["caller", "child"])
@@ -184,10 +179,10 @@ def test_callers_mask_is_restored_when_a_job_raises(set_workers, failing):
     with pytest.raises(ValueError, match=f"^job {failing} failed$"):
         fork_map(job, 2)
     assert os.sched_getaffinity(0) == mask
-    assert len(seen) == 1 and len(seen[0]) == 1 and seen[0] <= mask
+    assert seen == [mask]
 
 
-def test_a_map_inside_a_job_runs_in_that_jobs_process(monkeypatch):
+def test_a_map_inside_a_child_runs_in_that_childs_process(monkeypatch):
     real_workers = parallel.workers
     # W from the mask alone, also where BLAS threads would make it 1
     monkeypatch.setattr(parallel, "workers", lambda: len(os.sched_getaffinity(0)))
@@ -198,8 +193,39 @@ def test_a_map_inside_a_job_runs_in_that_jobs_process(monkeypatch):
 
     got = fork_map(job, len(os.sched_getaffinity(0)))
     assert len({pid for pid, *_ in got}) == len(got)
-    for pid, w, real_w, inner in got:
+    for pid, w, real_w, inner in got[1:]:
         assert (w, real_w, inner) == (1, 1, [pid] * 4)
+
+
+def test_a_map_in_the_callers_share_uses_the_cpus_its_running_children_leave(monkeypatch):
+    mask = os.sched_getaffinity(0)
+    if len(mask) < 2:
+        pytest.skip("needs two CPUs")
+    # W from the free CPUs alone, also where BLAS threads would make it 1
+    monkeypatch.setattr(parallel, "workers",
+                        lambda: len(parallel._free_cpus(os.sched_getaffinity(0))))
+    go_r, go_w = os.pipe()
+
+    def job(j):
+        if j > 0:   # a child: runs until the caller's first nested map is done
+            os.read(go_r, 1)
+            return None
+        beside = fork_map(lambda i: os.getpid(), 4)
+        os.write(go_w, b"x" * (len(mask) - 1))
+        deadline = time.monotonic() + 10
+        while parallel.workers() < len(mask):
+            assert time.monotonic() < deadline, "the children did not exit"
+            time.sleep(0.01)
+        return beside, fork_map(lambda i: os.getpid(), 4)
+
+    try:
+        (beside, after), *_ = fork_map(job, len(mask))
+    finally:
+        os.close(go_r)
+        os.close(go_w)
+    assert beside == [os.getpid()] * 4
+    assert len(set(after)) == min(len(mask), 4) and after[0] == os.getpid()
+    assert parallel._held == {}
 
 
 def test_results_are_unchanged_where_the_os_refuses_a_mask(set_workers, monkeypatch):
