@@ -27,7 +27,7 @@ from scipy import sparse
 from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .graph import KnowledgeGraph
-from .optim import TrainingDiverged, scatter_rows
+from .optim import TrainingDiverged, check_count, scatter_rows
 
 
 # ---------------------------------------------------------------------------
@@ -157,10 +157,8 @@ def random_walks(lg: LineGraph, walks_per_node: int = 10, walk_length: int = 20,
     walker that reaches a node without a positive edge weight stops there, and
     the rest of its row is -1.
     """
-    if walk_length < 1:
-        raise ValueError("walk_length must be >= 1")
-    if walks_per_node < 1:
-        raise ValueError("walks_per_node must be >= 1")
+    check_count("walk_length", walk_length)
+    check_count("walks_per_node", walks_per_node)
     indptr, indices, weights = (np.asarray(a) for a in (lg.indptr, lg.indices, lg.weights))
     n = lg.n_nodes
     if (n < 0 or indptr[0] != 0 or np.any(np.diff(indptr) < 0)
@@ -285,8 +283,7 @@ def train_skipgram(corpus: list[list[int]], n_tokens: int, dim: int,
     """
     for name, value in (("dim", dim), ("epochs", epochs), ("window", window),
                         ("negatives", negatives)):
-        if value < 1:
-            raise ValueError(f"{name} must be >= 1, got {value}")
+        check_count(name, value)
     lengths = np.fromiter(map(len, corpus), dtype=np.int64, count=len(corpus))
     if not lengths.any():
         raise ValueError("empty corpus")
@@ -441,8 +438,7 @@ def train_sppmi(walks: np.ndarray, n_tokens: int, dim: int, window: int = 5,
     gets a zero row.
     """
     for name, value in (("dim", dim), ("window", window), ("negatives", negatives)):
-        if value < 1:
-            raise ValueError(f"{name} must be >= 1, got {value}")
+        check_count(name, value)
     walks = np.asarray(walks)
     if walks.ndim != 2 or not np.issubdtype(walks.dtype, np.integer):
         raise ValueError("walks must be a 2-D integer matrix")
@@ -462,8 +458,7 @@ def train_baseline(g: KnowledgeGraph, dim: int, walks_per_node: int = 10,
     """End-to-end baseline: line graph -> lockstep walks -> SPPMI triple vectors.
 
     A walk of one triple has no context, so `walk_length` must be >= 2."""
-    if walk_length < 2:
-        raise ValueError(f"walk_length must be >= 2, got {walk_length}")
+    check_count("walk_length", walk_length, 2)
     lg = build_line_graph(g)
     walks = random_walks(lg, walks_per_node=walks_per_node, walk_length=walk_length,
                          rng_seed=rng_seed)

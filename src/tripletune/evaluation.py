@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .graph import KnowledgeGraph, multi_predicate_triple_ids
-from .optim import Adam, dense_row_sums, packed
+from .optim import Adam, check_count, dense_row_sums, packed
 from .parallel import fork_map
 
 @dataclass
@@ -163,8 +163,7 @@ def calinski_harabasz(features: np.ndarray, assignment: np.ndarray, k: int) -> f
 
 def kfold_split(n: int, folds: int = 5, rng_seed: int = 0):
     """Disjoint test folds partitioning range(n); train = complement."""
-    if folds < 2:
-        raise ValueError(f"folds must be >= 2, got {folds}")
+    check_count("folds", folds, 2)
     if n < folds:
         raise ValueError(f"need at least {folds} items, got {n}")
     rng = np.random.default_rng(rng_seed)
@@ -444,8 +443,7 @@ def _restart_jobs(features: np.ndarray, k: int, rng_seed: int = 0, restarts: int
     n = x.shape[0]
     if n < k:
         raise ValueError("fewer points than clusters")
-    if restarts < 1:
-        raise ValueError(f"restarts must be >= 1, got {restarts}")
+    check_count("restarts", restarts)
     _reject_non_finite(x, "feature")
     xx = (x ** 2).sum(axis=1)
     xn = np.sqrt(xx)

@@ -1,13 +1,15 @@
 """Adam over one parameter array, which fine-tuning and the classifiers step;
 `packed`, which lays several arrays out as views of one; the ordered row sums
-of the sparse gradients of seed training and fine-tuning; the check of a count
-and of the two training configs; and the error that fine-tuning and skip-gram
-raise on non-finite parameters."""
+of the sparse gradients of seed training and fine-tuning, each of which steps
+one array of parameter rows; the checks of a count, of a real number and of the
+two training configs; and the error that fine-tuning and skip-gram raise on
+non-finite parameters."""
 
 from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Callable
 from typing import NamedTuple
 
 import numpy as np
@@ -26,13 +28,24 @@ def check_count(name: str, value, least: int = 1) -> None:
         raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
+def check_number(name: str, value, rule: str, ok: Callable[[float], bool]) -> None:
+    """Reject a value that is not a finite real number (a bool is not one), or that
+    `ok` rejects, as `{name} must be {rule}, got {value!r}`."""
+    try:
+        good = (not isinstance(value, bool) and isinstance(value, numbers.Real)
+                and math.isfinite(value) and ok(value))
+    except OverflowError:   # an integer beyond the float range
+        good = False
+    if not good:
+        raise ValueError(f"{name} must be {rule}, got {value!r}")
+
+
 def check_training_config(cfg) -> None:
     """Reject a training config whose `epochs` or `batch_size` is not an integer
     >= 1, or whose `learning_rate` is not finite and > 0, naming the key."""
     for name in ("epochs", "batch_size"):
         check_count(name, getattr(cfg, name))
-    if not (math.isfinite(cfg.learning_rate) and cfg.learning_rate > 0):
-        raise ValueError(f"learning_rate must be finite and > 0, got {cfg.learning_rate}")
+    check_number("learning_rate", cfg.learning_rate, "finite and > 0", lambda x: x > 0)
 
 
 def scatter_rows(ids: np.ndarray, rows: np.ndarray, weights: np.ndarray | None = None

@@ -15,6 +15,7 @@ import numpy as np
 
 from .graph import KnowledgeGraph
 from . import parallel
+from .optim import check_count
 from .seeds import EmbeddingSet, row_dot
 
 PROVENANCES = ("shared-head", "shared-tail", "shared-predicate", "negative")
@@ -133,8 +134,7 @@ def sample_candidates(g: KnowledgeGraph, triple_id: int, n: int,
     order; if the retry budget runs out the anchor gets fewer negatives and the
     deficit flag is set.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    check_count("n", n)
     h, p, t = g.ids[triple_id].tolist()
     parts = []
     for posting in (g.by_head[h], g.by_tail[t], g.by_predicate[p]):
@@ -190,8 +190,7 @@ def build_dataset(g: KnowledgeGraph, emb: EmbeddingSet, n: int,
     The anchors are cut into one contiguous range per `fork_map` worker; each
     worker samples and scores its range, and the ranges are joined in order.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    check_count("n", n)
     emb.validate(g)
     bounds = np.linspace(0, g.num_triples, parallel.workers() + 1).astype(np.int64).tolist()
     parts = parallel.fork_map(

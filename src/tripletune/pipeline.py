@@ -160,15 +160,14 @@ class ExperimentConfig:
 # -- one function per stage, called by the CLI subcommands and by Pipeline; each
 # reads only the keys of its config section that it needs
 
-def seed_stage(g: KnowledgeGraph, sc: dict, rng_seed: int,
-               files: tuple[str | Path, str | Path] | None = None) -> seedmod.EmbeddingSet:
-    """Train seed embeddings, or import them from `files` (entities, predicates),
-    by default the section's `entity_file` and `predicate_file`. An import for
-    ComplEx or RotatE must have an even width, as `train_seed` requires."""
-    if sc["mode"] == "train" and files is None:
+def seed_stage(g: KnowledgeGraph, sc: dict, rng_seed: int) -> seedmod.EmbeddingSet:
+    """Train seed embeddings, or import them from the section's `entity_file` and
+    `predicate_file`. An import for ComplEx or RotatE must have an even width, as
+    `train_seed` requires."""
+    if sc["mode"] == "train":
         return seedmod.train_seed(g, sc["model"],
                                   _config(seedmod.SeedTrainConfig, sc, rng_seed))
-    es = seedmod.import_embeddings(*(files or (sc["entity_file"], sc["predicate_file"])), g)
+    es = seedmod.import_embeddings(sc["entity_file"], sc["predicate_file"], g)
     seedmod.check_width(sc["model"], es.dim)
     return es
 
@@ -372,8 +371,8 @@ class Pipeline:
             seedmod.export_embeddings(es, self.graph, *files)
             return es
 
-        return self._run_stage("seed", [f.name for f in files], run, load=lambda:
-                               seed_stage(self.graph, self.cfg.seed, self.cfg.rng_seed, files))
+        return self._run_stage("seed", [f.name for f in files], run,
+                               load=lambda: seedmod.import_embeddings(*files, self.graph))
 
     def stage_sample(self, seed):
         def run():

@@ -8,7 +8,6 @@ is just its two matrices and downstream cosines treat every row as real.
 from __future__ import annotations
 
 import math
-import numbers
 from array import array
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
@@ -17,7 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from .graph import KnowledgeGraph
-from .optim import PLAN_BATCHES, check_count, check_training_config, plan_row_sums
+from .optim import (PLAN_BATCHES, check_count, check_number, check_training_config,
+                    plan_row_sums)
 
 TRAINABLE_MODELS = ("transe", "distmult", "complex", "rotate")
 COMPLEX_MODELS = ("complex", "rotate")
@@ -63,10 +63,7 @@ class SeedTrainConfig:
         check_count("dim", self.dim, 2)
         check_count("negatives", self.negatives)
         check_training_config(self)
-        margin = self.margin
-        if (isinstance(margin, bool) or not isinstance(margin, numbers.Real)
-                or not (math.isfinite(margin) and margin >= 0)):
-            raise ValueError(f"margin must be a finite number >= 0, got {margin!r}")
+        check_number("margin", self.margin, "a finite number >= 0", lambda x: x >= 0)
 
 
 def check_width(model: str, dim: int) -> None:
@@ -156,13 +153,6 @@ def _batch_terms(model_tag, params, tri, is_pos, margin, with_terms=True):
 # ---------------------------------------------------------------------------
 # in-repo seed training (desk-scale; full-scale seeds come from imports)
 # ---------------------------------------------------------------------------
-
-def _phases_to_interleaved(phases: np.ndarray) -> np.ndarray:
-    out = np.empty((phases.shape[0], 2 * phases.shape[1]))
-    out[:, 0::2] = np.cos(phases)
-    out[:, 1::2] = np.sin(phases)
-    return out
-
 
 _LOW32 = np.uint64(0xFFFFFFFF)
 _DENSE = 16   # the largest window of corruption attempts checked against every slot
@@ -317,13 +307,15 @@ def train_seed(g: KnowledgeGraph, model_tag: str, cfg: SeedTrainConfig,
     PLAN_BATCHES batches are drawn at once, in bulk (`_corrupt`): the same
     draws in the same order as a loop over the examples, batch by batch, since
     nothing else in an epoch draws. Their row sums are planned at once
-    (`optim.plan_row_sums`). A
-    batch's positives and negatives are scored together against the same
-    parameters, and each parameter row gets the sum of its gradient rows in
-    example order (h, t, then nh, nt of each negative; negatives outside the
-    margin add zero rows), so the result equals an example-at-a-time
-    accumulation bit for bit. Deterministic under cfg.rng_seed. The loss terms
-    shape no parameter, so they are computed only for a `loss_history`.
+    (`optim.plan_row_sums`). The entity and predicate rows are one array,
+    and a batch is one update of the rows it touches, as fine-tuning steps
+    one array. A batch's positives and negatives are scored together against
+    the same parameters, and each parameter row gets the sum of its gradient
+    rows in example order (h, t, then nh, nt of each negative; negatives
+    outside the margin add zero rows), so the result equals an
+    example-at-a-time accumulation bit for bit. Deterministic under
+    cfg.rng_seed. The loss terms shape no parameter, so they are computed only
+    for a `loss_history`.
     """
     if model_tag not in TRAINABLE_MODELS:
         raise ValueError(f"cannot train model {model_tag!r}; import it instead")
@@ -331,18 +323,20 @@ def train_seed(g: KnowledgeGraph, model_tag: str, cfg: SeedTrainConfig,
         raise ValueError("empty graph")
     d = cfg.dim
     check_width(model_tag, d)
+    n, k, n_ent = g.num_triples, cfg.negatives, g.num_entities
     rng = np.random.default_rng(cfg.rng_seed)
     bound = 6.0 / math.sqrt(d)
-    ent = rng.uniform(-bound, bound, size=(g.num_entities, d))
+    # one array of parameter rows, entities then predicates, drawn in that order;
+    # RotatE's d/2 phases per predicate are zero-padded to d
+    slab = np.zeros((n_ent + g.num_predicates, d))
+    slab[:n_ent] = rng.uniform(-bound, bound, size=(n_ent, d))
     if model_tag == "rotate":
-        phases = rng.uniform(0.0, 2.0 * math.pi, size=(g.num_predicates, d // 2))
-        params = {"ent": ent, "phases": phases}
+        slab[n_ent:, :d // 2] = rng.uniform(0.0, 2.0 * math.pi, size=(g.num_predicates, d // 2))
+        params = {"ent": slab[:n_ent], "phases": slab[n_ent:, :d // 2]}
     else:
-        pred = rng.uniform(-bound, bound, size=(g.num_predicates, d))
-        params = {"ent": ent, "pred": pred}
-    pred_key = "phases" if model_tag == "rotate" else "pred"
+        slab[n_ent:] = rng.uniform(-bound, bound, size=(g.num_predicates, d))
+        params = {"ent": slab[:n_ent], "pred": slab[n_ent:]}
 
-    n, k, n_ent = g.num_triples, cfg.negatives, g.num_entities
     dims = (n_ent, g.num_predicates, n_ent)
     known = np.sort(np.ravel_multi_index(tuple(g.ids.T), dims))
     per_batch = (1 + k) * cfg.batch_size   # scored triples in a full batch
@@ -377,23 +371,17 @@ def train_seed(g: KnowledgeGraph, model_tag: str, cfg: SeedTrainConfig,
                 # gradient rows (head, tail, predicate) of every scored triple; a
                 # negative outside the margin has zero rows, which change no sum
                 # (s + 0.0 is s for a sum that starts at +0.0) and no parameter.
-                # RotatE's d/2 phase gradients are zero-padded to d and cut back after
+                # RotatE's d/2 phase gradients are zero-padded to d, as its phase rows are
                 grad_rows = np.zeros((len(tri), 3, d))
                 grad_rows[keep, 0], grad_rows[keep, 1] = d_head[keep], d_tail[keep]
                 grad_rows[keep, 2, :d_pred.shape[1]] = d_pred[keep]
-                sums = rows(grad_rows.reshape(-1, d))
-                n_ent_rows = np.searchsorted(rows.rows, n_ent)
-                params["ent"][rows.rows[:n_ent_rows]] -= lr * sums[:n_ent_rows] / m
-                params[pred_key][rows.rows[n_ent_rows:] - n_ent] -= (
-                    lr * sums[n_ent_rows:, :d_pred.shape[1]] / m)
+                slab[rows.rows] -= lr * rows(grad_rows.reshape(-1, d)) / m
         if loss_history is not None:
             loss_history.append(epoch_loss / n)
 
-    if model_tag == "rotate":
-        pred_out = _phases_to_interleaved(params["phases"])
-    else:
-        pred_out = params["pred"]
-    es = EmbeddingSet(params["ent"], pred_out)
+    if model_tag == "rotate":   # e^(i phase), the complex numbers `_batch_terms` builds
+        params["pred"] = _interleave(np.cos(params["phases"]) + 1j * np.sin(params["phases"]))
+    es = EmbeddingSet(params["ent"], params["pred"])
     es.validate(g)
     return es
 

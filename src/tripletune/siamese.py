@@ -16,8 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from .graph import KnowledgeGraph
-from .optim import (PLAN_BATCHES, Adam, RowSums, TrainingDiverged, check_training_config,
-                    plan_row_sums)
+from .optim import (PLAN_BATCHES, Adam, RowSums, TrainingDiverged, check_number,
+                    check_training_config, plan_row_sums)
 from .pairs import PtssDataset
 from .seeds import EmbeddingSet, read_rows, take_rows, write_rows
 
@@ -70,8 +70,8 @@ class FineTuneConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 <= self.warmup_fraction < 1.0:
-            raise ValueError("warmup_fraction must be in [0, 1)")
+        check_number("warmup_fraction", self.warmup_fraction, "in [0, 1)",
+                     lambda x: 0.0 <= x < 1.0)
         check_training_config(self)
 
 

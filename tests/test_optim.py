@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from conftest import _AllocatingAdam
+from tripletune.baseline import (build_line_graph, random_walks, train_baseline, train_skipgram,
+                                 train_sppmi)
+from tripletune.evaluation import kfold_split, kmeans
+from tripletune.graph import KnowledgeGraph
 from tripletune.optim import Adam, dense_row_sums, packed, plan_row_sums, scatter_rows
+from tripletune.pairs import build_dataset, sample_candidates
+from tripletune.seeds import EmbeddingSet
 
 
 def test_scatter_rows_equals_add_at():
@@ -133,3 +139,34 @@ def test_adam_equals_allocating_adam(lr):
             assert np.array_equal(m, old.m[k]) and np.array_equal(v, old.v[k]), (t, k)
         assert dense.t == by_rows.t == old.t == t + 1
     assert not np.array_equal(by_rows.params, init["emb"])
+
+
+def count_calls():
+    """One call per library entry point that takes a count, with that count as
+    `bad`: (name of the count, function of `bad`)."""
+    g = KnowledgeGraph.from_named_triples([("a", "r", "b"), ("b", "r", "c"), ("c", "s", "a"),
+                                           ("a", "s", "c")])
+    emb = EmbeddingSet(np.ones((3, 2)), np.ones((2, 2)))
+    walks = np.array([[0, 1, 2], [2, 1, -1]])
+    x = np.random.default_rng(0).normal(size=(10, 2))
+    return {
+        "random_walks": ("walks_per_node",
+                         lambda bad: random_walks(build_line_graph(g), walks_per_node=bad)),
+        "train_skipgram": ("window", lambda bad: train_skipgram([[0, 1, 2]], 3, 2, window=bad)),
+        "train_sppmi": ("dim", lambda bad: train_sppmi(walks, 3, bad)),
+        "train_baseline": ("walk_length", lambda bad: train_baseline(g, 4, walk_length=bad)),
+        "kfold_split": ("folds", lambda bad: kfold_split(10, folds=bad)),
+        "kmeans": ("restarts", lambda bad: kmeans(x, 2, restarts=bad)),
+        "sample_candidates": ("n", lambda bad: sample_candidates(g, 0, bad,
+                                                                 np.random.default_rng(0))),
+        "build_dataset": ("n", lambda bad: build_dataset(g, emb, n=bad)),
+    }
+
+
+@pytest.mark.parametrize("bad", [2.5, True])
+@pytest.mark.parametrize("entry", list(count_calls()))
+def test_entry_points_reject_counts_that_are_not_integers(entry, bad):
+    # a float or a bool passed a `count < least` test and then failed inside NumPy
+    name, call = count_calls()[entry]
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got {bad!r}$"):
+        call(bad)

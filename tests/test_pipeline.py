@@ -701,6 +701,19 @@ BAD_VALUES = {
                         "seed: margin must be a finite number >= 0, got nan"),
     "seed-margin-string": ({"seed": {"margin": "x"}},
                            "seed: margin must be a finite number >= 0, got 'x'"),
+    # a bool is not a number, and a value of another type fails naming its key
+    "seed-lr-bool": ({"seed": {"learning_rate": True}},
+                     "seed: learning_rate must be finite and > 0, got True"),
+    "finetune-lr-bool": ({"finetune": {"learning_rate": True}},
+                         "finetune: learning_rate must be finite and > 0, got True"),
+    "finetune-warmup-bool": ({"finetune": {"warmup_fraction": False}},
+                             "finetune: warmup_fraction must be in [0, 1), got False"),
+    "seed-lr-string": ({"seed": {"learning_rate": "x"}},
+                       "seed: learning_rate must be finite and > 0, got 'x'"),
+    "finetune-warmup-null": ({"finetune": {"warmup_fraction": None}},
+                             "finetune: warmup_fraction must be in [0, 1), got None"),
+    "seed-margin-huge-int": ({"seed": {"margin": 10 ** 400}},
+                             f"seed: margin must be a finite number >= 0, got {10 ** 400}"),
 }
 
 

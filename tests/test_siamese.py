@@ -485,6 +485,7 @@ def test_training_empty_dataset_rejected():
         train(model, ds, FineTuneConfig(epochs=1))
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_training_divergence_detected():
     model = small_model()
     model.w1[0, 0] = np.inf
