@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """The Triple2vec-style line-graph random-walk baseline, step by step.
 
-Builds the predicate co-occurrence matrix, weights it with TF/ITF, turns the
-knowledge graph into a CSR line graph of triples, and advances weighted random
-walks from every triple in lockstep into one walk matrix. The triple vectors
-come from the closed-form skip-gram trainer: the walks' positive PMI shifted by
+Builds the predicate co-occurrence matrix, weights it with TF/ITF, and shows
+the predicate similarity that `build_line_graph` computes from it to weight the
+CSR line graph of triples; then advances weighted random walks from every
+triple in lockstep into one walk matrix. The triple vectors come from the
+closed-form skip-gram trainer: the walks' positive PMI shifted by
 log(negatives), factorised by a truncated SVD (Levy & Goldberg, NeurIPS 2014).
 Skip-gram with negative sampling on the same walks is trained as the
 reference, and both are evaluated the same way as the fine-tuned embeddings.
@@ -32,7 +33,7 @@ def main():
           f"[{m_r[~np.eye(len(m_r), dtype=bool)].min():.3f}, "
           f"{m_r[~np.eye(len(m_r), dtype=bool)].max():.3f}]")
 
-    lg = build_line_graph(g, cm)
+    lg = build_line_graph(g)   # weighted by m_r, built from the graph again
     print(f"line graph: {lg.n_nodes} nodes, {lg.n_edges} edges")
 
     walks = random_walks(lg, walks_per_node=5, walk_length=10, rng_seed=0)

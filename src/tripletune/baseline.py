@@ -118,15 +118,14 @@ class LineGraph:
         return np.split(self.indices, self.indptr[1:-1])
 
 
-def build_line_graph(g: KnowledgeGraph, cm: np.ndarray | None = None) -> LineGraph:
+def build_line_graph(g: KnowledgeGraph) -> LineGraph:
     """Connect triples sharing an entity endpoint, weighted by predicate similarity.
 
     Edge {i, j} with i < j weighs max(0, M_r[p_i, p_j]) in both directions,
-    once however many endpoints the two triples share.
+    once however many endpoints the two triples share. M_r is the graph's
+    `predicate_similarity` of its TF/ITF co-occurrence matrix (`build_cm`).
     """
-    if cm is None:
-        cm = build_cm(cooccurrence_counts(g), g.num_triples)
-    m_r = predicate_similarity(cm)
+    m_r = predicate_similarity(build_cm(cooccurrence_counts(g), g.num_triples))
     n = g.num_triples
     h, p, t = g.ids.T
     triple = np.arange(n)

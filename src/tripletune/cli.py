@@ -66,8 +66,6 @@ def cmd_seed_train(args, g) -> int:
 
 def cmd_seed_import(args, g) -> int:
     es = seed_stage(g, vars(args), 0)
-    if args.checkpoint:
-        seedmod.save_checkpoint(es, args.checkpoint)
     return _done(f"validated embeddings: {len(es.entity_vectors)} entities, "
                  f"{len(es.predicate_vectors)} predicates, d={es.dim}")
 
@@ -149,7 +147,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("seed-import", cmd_seed_import, "validate externally trained embeddings")
     _add_seed_files(p)
     p.add_argument("--model")   # defaults to "imported", as set by _add_seed_files
-    p.add_argument("--checkpoint")
 
     p = command("sample", cmd_sample, "build the weak-supervision pair dataset", seed=True)
     _add_seed_files(p)

@@ -164,6 +164,7 @@ def calinski_harabasz(features: np.ndarray, assignment: np.ndarray, k: int) -> f
 def kfold_split(n: int, folds: int = 5, rng_seed: int = 0):
     """Disjoint test folds partitioning range(n); train = complement."""
     check_count("folds", folds, 2)
+    check_count("n", n, 0)
     if n < folds:
         raise ValueError(f"need at least {folds} items, got {n}")
     rng = np.random.default_rng(rng_seed)
@@ -382,17 +383,21 @@ def _kmeans_pp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
 # values in one block of row-to-centre scores or of gathered rows (1 MiB):
 # k-means memory is 2n plus a few such blocks, not n*k*d
 KMEANS_BLOCK = 1 << 17
+# Lloyd passes per restart, and the centre shift below which a restart stops;
+# `restart` reads both when it runs, in the caller or a forked worker
+KMEANS_MAX_ITER = 300
+KMEANS_TOL = 1e-6
 
 
 def _nearest_centers(x: np.ndarray, xx: np.ndarray, centers: np.ndarray,
-                     xn: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+                     xn: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """First argmin over c of ||x[i] - centers[c]||^2, and that distance.
 
     Distances are summed as ((x[i] - centers[c]) ** 2).sum(), so they equal
     the dense difference form bit for bit. Only a shortlist is summed that
     way: every centre whose ||x||^2 - 2 x.c + ||c||^2 (one BLAS product per
-    block; `xx` holds ||x||^2 and `xn`, if given, its root) lies within 2E
-    of the row's least, where E = 4 (d + 4) eps (||x|| + max ||c||)^2. Both
+    block; `xx` holds ||x||^2 and `xn` its root) lies within 2E of the row's
+    least, where E = 4 (d + 4) eps (||x|| + max ||c||)^2. Both
     forms are within (d + 2) eps/2 (||x|| + ||c||)^2 of the true distance in
     any summation order, and E is over 8x that, so a centre left out is
     farther than the argmin in the difference form too. The `tiny` term
@@ -403,7 +408,6 @@ def _nearest_centers(x: np.ndarray, xx: np.ndarray, centers: np.ndarray,
     cc = (centers ** 2).sum(axis=1)
     eps, tiny = np.finfo(np.float64).eps, np.finfo(np.float64).tiny
     cmax = np.sqrt(cc.max())
-    xn = np.sqrt(xx) if xn is None else xn
     labels = np.empty(len(x), dtype=np.intp)
     nearest = np.empty(len(x))
     step = max(1, KMEANS_BLOCK // k)
@@ -434,16 +438,15 @@ def _nearest_centers(x: np.ndarray, xx: np.ndarray, centers: np.ndarray,
     return labels, nearest
 
 
-def _restart_jobs(features: np.ndarray, k: int, rng_seed: int = 0, restarts: int = 10,
-                  max_iter: int = 300, tol: float = 1e-6):
+def _restart_jobs(features: np.ndarray, k: int, rng_seed: int = 0, restarts: int = 10):
     """`kmeans`'s jobs, one per restart, each returning its centres, inertia
     and history, and the function that picks the best of their results. The
     input is checked here, in the calling process."""
     x = np.asarray(features, dtype=np.float64)
-    n = x.shape[0]
-    if n < k:
-        raise ValueError("fewer points than clusters")
+    check_count("k", k)
     check_count("restarts", restarts)
+    if x.shape[0] < k:
+        raise ValueError("fewer points than clusters")
     _reject_non_finite(x, "feature")
     xx = (x ** 2).sum(axis=1)
     xn = np.sqrt(xx)
@@ -452,7 +455,7 @@ def _restart_jobs(features: np.ndarray, k: int, rng_seed: int = 0, restarts: int
         rng = np.random.default_rng([rng_seed, r])
         centers = _kmeans_pp_init(x, k, rng)
         history: list[float] = []
-        for _ in range(max_iter):
+        for _ in range(KMEANS_MAX_ITER):
             labels, nearest = _nearest_centers(x, xx, centers, xn)
             history.append(float(nearest.sum()))
             new_centers = centers.copy()
@@ -464,7 +467,7 @@ def _restart_jobs(features: np.ndarray, k: int, rng_seed: int = 0, restarts: int
                 new_centers[~used] = x[int(np.argmax(nearest))]
             shift = float(np.sqrt(((new_centers - centers) ** 2).sum(axis=1)).max())
             centers = new_centers
-            if shift < tol:
+            if shift < KMEANS_TOL:
                 break
         inertia = float(_nearest_centers(x, xx, centers, xn)[1].sum())
         history.append(inertia)
@@ -480,17 +483,18 @@ def _restart_jobs(features: np.ndarray, k: int, rng_seed: int = 0, restarts: int
     return [partial(restart, r) for r in range(restarts)], best
 
 
-def kmeans(features: np.ndarray, k: int, rng_seed: int = 0, restarts: int = 10,
-           max_iter: int = 300, tol: float = 1e-6) -> KMeansResult:
+def kmeans(features: np.ndarray, k: int, rng_seed: int = 0, restarts: int = 10) -> KMeansResult:
     """Lloyd iterations with k-means++ seeding, best of `restarts` by inertia.
 
     Each centre moves to the mean of its members, summed in row order; an
-    empty cluster is re-seeded at the point farthest from its centre. The
+    empty cluster is re-seeded at the point farthest from its centre, and a
+    restart stops after `KMEANS_MAX_ITER` (300) passes or once no centre moves
+    by `KMEANS_TOL` (1e-6). The
     restarts run in one `fork_map`, one job each (`evaluate` runs the same
     jobs in its own map); each returns its centres, inertia and history, and
     the first restart of least inertia is kept.
     """
-    jobs, best = _restart_jobs(features, k, rng_seed, restarts, max_iter, tol)
+    jobs, best = _restart_jobs(features, k, rng_seed, restarts)
     return best(_run(jobs))
 
 

@@ -139,15 +139,15 @@ class Adam:
     the bias correction, and runs the one update, m = b1 m + (1 - b1) g,
     v = b2 v + ((1 - b2) g) g, p -= lr (m / c1) / (sqrt(v / c2) + eps), in
     that order of operations, so a row gets the same bits from either call.
+    b1, b2 and eps are the class attributes `beta1`, `beta2` and `eps`, set to
+    the values that Kingma & Ba recommend (ICLR 2015).
     """
 
-    def __init__(self, params: np.ndarray, lr: float = 1e-3,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, params: np.ndarray, lr: float = 1e-3):
         self.params = params
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = np.zeros_like(params)
         self.v = np.zeros_like(params)

@@ -83,10 +83,13 @@ class ExperimentConfig:
     @classmethod
     def from_file(cls, path: str | Path) -> "ExperimentConfig":
         """Read a JSON config, merging each section over DEFAULTS and ignoring
-        unknown keys; an import without `seed.model` is tagged "imported". A config
-        that is not an object, lacks a required key or has a section that is not
-        an object raises PipelineError."""
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        unknown keys; an import without `seed.model` is tagged "imported". A file
+        that is not UTF-8 JSON, or a config that is not an object, lacks a required
+        key or has a section that is not an object raises PipelineError."""
+        try:
+            raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise PipelineError("validate", f"{path}: not JSON ({exc})") from None
         if not isinstance(raw, dict):
             raise PipelineError("validate", f"{path}: config must be a JSON object")
         for section in DEFAULTS:

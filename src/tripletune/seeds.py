@@ -461,12 +461,3 @@ def import_embeddings(entity_path: str | Path, predicate_path: str | Path,
     es = EmbeddingSet(ent, pred)
     es.validate(g)
     return es
-
-
-def save_checkpoint(es: EmbeddingSet, path: str | Path) -> None:
-    np.savez(path, entity_vectors=es.entity_vectors, predicate_vectors=es.predicate_vectors)
-
-
-def load_checkpoint(path: str | Path) -> EmbeddingSet:
-    data = np.load(path, allow_pickle=False)
-    return EmbeddingSet(data["entity_vectors"], data["predicate_vectors"])

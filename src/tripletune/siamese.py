@@ -226,13 +226,9 @@ def train(model: SiameseModel, dataset: PtssDataset, cfg: FineTuneConfig,
     return model
 
 
-def save_checkpoint(model: SiameseModel, path: str | Path,
-                    config: FineTuneConfig | None = None) -> None:
-    extras = {}
-    if config is not None:
-        extras = {f"cfg_{k}": np.array(v) for k, v in vars(config).items()}
+def save_checkpoint(model: SiameseModel, path: str | Path, config: FineTuneConfig) -> None:
     np.savez(path, triple_embeddings=model.triple_embeddings, w1=model.w1, b1=model.b1,
-             **extras)
+             **{f"cfg_{k}": np.array(v) for k, v in vars(config).items()})
 
 
 def load_checkpoint(path: str | Path) -> SiameseModel:

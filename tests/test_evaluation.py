@@ -550,6 +550,25 @@ def test_kmeans_equals_dense_reference(case, monkeypatch):
         assert sorted(set(empties)) == [0, 1, 2]
 
 
+@pytest.mark.parametrize("w", [1, 2])
+def test_kmeans_stops_at_the_pass_cap(w, monkeypatch):
+    # wide, overlapping blobs are still moving after 2 passes, so every restart
+    # stops at the cap: the forked restarts must read the patched cap too
+    x, _ = blobs(np.random.default_rng(6), k=4, per=30, spread=3.0, sep=2.0)
+    monkeypatch.setattr(evaluation, "KMEANS_MAX_ITER", 2)
+    monkeypatch.setattr(parallel, "workers", lambda: w)
+    labels, centers, inertia, history = _reference_kmeans(x, 4, 1, 3, [], max_iter=2)
+    res = kmeans(x, 4, rng_seed=1, restarts=3)
+    assert np.array_equal(res.assignment, labels)
+    assert np.array_equal(res.centers, centers)
+    assert res.inertia == inertia
+    assert res.inertia_history == history
+    assert len(history) == 3   # two passes and the final inertia
+    # a third pass would still move a centre: the cap, not convergence, stopped it
+    means = np.array([x[labels == c].mean(axis=0) for c in range(4)])
+    assert np.sqrt(((means - centers) ** 2).sum(axis=1)).max() > evaluation.KMEANS_TOL
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_kmeans_rejects_non_finite_features(rng, bad):
     x, _ = blobs(rng, k=3, per=10)
@@ -573,11 +592,12 @@ def test_nearest_centers_exact_tie_goes_to_first_index():
     centers = np.array([[t - 1.0], [t + 1.0]])
     approx = (x ** 2).sum(axis=1)[:, None] - 2 * x @ centers.T + (centers ** 2).sum(axis=1)
     assert approx[0, 1] < approx[0, 0]
-    labels, nearest = _nearest_centers(x, (x ** 2).sum(axis=1), centers)
+    xx = (x ** 2).sum(axis=1)
+    labels, nearest = _nearest_centers(x, xx, centers, np.sqrt(xx))
     assert labels.tolist() == [0, 0, 1]
     assert nearest.tolist() == [1.0, 0.0, 0.0]
     # the same centre twice: the first copy wins
-    labels, _ = _nearest_centers(x, (x ** 2).sum(axis=1), centers[[1, 1, 0, 0]])
+    labels, _ = _nearest_centers(x, xx, centers[[1, 1, 0, 0]], np.sqrt(xx))
     assert labels.tolist() == [0, 2, 0]
 
 
@@ -588,7 +608,8 @@ def test_nearest_centers_subnormal_distances():
     for _ in range(300):
         x = rng.integers(-3, 4, size=(12, 3)) * 1e-160
         centers = x[rng.integers(12, size=4)] + rng.normal(size=(4, 3)) * 1e-162
-        labels, nearest = _nearest_centers(x, (x ** 2).sum(axis=1), centers)
+        xx = (x ** 2).sum(axis=1)
+        labels, nearest = _nearest_centers(x, xx, centers, np.sqrt(xx))
         want_labels, want_nearest = _dense_nearest(x, centers)
         assert np.array_equal(labels, want_labels)
         assert np.array_equal(nearest, want_nearest)
@@ -618,8 +639,9 @@ def test_nearest_centers_equals_dense_argmin(points, k, block):
     x, rng = points
     # centres drawn from the points, repeats included, so ties are common
     centers = x[rng.integers(len(x), size=k)]
+    xx = (x ** 2).sum(axis=1)
     with mock.patch.object(evaluation, "KMEANS_BLOCK", block):
-        labels, nearest = _nearest_centers(x, (x ** 2).sum(axis=1), centers)
+        labels, nearest = _nearest_centers(x, xx, centers, np.sqrt(xx))
     want_labels, want_nearest = _dense_nearest(x, centers)
     assert np.array_equal(labels, want_labels)
     assert np.array_equal(nearest, want_nearest)

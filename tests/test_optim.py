@@ -156,7 +156,9 @@ def count_calls():
         "train_sppmi": ("dim", lambda bad: train_sppmi(walks, 3, bad)),
         "train_baseline": ("walk_length", lambda bad: train_baseline(g, 4, walk_length=bad)),
         "kfold_split": ("folds", lambda bad: kfold_split(10, folds=bad)),
+        "kfold_split/n": ("n", lambda bad: kfold_split(bad, 2)),
         "kmeans": ("restarts", lambda bad: kmeans(x, 2, restarts=bad)),
+        "kmeans/k": ("k", lambda bad: kmeans(x, bad)),
         "sample_candidates": ("n", lambda bad: sample_candidates(g, 0, bad,
                                                                  np.random.default_rng(0))),
         "build_dataset": ("n", lambda bad: build_dataset(g, emb, n=bad)),

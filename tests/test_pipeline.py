@@ -175,6 +175,9 @@ BAD_CONFIGS = {
     "string-section": ({"triple_files": ["GRAPH"], "output_dir": "x", "eval": "both"},
                        "section 'eval' must be a JSON object"),
     "not-an-object": (["GRAPH"], "must be a JSON object"),
+    # raw text or bytes are written as they are
+    "not-json": ('{"triple_files": [', r"cfg\.json: not JSON \(Expecting value"),
+    "not-utf8": (b"\xff\xfe", r"cfg\.json: not JSON \('utf-8' codec can't decode"),
 }
 
 
@@ -183,7 +186,9 @@ def test_malformed_config_is_a_validate_error(tmp_path, capsys, case):
     gf, _ = write_graph(tmp_path)
     raw, message = BAD_CONFIGS[case]
     cfgf = tmp_path / "cfg.json"
-    cfgf.write_text(json.dumps(raw).replace("GRAPH", str(gf)), encoding="utf-8")
+    if not isinstance(raw, (str, bytes)):
+        raw = json.dumps(raw).replace("GRAPH", str(gf))
+    cfgf.write_bytes(raw if isinstance(raw, bytes) else raw.encode())
     with pytest.raises(PipelineError, match=message) as exc:
         ExperimentConfig.from_file(cfgf)
     assert exc.value.stage == "validate"

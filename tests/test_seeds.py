@@ -10,8 +10,7 @@ from tripletune import seeds as seedmod
 from tripletune import siamese
 from tripletune.graph import KnowledgeGraph
 from tripletune.seeds import (EmbeddingError, EmbeddingSet, SeedTrainConfig, check_width,
-                              export_embeddings, import_embeddings,
-                              load_checkpoint, save_checkpoint, train_seed)
+                              export_embeddings, import_embeddings, train_seed)
 from conftest import FLOAT_TEXT, batch_terms_case, tsv_text
 from oracles import (_reference_train_seed, score_complex, score_complex_grad, score_distmult,
                      score_distmult_grad, score_rotate, score_rotate_grad, score_transe,
@@ -582,16 +581,6 @@ def test_import_parses_or_raises_embedding_error(tmp_path, text):
     except EmbeddingError:
         return
     assert es.entity_vectors.shape == (2, 2) and np.all(np.isfinite(es.entity_vectors))
-
-
-def test_checkpoint_round_trip_exact(tmp_path):
-    g = one_triple_graph()
-    es = train_seed(g, "complex", SeedTrainConfig(dim=6, epochs=3, rng_seed=4))
-    path = tmp_path / "ckpt.npz"
-    save_checkpoint(es, path)
-    es2 = load_checkpoint(path)
-    assert np.array_equal(es.entity_vectors, es2.entity_vectors)
-    assert np.array_equal(es.predicate_vectors, es2.predicate_vectors)
 
 
 def test_embedding_set_invariants():
