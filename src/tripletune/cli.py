@@ -193,8 +193,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.fn(args)
     except (PipelineError, TrainingDiverged, ValueError, OSError) as exc:
-        diverged = "training diverged: " if isinstance(exc, TrainingDiverged) else ""
-        print(f"error: {diverged}{exc}", file=sys.stderr)
+        # run-all raises a diverged stage as a PipelineError caused by TrainingDiverged
+        diverged = any(isinstance(e, TrainingDiverged) for e in (exc, exc.__cause__))
+        print(f"error: {'training diverged: ' if diverged else ''}{exc}", file=sys.stderr)
         return 2 if isinstance(exc, PipelineError) else 1
 
 

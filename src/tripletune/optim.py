@@ -1,9 +1,8 @@
-"""Adam over one parameter array, which fine-tuning and the classifiers step;
-`packed`, which lays several arrays out as views of one; the ordered row sums
-of the sparse gradients of seed training and fine-tuning, each of which steps
-one array of parameter rows; the checks of a count, of a real number and of the
-two training configs; and the error that fine-tuning and skip-gram raise on
-non-finite parameters."""
+"""`train_rows`, the one training loop of seed training and fine-tuning, and the
+ordered row sums of sparse gradients that it steps by; Adam over one parameter
+array, which the classifiers step too, and `packed`, which lays arrays out as
+views of one; the checks of a count, a real number and the two training
+configs; and TrainingDiverged, which the loop and skip-gram raise."""
 
 from __future__ import annotations
 
@@ -120,6 +119,39 @@ def plan_row_sums(ids: np.ndarray, size: int) -> list[RowSums]:
     bounds = bounds.tolist()
     return [RowSums(rows[g0:g1], index[b * size:(b + 1) * size])
             for b, (g0, g1) in enumerate(zip(bounds, bounds[1:]))]
+
+
+def train_rows(cfg, n: int, rng: np.random.Generator, source: Callable, grad: Callable,
+               step: Callable, loss_history: list[float] | None = None) -> None:
+    """The one training loop: `cfg.epochs` epochs of `cfg.batch_size` batches of `n` examples.
+
+    Each epoch's permutation, drawn from `rng`, is cut into chunks of
+    PLAN_BATCHES batches. `source(chunk)` gives (ids, arrays): each example's
+    parameter rows in summation order, and its entry of each array. Over the
+    chunk's planned row sums, each batch is `grad(rows, its arrays, want_loss)`
+    -> (touched rows, their summed gradients, loss or None), then `step(touched,
+    grads, epoch, t, m)` for step t of m examples, which writes and returns the
+    new rows. The first step whose new rows are not all finite raises
+    TrainingDiverged, naming its epoch and step. Only a `loss_history` asks for
+    losses; it gets each epoch's summed batch losses over `n`.
+    """
+    t = 0
+    for epoch in range(cfg.epochs):
+        order = rng.permutation(n)
+        epoch_loss = 0.0
+        for first in range(0, n, PLAN_BATCHES * cfg.batch_size):
+            ids, arrays = source(order[first:first + PLAN_BATCHES * cfg.batch_size])
+            plan = plan_row_sums(ids, ids.shape[1] * cfg.batch_size)
+            for start, rows in zip(range(0, len(ids), cfg.batch_size), plan):
+                batch = [x[start:start + cfg.batch_size] for x in arrays]
+                touched, grads, loss = grad(rows, batch, loss_history is not None)
+                t += 1
+                if not np.isfinite(step(touched, grads, epoch, t, len(batch[0]))).all():
+                    raise TrainingDiverged(f"NaN/Inf parameter at epoch {epoch}, step {t}")
+                if loss is not None:
+                    epoch_loss += loss
+        if loss_history is not None:
+            loss_history.append(epoch_loss / n)
 
 
 def packed(*shapes: tuple[int, ...]) -> tuple[np.ndarray, list[np.ndarray]]:

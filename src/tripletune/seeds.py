@@ -16,8 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .graph import KnowledgeGraph
-from .optim import (PLAN_BATCHES, check_count, check_number, check_training_config,
-                    plan_row_sums)
+from .optim import check_count, check_number, check_training_config, train_rows
 
 TRAINABLE_MODELS = ("transe", "distmult", "complex", "rotate")
 COMPLEX_MODELS = ("complex", "rotate")
@@ -303,27 +302,23 @@ def train_seed(g: KnowledgeGraph, model_tag: str, cfg: SeedTrainConfig,
     decaying step to reduce the loss monotonically at desk scale.
     DistMult/ComplEx use binary cross-entropy on sigmoid scores.
 
-    Each mini-batch is one vectorised step. The corruptions of every
-    PLAN_BATCHES batches are drawn at once, in bulk (`_corrupt`): the same
-    draws in the same order as a loop over the examples, batch by batch, since
-    nothing else in an epoch draws. Their row sums are planned at once
-    (`optim.plan_row_sums`). The entity and predicate rows are one array,
-    and a batch is one update of the rows it touches, as fine-tuning steps
-    one array. A batch's positives and negatives are scored together against
-    the same parameters, and each parameter row gets the sum of its gradient
-    rows in example order (h, t, then nh, nt of each negative; negatives
-    outside the margin add zero rows), so the result equals an
-    example-at-a-time accumulation bit for bit. Deterministic under
-    cfg.rng_seed. The loss terms shape no parameter, so they are computed only
-    for a `loss_history`.
+    `optim.train_rows`, the loop of fine-tuning too, steps the entity and
+    predicate rows, one array, once per mini-batch. Each chunk's corruptions
+    are drawn in bulk (`_corrupt`) from the permutation's Generator: the draws
+    of a loop over the examples. A batch is scored against the same
+    parameters, and each row gets the sum of its gradient rows in example
+    order (h, t, then nh, nt of each negative; negatives outside the margin
+    add zero rows), so the result equals an example-at-a-time accumulation
+    bit for bit. Deterministic under cfg.rng_seed. The loss terms are computed
+    only for a `loss_history`. A step that leaves a row non-finite raises
+    TrainingDiverged, naming its epoch and step, before the next batch.
     """
     if model_tag not in TRAINABLE_MODELS:
         raise ValueError(f"cannot train model {model_tag!r}; import it instead")
     if g.num_triples == 0:
         raise ValueError("empty graph")
-    d = cfg.dim
+    n, k, n_ent, d = g.num_triples, cfg.negatives, g.num_entities, cfg.dim
     check_width(model_tag, d)
-    n, k, n_ent = g.num_triples, cfg.negatives, g.num_entities
     rng = np.random.default_rng(cfg.rng_seed)
     bound = 6.0 / math.sqrt(d)
     # one array of parameter rows, entities then predicates, drawn in that order;
@@ -339,51 +334,37 @@ def train_seed(g: KnowledgeGraph, model_tag: str, cfg: SeedTrainConfig,
 
     dims = (n_ent, g.num_predicates, n_ent)
     known = np.sort(np.ravel_multi_index(tuple(g.ids.T), dims))
-    per_batch = (1 + k) * cfg.batch_size   # scored triples in a full batch
-    is_pos = np.zeros(per_batch, dtype=bool)
-    is_pos[::1 + k] = True
-    for epoch in range(cfg.epochs):
+    is_pos = np.arange((1 + k) * cfg.batch_size) % (1 + k) == 0   # a full batch's positives
+
+    def source(chunk):   # each positive and its k corruptions; h, t, then p after the entities
+        tri = _corrupt(g.ids[chunk], k, known, dims, rng).reshape(len(chunk), 1 + k, 3)
+        return (tri[..., [0, 2, 1]] + [0, 0, n_ent]).reshape(len(chunk), -1), [tri]
+
+    def gradient(rows, batch, want_loss):
+        tri = batch[0].reshape(-1, 3)
+        terms, keep, d_head, d_tail, d_pred = _batch_terms(
+            model_tag, params, tri, is_pos[:len(tri)], cfg.margin, with_terms=want_loss)
+        if want_loss:   # each example's terms from 0.0 in order, then the examples in order
+            terms = np.add.accumulate(0.0 + terms.reshape(-1, 1 + k), axis=1)[:, -1]
+        # gradient rows (h, t, p) of each scored triple, zero past the margin (adding
+        # +0.0 changes no sum); RotatE's d/2 phase gradients are zero-padded to d
+        grad_rows = np.zeros((len(tri), 3, d))
+        grad_rows[keep, 0], grad_rows[keep, 1] = d_head[keep], d_tail[keep]
+        grad_rows[keep, 2, :d_pred.shape[1]] = d_pred[keep]
+        return (rows.rows, rows(grad_rows.reshape(-1, d)),
+                float(np.add.accumulate(terms)[-1]) if want_loss else None)
+
+    def sgd(touched, sums, epoch, t, m):
         # linear decay keeps late epochs from oscillating around the optimum
         lr = cfg.learning_rate * max(0.01, 1.0 - epoch / cfg.epochs)
-        order = rng.permutation(n)
-        epoch_loss = 0.0
-        for first in range(0, n, PLAN_BATCHES * cfg.batch_size):
-            ahead = _corrupt(g.ids[order[first:first + PLAN_BATCHES * cfg.batch_size]],
-                             k, known, dims, rng)
-            # one planned sum per batch for all rows: predicate ids follow the entity ids
-            plan = plan_row_sums(ahead[:, [0, 2, 1]] + [0, 0, n_ent], 3 * per_batch)
-            for start, rows in zip(range(0, len(ahead), per_batch), plan):
-                tri = ahead[start:start + per_batch]
-                m = len(tri) // (1 + k)
-                terms, keep, d_head, d_tail, d_pred = _batch_terms(
-                    model_tag, params, tri, is_pos[:len(tri)], cfg.margin,
-                    with_terms=loss_history is not None)
+        updated = slab.take(touched, axis=0) - lr * sums / m
+        slab[touched] = updated
+        return updated
 
-                if terms is not None:
-                    # each example's loss summed from 0.0 in order, then the batch
-                    # in order, as a running float sum would (0.0 + -0.0 is 0.0)
-                    terms = terms.reshape(m, 1 + k)
-                    example_loss = 0.0 + terms[:, 0]
-                    for j in range(1, 1 + k):
-                        example_loss = example_loss + terms[:, j]
-                    epoch_loss += float(np.add.accumulate(example_loss)[-1])
-
-                # gradient rows (head, tail, predicate) of every scored triple; a
-                # negative outside the margin has zero rows, which change no sum
-                # (s + 0.0 is s for a sum that starts at +0.0) and no parameter.
-                # RotatE's d/2 phase gradients are zero-padded to d, as its phase rows are
-                grad_rows = np.zeros((len(tri), 3, d))
-                grad_rows[keep, 0], grad_rows[keep, 1] = d_head[keep], d_tail[keep]
-                grad_rows[keep, 2, :d_pred.shape[1]] = d_pred[keep]
-                slab[rows.rows] -= lr * rows(grad_rows.reshape(-1, d)) / m
-        if loss_history is not None:
-            loss_history.append(epoch_loss / n)
-
+    train_rows(cfg, n, rng, source, gradient, sgd, loss_history)
     if model_tag == "rotate":   # e^(i phase), the complex numbers `_batch_terms` builds
         params["pred"] = _interleave(np.cos(params["phases"]) + 1j * np.sin(params["phases"]))
-    es = EmbeddingSet(params["ent"], params["pred"])
-    es.validate(g)
-    return es
+    return EmbeddingSet(params["ent"], params["pred"])
 
 
 # ---------------------------------------------------------------------------

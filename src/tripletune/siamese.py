@@ -16,8 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from .graph import KnowledgeGraph
-from .optim import (PLAN_BATCHES, Adam, RowSums, TrainingDiverged, check_number,
-                    check_training_config, plan_row_sums)
+from .optim import (Adam, RowSums, TrainingDiverged, check_number, check_training_config,
+                    plan_row_sums, train_rows)
 from .pairs import PtssDataset
 from .seeds import EmbeddingSet, read_rows, take_rows, write_rows
 
@@ -101,16 +101,14 @@ class SiameseModel:
 
 
 def batch_loss_and_grads(model: SiameseModel, a_ids: np.ndarray, b_ids: np.ndarray,
-                         targets: np.ndarray, rows: RowSums | None = None):
+                         targets: np.ndarray):
     """Mean squared error over the batch and its analytic gradients.
 
     Returns (loss, grad_w1, grad_b1, touched_rows, grad_rows) where grad_rows
     aligns with the deduplicated, sorted touched_rows. Each touched row sums
-    its gradient rows in the order a0, b0, a1, b1, ...; `rows` is that sum,
-    planned ahead (`train` plans many batches at once), else it is planned here.
+    its gradient rows in the order a0, b0, a1, b1, ....
     """
-    if rows is None:
-        rows = plan_row_sums(np.stack([a_ids, b_ids], axis=1), 2 * len(a_ids))[0]
+    rows = plan_row_sums(np.stack([a_ids, b_ids], axis=1), 2 * len(a_ids))[0]
     residual, *grads = _residual_and_grads(model, a_ids, b_ids, targets, rows)
     return (float(np.mean(residual ** 2)), *grads)
 
@@ -170,15 +168,15 @@ def train(model: SiameseModel, dataset: PtssDataset, cfg: FineTuneConfig,
           loss_history: list[float] | None = None) -> SiameseModel:
     """Adam fine-tuning of the embedding layer plus the shared dense layer.
 
-    Each step is one Adam row step of the model's slab over the touched triple
-    rows and the d + 1 dense rows; Adam treats every element alike, so this is
-    the dense step of w1 and b1 plus the row step of the triple layer, bit for
-    bit. The row sums of every PLAN_BATCHES batches of an epoch's permutation
-    are planned at once (`optim.plan_row_sums`). The batch loss shapes no
-    parameter, so it is computed only for a `loss_history`.
+    Each step of `optim.train_rows`, the loop of seed training too, is one Adam
+    row step of the model's slab over the touched triple rows and the d + 1
+    dense rows, at a linearly warmed-up rate: the dense step of w1 and b1 plus
+    the row step of the triple layer, bit for bit, since Adam treats every
+    element alike. The batch loss is computed only for a `loss_history`.
 
     Raises ValueError for an empty dataset, a pair id outside the layer's rows,
-    or a score that is not a PTSS value: one outside [-1, 1], NaN included.
+    or a score that is not a PTSS value: one outside [-1, 1], NaN included; and
+    TrainingDiverged at a step that leaves a row non-finite.
     """
     n = len(dataset)
     if n == 0:
@@ -192,37 +190,24 @@ def train(model: SiameseModel, dataset: PtssDataset, cfg: FineTuneConfig,
     if bad.size:
         raise ValueError(f"pair {bad[0]} has score {dataset.score[bad[0]]}, "
                          "not a finite value in [-1, 1]")
-    rng = np.random.default_rng(cfg.rng_seed)
-    steps_per_epoch = math.ceil(n / cfg.batch_size)
-    total_steps = cfg.epochs * steps_per_epoch
-    warmup_steps = int(cfg.warmup_fraction * total_steps)
-
+    warmup_steps = int(cfg.warmup_fraction * (cfg.epochs * math.ceil(n / cfg.batch_size)))
     dense_rows = np.arange(n_rows, len(model.slab))
     opt = Adam(model.slab, lr=cfg.learning_rate)
-    step = 0
-    for epoch in range(cfg.epochs):
-        order = rng.permutation(n)
-        epoch_loss = 0.0
-        for first in range(0, n, PLAN_BATCHES * cfg.batch_size):
-            ahead = order[first:first + PLAN_BATCHES * cfg.batch_size]
-            a, b, score = dataset.a[ahead], dataset.b[ahead], dataset.score[ahead]
-            plan = plan_row_sums(np.stack([a, b], axis=1), 2 * cfg.batch_size)
-            for start, rows in zip(range(0, len(ahead), cfg.batch_size), plan):
-                batch = slice(start, start + cfg.batch_size)
-                residual, gw, gb, touched, grows = _residual_and_grads(
-                    model, a[batch], b[batch], score[batch], rows)
-                step += 1
-                lr = (cfg.learning_rate * min(1.0, step / warmup_steps) if warmup_steps
-                      else cfg.learning_rate)
-                updated = opt.step_rows(np.concatenate([touched, dense_rows]),
-                                        np.concatenate([grows, gw, gb[None]]), lr=lr)
-                if loss_history is not None:
-                    epoch_loss += float(np.mean(residual ** 2)) * len(residual)
-                if not np.all(np.isfinite(updated)):
-                    raise TrainingDiverged(
-                        f"NaN/Inf parameter at epoch {epoch}, step {step}")
-        if loss_history is not None:
-            loss_history.append(epoch_loss / n)
+
+    def source(chunk):
+        a, b = dataset.a[chunk], dataset.b[chunk]
+        return np.stack([a, b], axis=1), [a, b, dataset.score[chunk]]
+
+    def gradient(rows, batch, want_loss):
+        residual, gw, gb, touched, grows = _residual_and_grads(model, *batch, rows)
+        return (np.concatenate([touched, dense_rows]), np.concatenate([grows, gw, gb[None]]),
+                float(np.mean(residual ** 2)) * len(residual) if want_loss else None)
+
+    def adam(touched, grads, epoch, t, m):
+        lr = cfg.learning_rate * min(1.0, t / warmup_steps) if warmup_steps else cfg.learning_rate
+        return opt.step_rows(touched, grads, lr=lr)
+
+    train_rows(cfg, n, np.random.default_rng(cfg.rng_seed), source, gradient, adam, loss_history)
     return model
 
 

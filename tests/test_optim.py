@@ -1,12 +1,16 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from conftest import _AllocatingAdam
+from tripletune import optim
 from tripletune.baseline import (build_line_graph, random_walks, train_baseline, train_skipgram,
                                  train_sppmi)
 from tripletune.evaluation import kfold_split, kmeans
 from tripletune.graph import KnowledgeGraph
-from tripletune.optim import Adam, dense_row_sums, packed, plan_row_sums, scatter_rows
+from tripletune.optim import (Adam, TrainingDiverged, dense_row_sums, packed, plan_row_sums,
+                              scatter_rows, train_rows)
 from tripletune.pairs import build_dataset, sample_candidates
 from tripletune.seeds import EmbeddingSet
 
@@ -139,6 +143,85 @@ def test_adam_equals_allocating_adam(lr):
             assert np.array_equal(m, old.m[k]) and np.array_equal(v, old.v[k]), (t, k)
         assert dense.t == by_rows.t == old.t == t + 1
     assert not np.array_equal(by_rows.params, init["emb"])
+
+
+class ToyTraining:
+    """`train_rows` over 10 examples that each add their two value rows to rows
+    i % 4 and (i + 1) % 4 of a 4-row slab, by SGD: a record of every call."""
+
+    n, d = 10, 3
+
+    def __init__(self, bad_step=None):
+        self.cfg = SimpleNamespace(epochs=3, batch_size=3)
+        self.slab = np.zeros((4, self.d))
+        self.values = np.random.default_rng(1).normal(size=(self.n, 2, self.d))
+        self.bad_step = bad_step
+        self.chunks, self.grads, self.steps = [], [], []
+
+    def source(self, chunk):
+        self.chunks.append(chunk)
+        return np.stack([chunk % 4, (chunk + 1) % 4], axis=1), [self.values[chunk], chunk]
+
+    def grad(self, rows, batch, want_loss):
+        values, examples = batch
+        self.grads.append((examples, want_loss))
+        loss = float(values.sum()) if want_loss else None
+        return rows.rows, rows(values.reshape(-1, self.d)), loss
+
+    def step(self, touched, grads, epoch, t, m):
+        self.steps.append((epoch, t, m))
+        updated = self.slab.take(touched, axis=0)
+        updated -= (np.inf if t == self.bad_step else 0.1) * grads
+        self.slab[touched] = updated
+        return updated
+
+    def train(self, rng, loss_history=None):
+        train_rows(self.cfg, self.n, rng, self.source, self.grad, self.step, loss_history)
+
+
+def test_train_rows_raises_at_the_first_non_finite_update():
+    # 4 batches an epoch (the last of 1), so step 6 is the second of epoch 1;
+    # no later gradient is computed
+    toy = ToyTraining(bad_step=6)
+    with pytest.raises(TrainingDiverged, match="^NaN/Inf parameter at epoch 1, step 6$"):
+        toy.train(np.random.default_rng(0))
+    assert len(toy.grads) == 6
+    assert toy.steps == [(0, 1, 3), (0, 2, 3), (0, 3, 3), (0, 4, 1), (1, 5, 3), (1, 6, 3)]
+
+
+def test_train_rows_draws_one_permutation_per_epoch(monkeypatch):
+    # chunks of 2 batches: each epoch's chunks and batches are its permutation
+    # in order, and the Generator is left where that many permutations leave it
+    monkeypatch.setattr(optim, "PLAN_BATCHES", 2)
+    toy = ToyTraining()
+    rng, twin = np.random.default_rng(7), np.random.default_rng(7)
+    toy.train(rng)
+    orders = [twin.permutation(toy.n) for _ in range(toy.cfg.epochs)]
+    assert [len(c) for c in toy.chunks] == [6, 4] * toy.cfg.epochs
+    assert np.array_equal(np.concatenate(toy.chunks), np.concatenate(orders))
+    assert np.array_equal(np.concatenate([ex for ex, _ in toy.grads]), np.concatenate(orders))
+    assert rng.bit_generator.state == twin.bit_generator.state
+    want = np.zeros_like(toy.slab)   # each step's rows get the batch's summed values
+    for order in orders:
+        for start in range(0, toy.n, 3):
+            batch = order[start:start + 3]
+            for ids, v in zip(np.stack([batch % 4, (batch + 1) % 4], axis=1), toy.values[batch]):
+                for i, row in zip(ids, v):
+                    want[i] -= 0.1 * row
+    assert np.allclose(toy.slab, want)
+
+
+def test_train_rows_loss_history_has_one_entry_per_epoch():
+    with_history, without = ToyTraining(), ToyTraining()
+    history = []
+    with_history.train(np.random.default_rng(3), history)
+    without.train(np.random.default_rng(3))
+    epoch_total = sum(float(v.sum()) for v in with_history.values) / ToyTraining.n
+    assert len(history) == with_history.cfg.epochs
+    assert np.allclose(history, epoch_total)
+    assert all(want for _, want in with_history.grads)
+    assert not any(want for _, want in without.grads)   # no loss without a history
+    assert np.array_equal(with_history.slab, without.slab)
 
 
 def count_calls():

@@ -612,6 +612,31 @@ def test_cli_finetune_divergence_exits_nonzero(tmp_path, capsys):
     assert "training diverged" in err and "epoch 0" in err
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_cli_seed_train_divergence_exits_nonzero(tmp_path, capsys):
+    # the seeds overflow within the first epoch of 38 batches: the run stops at
+    # the step that diverged and blames the training, not the input
+    gf, _ = write_graph(tmp_path, n_triples=300)
+    ents = tmp_path / "ents.tsv"
+    rc = cli_main(["seed-train", "--graph", str(gf), "--dim", "8", "--lr", "1e12",
+                   "--batch-size", "8", "--out-entities", str(ents),
+                   "--out-predicates", str(tmp_path / "preds.tsv")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "training diverged" in err and "epoch 0" in err and "NaN/Inf" in err
+    assert "matrix contains" not in err and not ents.exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_cli_run_all_names_a_diverged_stage(tmp_path, capsys):
+    gf, _ = write_graph(tmp_path, n_triples=300)
+    cfgf = small_config(tmp_path, gf, seed={"dim": 8, "epochs": 10, "learning_rate": 1e12,
+                                            "batch_size": 8})
+    assert cli_main(["run-all", "--config", str(cfgf)]) == 2
+    err = capsys.readouterr().err
+    assert "stage 'seed'" in err and "training diverged" in err and "epoch 0" in err
+
+
 # case: (command, extra arguments, file to overwrite or None, its text)
 BAD_CLI_INPUTS = {
     "finetune-epochs-0": ("finetune", ["--epochs", "0"], None, ""),

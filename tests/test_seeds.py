@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -6,11 +7,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from tripletune import optim
 from tripletune import seeds as seedmod
 from tripletune import siamese
 from tripletune.graph import KnowledgeGraph
+from tripletune.optim import TrainingDiverged
 from tripletune.seeds import (EmbeddingError, EmbeddingSet, SeedTrainConfig, check_width,
                               export_embeddings, import_embeddings, train_seed)
+from tripletune.synthetic import clustered_graph
 from conftest import FLOAT_TEXT, batch_terms_case, tsv_text
 from oracles import (_reference_train_seed, score_complex, score_complex_grad, score_distmult,
                      score_distmult_grad, score_rotate, score_rotate_grad, score_transe,
@@ -299,7 +303,7 @@ def test_train_seed_negatives_outside_the_margin_equal_example_loop(monkeypatch,
     # entities of a batch of one are touched only by zero rows: they must
     # change nothing, as in the example loop. Plans of 4 batches make each
     # epoch draw its corruptions in 8 rounds
-    monkeypatch.setattr(seedmod, "PLAN_BATCHES", 4)
+    monkeypatch.setattr(optim, "PLAN_BATCHES", 4)
     rng = np.random.default_rng(11)
     rows = {(f"e{rng.integers(12)}", f"r{rng.integers(2)}", f"e{rng.integers(12)}")
             for _ in range(40)}
@@ -317,6 +321,27 @@ def test_train_seed_negatives_outside_the_margin_equal_example_loop(monkeypatch,
     else:
         assert np.array_equal(es.predicate_vectors, params["pred"])
     assert history == ref_history
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("model", ["transe", "distmult"])
+def test_train_seed_divergence_stops_at_the_step(monkeypatch, model):
+    # at a rate of 1e12 the rows overflow within the first epoch of 38 batches:
+    # training stops at the step that first leaves a touched row non-finite,
+    # names it, and scores no later batch
+    scored = []
+
+    def counted(*args, **kwargs):
+        scored.append(1)
+        return batch_terms(*args, **kwargs)
+
+    batch_terms = seedmod._batch_terms
+    monkeypatch.setattr(seedmod, "_batch_terms", counted)
+    g = clustered_graph(n_triples=300, n_clusters=3, entities_per_cluster=8, rng_seed=1)
+    cfg = SeedTrainConfig(dim=8, epochs=10, batch_size=8, learning_rate=1e12)
+    with pytest.raises(TrainingDiverged, match=r"^NaN/Inf parameter at epoch 0, step \d+$") as got:
+        train_seed(g, model, cfg)
+    assert len(scored) == int(re.search(r"step (\d+)", str(got.value))[1]) < 38
 
 
 def dense_graph():
@@ -347,7 +372,7 @@ def test_train_seed_corruption_edge_cases_equal_example_loop(monkeypatch, graph,
     # with one batch of 3 per plan, a chunk of slots that hit known facts
     # refills several times, and a slot's retries span refills. `_DENSE` 0
     # sends every window of attempts through the rare-hit path
-    monkeypatch.setattr(seedmod, "PLAN_BATCHES", plan_batches)
+    monkeypatch.setattr(optim, "PLAN_BATCHES", plan_batches)
     monkeypatch.setattr(seedmod, "_DENSE", dense)
     g = CORRUPTION_GRAPHS[graph]()
     cfg = SeedTrainConfig(dim=4, epochs=3, batch_size=3, negatives=negatives, margin=12.0,

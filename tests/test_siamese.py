@@ -11,7 +11,7 @@ from tripletune.siamese import (AGG_OPS, FineTuneConfig, SiameseModel, TrainingD
                                 init_embedding_layer, load_checkpoint,
                                 read_triple_embedding_tsv, save_checkpoint, train,
                                 write_triple_embedding_tsv)
-from tripletune import siamese
+from tripletune import optim, siamese
 from tripletune.optim import Adam
 from conftest import (FLOAT_TEXT, _reference_batch_loss_and_grads, _reference_train,
                       random_named_triples, tsv_text)
@@ -388,7 +388,7 @@ def test_train_equals_frozen_train(monkeypatch, op, n_pairs, cfg):
             made.append(self)
 
     monkeypatch.setattr(siamese, "Adam", RecordingAdam)
-    monkeypatch.setattr(siamese, "PLAN_BATCHES", 3)
+    monkeypatch.setattr(optim, "PLAN_BATCHES", 3)
     model, ds = frozen_case(op, n_pairs)
     ref = copy_model(model)
     history, ref_history = [], []
